@@ -38,10 +38,11 @@ sim::FleetReport RunFleet(int num_stacks, int num_threads, uint64_t base_seed) {
 bool RunScalingSection(bench::JsonReport* json, bool quick) {
   bench::PrintHeader(
       "Fleet scaling: mixed supervised soak population, one shared timeline\n"
-      "(seed base 1, single worker; stacks/s is host-side throughput)");
-  bench::Table table({8, 10, 10, 9, 9, 8, 12, 12});
+      "(seed base 1, single worker; stacks/s is host-side throughput; rtl ticked\n"
+      "is the share of modeled RTL edges evaluated, the rest skipped as idle)");
+  bench::Table table({8, 10, 10, 9, 9, 8, 12, 12, 12});
   table.Row({"Stacks", "stacks/s", "ops/s", "faults", "resets", "wedged",
-             "makespan ms", "host s"});
+             "makespan ms", "host s", "rtl ticked"});
   bench::PrintRule();
 
   bool ok = true;
@@ -61,13 +62,18 @@ bool RunScalingSection(bench::JsonReport* json, bool quick) {
     double ops_per_s = report.host_seconds > 0
                            ? static_cast<double>(report.ops_completed) / report.host_seconds
                            : 0;
+    double ticked_share = report.rtl_cycles > 0
+                              ? static_cast<double>(report.rtl_cycles_ticked) /
+                                    static_cast<double>(report.rtl_cycles)
+                              : 0;
     table.Row({std::to_string(stacks), bench::Fmt(report.stacks_per_second, 1),
                bench::Fmt(ops_per_s, 1),
                std::to_string(report.faults_injected),
                std::to_string(report.recovery.soft_resets),
                std::to_string(report.wedged),
                bench::Fmt(report.makespan_ns / 1e6, 3),
-               bench::Fmt(report.host_seconds, 2)});
+               bench::Fmt(report.host_seconds, 2),
+               bench::Fmt(100 * ticked_share, 1) + "%"});
     if (json != nullptr) {
       json->AddRow()
           .Set("section", "fleet_scaling")
@@ -80,7 +86,9 @@ bool RunScalingSection(bench::JsonReport* json, bool quick) {
           .Set("degraded", report.degraded)
           .Set("wedged", report.wedged)
           .Set("makespan_ns", report.makespan_ns)
-          .Set("host_seconds", report.host_seconds);
+          .Set("host_seconds", report.host_seconds)
+          .Set("rtl_cycles", report.rtl_cycles)
+          .Set("rtl_ticked_share", ticked_share);
     }
   }
   return ok;

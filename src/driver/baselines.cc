@@ -311,7 +311,8 @@ DriverMetrics BitBangDriver::MeasureReads(int ops, int length) {
   }
   bus_.ClearSamples();
   double start_busy = cpu_busy_ns_;
-  double start_time = std::max(sw_time_ns_, rtl_.time_ns());
+  double start_time = now_ns();
+  const uint64_t start_ticked = rtl_.cycles_ticked();
   for (int i = 0; i < ops; ++i) {
     if (!Read(0, length, &data)) {
       metrics.functional = false;
@@ -319,7 +320,8 @@ DriverMetrics BitBangDriver::MeasureReads(int ops, int length) {
       return metrics;
     }
   }
-  metrics.elapsed_ns = std::max(sw_time_ns_, rtl_.time_ns()) - start_time;
+  metrics.elapsed_ns = now_ns() - start_time;
+  metrics.rtl_cycles_ticked = rtl_.cycles_ticked() - start_ticked;
   metrics.cpu_usage = (cpu_busy_ns_ - start_busy) / metrics.elapsed_ns;
   metrics.frequency = sim::AnalyzeSclFrequency(bus_.samples());
   metrics.recovery = recovery_counters_;
@@ -494,6 +496,7 @@ DriverMetrics XilinxIpDriver::MeasureReads(int ops, int length) {
   double start_busy = cpu_busy_ns_;
   double start_time = rtl_.time_ns();
   uint64_t start_irqs = irq_count_;
+  const uint64_t start_ticked = rtl_.cycles_ticked();
   for (int i = 0; i < ops; ++i) {
     if (!Read(0, length, &data)) {
       metrics.functional = false;
@@ -502,6 +505,7 @@ DriverMetrics XilinxIpDriver::MeasureReads(int ops, int length) {
     }
   }
   metrics.elapsed_ns = rtl_.time_ns() - start_time;
+  metrics.rtl_cycles_ticked = rtl_.cycles_ticked() - start_ticked;
   metrics.cpu_usage = (cpu_busy_ns_ - start_busy) / metrics.elapsed_ns;
   metrics.irq_count = irq_count_ - start_irqs;
   metrics.frequency = sim::AnalyzeSclFrequency(bus_.samples());

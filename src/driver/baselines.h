@@ -6,6 +6,7 @@
 #ifndef SRC_DRIVER_BASELINES_H_
 #define SRC_DRIVER_BASELINES_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -57,6 +58,7 @@ class BitBangDriver {
   const RecoveryCounters& recovery_counters() const { return recovery_counters_; }
   int32_t last_status() const { return last_status_; }
   bool wedged() const { return wedged_; }
+  double now_ns() const { return std::max(sw_time_ns_, rtl_.time_ns()); }
 
  private:
   bool RunOperation(const std::vector<int32_t>& request, std::vector<int32_t>* reply);

@@ -118,6 +118,7 @@ std::string FormatExecCounters(const DriverMetrics& metrics) {
   field("mmio_bursts", metrics.mmio_bursts);
   field("irqs_coalesced", metrics.irqs_coalesced);
   field("irqs", metrics.irq_count);
+  field("rtl_ticked", metrics.rtl_cycles_ticked);
   char host[48];
   std::snprintf(host, sizeof(host), " vm_host_ms=%.3f", metrics.vm_host_seconds * 1e3);
   out += host;
@@ -309,9 +310,7 @@ HybridDriver::HybridDriver(const HybridConfig& config)
     last_sw_steps_ = sw_.TotalSteps();
   }
   // Let the hardware reach its initial handshakes.
-  for (int i = 0; i < 32; ++i) {
-    rtl_.Tick();
-  }
+  rtl_.Advance(32);
 }
 
 HybridDriver::~HybridDriver() = default;
@@ -420,8 +419,11 @@ bool HybridDriver::WaitUpMessage() {
   // Boundary fault: the IRQ edge for this message never reaches the CPU, so
   // the blocking read sleeps until its timeout.
   const bool dropped = fault_plan_.Consult(sim::FaultKind::kDroppedInterrupt) > 0;
+  // The IRQ edge is never an idle one, so stepping lands on it (or on the
+  // first edge past the deadline) exactly as a per-edge loop does.
+  const uint64_t timeout_cycle = rtl_.CycleAfter(deadline);
   while (dropped || !regfile_->irq()) {
-    rtl_.Tick();
+    rtl_.Step(timeout_cycle > rtl_.cycles() ? timeout_cycle - rtl_.cycles() : 1);
     if (rtl_.time_ns() > deadline) {
       if (shadow_) {
         ShadowBusy(0);
@@ -722,9 +724,7 @@ void HybridDriver::SoftReset() {
   // initial handshakes again.
   Busy(config_.timing.mmio_write_ns);
   SyncRtl();
-  for (int i = 0; i < 32; ++i) {
-    rtl_.Tick();
-  }
+  rtl_.Advance(32);
   sw_time_ns_ = std::max(sw_time_ns_, rtl_.time_ns());
 }
 
@@ -908,6 +908,7 @@ DriverMetrics HybridDriver::MeasureReads(int ops, int length) {
   uint64_t start_bursts = mmio_bursts_;
   uint64_t start_coalesced = irqs_coalesced_;
   const uint64_t start_vm_host_ticks = vm_host_ticks_;
+  const uint64_t start_ticked = rtl_.cycles_ticked();
   for (int i = 0; i < ops; ++i) {
     if (!Read(0, length, &data)) {
       metrics.functional = false;
@@ -916,6 +917,7 @@ DriverMetrics HybridDriver::MeasureReads(int ops, int length) {
     }
   }
   metrics.elapsed_ns = now_ns() - start_time;
+  metrics.rtl_cycles_ticked = rtl_.cycles_ticked() - start_ticked;
   metrics.cpu_usage = (cpu_busy_ns_ - start_busy) / metrics.elapsed_ns;
   metrics.irq_count = irq_count_ - start_irqs;
   metrics.instructions_retired = sw_.TotalSteps() - start_steps;

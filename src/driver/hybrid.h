@@ -122,6 +122,10 @@ struct DriverMetrics {
   sim::FrequencyStats frequency;
   double cpu_usage = 0;  // busy fraction of one core (0..1)
   double elapsed_ns = 0;
+  // RTL clock edges actually evaluated during the measurement; the rest of
+  // the elapsed_ns / clock_ns edges were skipped as idle. Host cost only:
+  // no modeled output depends on it.
+  uint64_t rtl_cycles_ticked = 0;
   uint64_t irq_count = 0;
   // Execution-path counters (DESIGN.md "Execution modes").
   uint64_t instructions_retired = 0;  // software-VM IR instructions executed
@@ -193,6 +197,10 @@ class HybridDriver {
   sim::MfdRegFileDevice& mfd(int index) { return *mfds_[index]; }
   sim::I2cBus& downstream_bus(int channel) { return *downstream_buses_[channel]; }
   double now_ns() const;
+  // Modeled RTL clock edges so far, and how many of them were evaluated
+  // rather than skipped as idle (rtl::RtlSystem::cycles_ticked).
+  uint64_t rtl_cycles() const { return rtl_.cycles(); }
+  uint64_t rtl_cycles_ticked() const { return rtl_.cycles_ticked(); }
   double cpu_busy_ns() const { return cpu_busy_ns_; }
   uint64_t irq_count() const { return irq_count_; }
   uint64_t mmio_bursts() const { return mmio_bursts_; }

@@ -418,6 +418,22 @@ class ScriptedEnvRtl : public rtl::RtlComponent {
     up_->ready = out_ready_;
   }
 
+  // Idle while offering a command nobody takes yet, awaiting a reply nobody
+  // sends yet, or done; without it the skipping RTL run would never skip.
+  uint64_t IdleCycles() const override {
+    if (down_->valid != out_valid_ || up_->ready != out_ready_ ||
+        (out_valid_ && down_->data != (*stimuli_)[static_cast<size_t>(pos_) / 2])) {
+      return 0;
+    }
+    if (pos_ >= 2 * static_cast<int32_t>(stimuli_->size())) {
+      return out_valid_ || out_ready_ ? 0 : rtl::kIdleForever;
+    }
+    if (pos_ % 2 == 0) {
+      return out_valid_ && !out_ready_ && !down_->ready ? rtl::kIdleForever : 0;
+    }
+    return out_ready_ && !out_valid_ && !up_->valid ? rtl::kIdleForever : 0;
+  }
+
  private:
   rtl::HsWire* down_;
   rtl::HsWire* up_;
@@ -431,9 +447,22 @@ class ScriptedEnvRtl : public rtl::RtlComponent {
   bool next_ready_ = false;
 };
 
-TargetTrace RunRtlTarget(const ir::Compilation& compilation, const std::string& entry,
-                         const Stimuli& stimuli, const DifferentialOptions& options) {
+// One RTL run: the differential trace plus what the per-edge and the
+// skipping clock are compared on.
+struct RtlRun {
   TargetTrace trace;
+  std::vector<uint64_t> reply_cycles;  // clock cycle each reply landed at
+  std::map<std::string, std::vector<int32_t>> frames;  // full final frames
+  uint64_t cycles = 0;
+  uint64_t cycles_ticked = 0;
+};
+
+// Clocks the generated FSMs per edge (Tick), or stepping over idle spans
+// (`skip_idle`), with no other difference.
+RtlRun RunRtlTarget(const ir::Compilation& compilation, const std::string& entry,
+                    const Stimuli& stimuli, const DifferentialOptions& options, bool skip_idle) {
+  RtlRun run;
+  TargetTrace& trace = run.trace;
   rtl::RtlSystem system;
   std::vector<std::unique_ptr<rtl::RtlModule>> modules;
   std::map<std::string, rtl::RtlModule*> by_layer;
@@ -469,16 +498,25 @@ TargetTrace RunRtlTarget(const ir::Compilation& compilation, const std::string& 
   ScriptedEnvRtl env(down_wire, up_wire, &stimuli);
   system.AddComponent(&env);
 
-  auto probe_wires = [&]() {
+  // A transfer edge is never idle, so probing after every step sees every
+  // transfer in both clocking modes.
+  auto step = [&](uint64_t end) {
+    if (skip_idle) {
+      system.Step(end - system.cycles());
+    } else {
+      system.Tick();
+    }
     for (const auto& [wire, channel] : internal) {
       if (wire->valid && wire->ready) {
         trace.channel_msgs[ChannelKey(channel)].push_back(wire->data);
       }
     }
+    while (run.reply_cycles.size() < env.replies().size()) {
+      run.reply_cycles.push_back(system.cycles());
+    }
   };
   while (env.replies().size() < stimuli.size() && system.cycles() < options.max_rtl_cycles) {
-    system.Tick();
-    probe_wires();
+    step(options.max_rtl_cycles);
   }
   trace.replies = env.replies();
   trace.failed_step = static_cast<int>(trace.replies.size());
@@ -486,21 +524,27 @@ TargetTrace RunRtlTarget(const ir::Compilation& compilation, const std::string& 
     trace.verdict = Verdict::kStuck;
     trace.error = "cycle budget exhausted after " + std::to_string(system.cycles()) +
                   " cycles (" + std::to_string(env.replies().size()) + " replies)";
-    return trace;
+  } else {
+    // Let the layers drain past their reply talks back to their idle receive
+    // states before sampling frames. No internal transfer remains pending
+    // (the last Env reply is causally after them all), but keep probing
+    // anyway so a late transfer would surface as a channel-sequence
+    // divergence.
+    const uint64_t drained = system.cycles() + 500;
+    while (system.cycles() < drained) {
+      step(drained);
+    }
+    trace.verdict = Verdict::kOk;
+    for (const auto& [layer, module] : by_layer) {
+      trace.final_vars[layer] = ExtractVars(module->module(), module->frame());
+    }
   }
-  // Let the layers drain past their reply talks back to their idle receive
-  // states before sampling frames. No internal transfer remains pending (the
-  // last Env reply is causally after them all), but keep probing anyway so a
-  // late transfer would surface as a channel-sequence divergence.
-  for (int i = 0; i < 500; ++i) {
-    system.Tick();
-    probe_wires();
-  }
-  trace.verdict = Verdict::kOk;
   for (const auto& [layer, module] : by_layer) {
-    trace.final_vars[layer] = ExtractVars(module->module(), module->frame());
+    run.frames[layer].assign(module->frame().begin(), module->frame().end());
   }
-  return trace;
+  run.cycles = system.cycles();
+  run.cycles_ticked = system.cycles_ticked();
+  return run;
 }
 
 // ---------------------------------------------------------------------------
@@ -750,6 +794,41 @@ bool CompareTraces(const std::string& name, const TargetTrace& reference,
   return true;
 }
 
+// Idle-cycle skipping must be invisible: the skipping run matches the
+// per-edge one in trace, error text, reply cycles, frames and final cycle.
+bool CompareRtlRuns(const RtlRun& per_edge, const RtlRun& skipping, std::string* why) {
+  if (!CompareTraces("rtl-skip", per_edge.trace, skipping.trace, /*compare_internals=*/true,
+                     why)) {
+    return false;
+  }
+  if (skipping.trace.error != per_edge.trace.error) {
+    *why = "rtl-skip: error text \"" + skipping.trace.error + "\", per-edge rtl \"" +
+           per_edge.trace.error + "\"";
+    return false;
+  }
+  for (size_t i = 0; i < per_edge.reply_cycles.size(); ++i) {
+    if (skipping.reply_cycles[i] != per_edge.reply_cycles[i]) {
+      *why = "rtl-skip: reply " + std::to_string(i) + " landed at cycle " +
+             std::to_string(skipping.reply_cycles[i]) + ", per-edge rtl at " +
+             std::to_string(per_edge.reply_cycles[i]);
+      return false;
+    }
+  }
+  for (const auto& [layer, frame] : per_edge.frames) {
+    if (skipping.frames.at(layer) != frame) {
+      *why = "rtl-skip: final frame of " + layer + " mismatch: per-edge=" + FormatWords(frame) +
+             " skipping=" + FormatWords(skipping.frames.at(layer));
+      return false;
+    }
+  }
+  if (skipping.cycles != per_edge.cycles) {
+    *why = "rtl-skip: ended at cycle " + std::to_string(skipping.cycles) + ", per-edge rtl at " +
+           std::to_string(per_edge.cycles);
+    return false;
+  }
+  return true;
+}
+
 void CompareCheckerEngines(const ir::Compilation& compilation, const std::string& entry,
                            const Stimuli& stimuli, DifferentialResult* result) {
   check::CheckResult results[2];
@@ -894,9 +973,19 @@ DifferentialResult RunDifferential(const std::string& esi_text, const std::strin
     result.divergence = why;
   }
   if (result.vm.verdict == Verdict::kOk) {
-    result.rtl = RunRtlTarget(*compilation, entry, stimuli, options);
+    const RtlRun per_edge =
+        RunRtlTarget(*compilation, entry, stimuli, options, /*skip_idle=*/false);
+    const RtlRun skipping =
+        RunRtlTarget(*compilation, entry, stimuli, options, /*skip_idle=*/true);
+    result.rtl = per_edge.trace;
+    result.rtl_cycles = skipping.cycles;
+    result.rtl_cycles_ticked = skipping.cycles_ticked;
     if (result.agree &&
         !CompareTraces("rtl", result.vm, result.rtl, /*compare_internals=*/true, &why)) {
+      result.agree = false;
+      result.divergence = why;
+    }
+    if (result.agree && !CompareRtlRuns(per_edge, skipping, &why)) {
       result.agree = false;
       result.divergence = why;
     }

@@ -1,9 +1,10 @@
 // Five-way differential harness: runs one accepted fuzz spec through the
 // model checker's transition relation, the VM (all three execution tiers:
 // interpreter, direct-threaded, and runtime-compiled), the cycle-accurate
-// RTL simulator, and the dlopen'd generated C, feeding every target the same
-// deterministic event schedule (a fixed sequence of Env commands) and
-// asserting agreement step for step.
+// RTL simulator (clocked per edge and again skipping idle edges), and the
+// dlopen'd generated C, feeding every target the same deterministic event
+// schedule (a fixed sequence of Env commands) and asserting agreement step
+// for step.
 //
 // What makes the comparison well-defined: fuzz systems are closed trees of
 // layers connected by rendezvous channels (a Kahn network), so the sequence
@@ -98,7 +99,13 @@ struct DifferentialResult {
   TargetTrace vm_threaded;  // direct-threaded tier (when run_vm_tiers)
   TargetTrace vm_compiled;  // runtime-compiled tier (when run_vm_tiers)
   TargetTrace checker;
+  // The per-edge RTL clock's trace. The RTL leg runs a second time skipping
+  // idle edges, and must match this run in every reply, channel message,
+  // final frame and the cycle each reply landed at.
   TargetTrace rtl;
+  // Cycles the skipping RTL run covered, and how many it actually ticked.
+  uint64_t rtl_cycles = 0;
+  uint64_t rtl_cycles_ticked = 0;
   TargetTrace c;
   bool c_ran = false;
 

@@ -1,5 +1,7 @@
 #include "src/monitor/bus_watcher.h"
 
+#include <algorithm>
+
 namespace efeu::monitor {
 
 BusWatcher::BusWatcher(const sim::I2cBus* bus, const rtl::MmioRegfile* regfile,
@@ -54,6 +56,58 @@ void BusWatcher::Evaluate() {
                 "down message pending past the handshake limit");
   watch_pending(regfile_->UpFull(), &up_full_run_, &up_episode_,
                 "up message unconsumed past the handshake limit");
+}
+
+namespace {
+
+// Edges one watched condition stays quiet: a released condition whose run
+// and episode are already clear stays so; a holding one counts its run up
+// to, not including, the edge that trips (after its episode tripped, it
+// only counts).
+uint64_t QuietEdges(bool holds, int run, bool episode, int limit) {
+  if (!holds) {
+    return run == 0 && !episode ? rtl::kIdleForever : 0;
+  }
+  if (episode) {
+    return rtl::kIdleForever;
+  }
+  return run < limit ? static_cast<uint64_t>(limit - run) : 0;
+}
+
+}  // namespace
+
+uint64_t BusWatcher::IdleCycles() const {
+  uint64_t idle =
+      std::min(QuietEdges(!bus_->scl(), scl_low_run_, scl_episode_, options_.stuck_low_limit),
+               QuietEdges(!bus_->sda(), sda_low_run_, sda_episode_, options_.stuck_low_limit));
+  if (regfile_ != nullptr) {
+    idle = std::min({idle,
+                     QuietEdges(regfile_->DownPending(), down_pending_run_, down_episode_,
+                                options_.handshake_limit),
+                     QuietEdges(regfile_->UpFull(), up_full_run_, up_episode_,
+                                options_.handshake_limit)});
+  }
+  return idle;
+}
+
+void BusWatcher::AdvanceIdle(uint64_t edges) {
+  ticks_ += edges;
+  const int step = static_cast<int>(edges);
+  if (!bus_->scl()) {
+    scl_low_run_ += step;
+  }
+  if (!bus_->sda()) {
+    sda_low_run_ += step;
+  }
+  if (regfile_ == nullptr) {
+    return;
+  }
+  if (regfile_->DownPending()) {
+    down_pending_run_ += step;
+  }
+  if (regfile_->UpFull()) {
+    up_full_run_ += step;
+  }
 }
 
 void BusWatcher::Reset() {

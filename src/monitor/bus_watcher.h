@@ -43,6 +43,11 @@ class BusWatcher : public rtl::RtlComponent {
   // -- RtlComponent (purely observational: drives nothing) ---------------
   void Evaluate() override;
   void Commit() override {}
+  // Idle while no watched run resets, up to the edge before the next trip
+  // (so first_trip_at stays exact); the tick count and the runs of the
+  // conditions that hold advance across skipped edges.
+  uint64_t IdleCycles() const override;
+  void AdvanceIdle(uint64_t edges) override;
 
   // Clears the sticky trip and the in-flight episode state, matching a
   // stack soft reset. Trip counters are cumulative and survive resets.

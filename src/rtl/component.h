@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace efeu::rtl {
@@ -24,6 +25,9 @@ struct HsWire {
   explicit HsWire(int words = 0) : data(static_cast<size_t>(words), 0) {}
 };
 
+// IdleCycles() of a component that stays idle until one of its inputs moves.
+inline constexpr uint64_t kIdleForever = std::numeric_limits<uint64_t>::max();
+
 class RtlComponent {
  public:
   virtual ~RtlComponent() = default;
@@ -33,6 +37,18 @@ class RtlComponent {
   virtual void Evaluate() = 0;
   // Phase 2: publish the staged outputs.
   virtual void Commit() = 0;
+
+  // Idle-cycle skipping (DESIGN.md "Idle-cycle skipping"). How many upcoming
+  // clock edges this component would pass without changing any output or
+  // any state other than a countdown, judged from its inputs as they are
+  // now (wires, bus levels, state software wrote between edges). 0 means
+  // "must tick": the default, so a component without the hooks keeps
+  // RtlSystem ticking every edge.
+  virtual uint64_t IdleCycles() const { return 0; }
+  // Applies `edges` such idle edges at once (1 <= edges <= IdleCycles()):
+  // exactly what that many Evaluate/Commit pairs would do to the countdowns
+  // and per-edge counters.
+  virtual void AdvanceIdle(uint64_t edges) {}
 };
 
 }  // namespace efeu::rtl

@@ -63,6 +63,26 @@ void MmioRegfile::Evaluate() {
   }
 }
 
+uint64_t MmioRegfile::IdleCycles() const {
+  if (down_wire_ != nullptr) {
+    if (down_out_valid_ ? down_wire_->ready : sw_down_valid_) {
+      return 0;  // consumed this edge, or a fresh doorbell to publish
+    }
+    if (down_wire_->valid != down_out_valid_ || down_wire_->data != down_staged_) {
+      return 0;
+    }
+  }
+  if (up_wire_ != nullptr) {
+    if (up_out_ready_ ? up_wire_->valid : (sw_up_ready_ && !up_full_)) {
+      return 0;  // a packet lands this edge, or a fresh arm to publish
+    }
+    if (up_wire_->ready != up_out_ready_) {
+      return 0;
+    }
+  }
+  return kIdleForever;
+}
+
 void MmioRegfile::Commit() {
   if (down_wire_ != nullptr) {
     down_out_valid_ = next_down_out_valid_;

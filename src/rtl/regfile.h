@@ -69,6 +69,10 @@ class MmioRegfile : public RtlComponent {
   // -- RtlComponent -----------------------------------------------------
   void Evaluate() override;
   void Commit() override;
+  // Idle while neither handshake can move and both wires already show the
+  // registered flags and the staged down words (a lost doorbell leaves
+  // staged words the wire has not seen yet).
+  uint64_t IdleCycles() const override;
 
  private:
   HsWire* down_wire_ = nullptr;

@@ -181,6 +181,47 @@ void RtlModule::Evaluate() {
   }
 }
 
+uint64_t RtlModule::IdleCycles() const {
+  // Every bound wire must already show what Commit() would publish again.
+  for (size_t p = 0; p < ports_.size(); ++p) {
+    const PortState& port = ports_[p];
+    if (port.wire == nullptr) {
+      continue;
+    }
+    if (module_->ports[p].is_send) {
+      if (port.wire->valid != port.out_valid || port.wire->data != port.out_data) {
+        return 0;
+      }
+    } else if (port.wire->ready != port.out_ready) {
+      return 0;
+    }
+  }
+  if (halted_) {
+    return kIdleForever;
+  }
+  if (in_recv_deassert_) {
+    return 0;
+  }
+  const ir::Segment& segment = segmentation_.segments[segment_];
+  if (segment.ender < 0) {
+    return 0;
+  }
+  // Parked on a handshake: valid (or ready) raised, the peer's flag still
+  // low. Every other segment does work on its next edge.
+  const ir::Inst& inst = module_->blocks[segment.block].insts[segment.ender];
+  if (inst.op != ir::Opcode::kSend && inst.op != ir::Opcode::kRecv) {
+    return 0;
+  }
+  const PortState& port = ports_[inst.port];
+  if (port.wire == nullptr) {
+    return 0;
+  }
+  if (inst.op == ir::Opcode::kSend) {
+    return port.out_valid && !port.wire->ready ? kIdleForever : 0;
+  }
+  return port.out_ready && !port.wire->valid ? kIdleForever : 0;
+}
+
 void RtlModule::Commit() {
   frame_ = next_frame_;
   segment_ = next_segment_;

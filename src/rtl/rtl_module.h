@@ -26,6 +26,8 @@ class RtlModule : public RtlComponent {
 
   void Evaluate() override;
   void Commit() override;
+  // Idle while halted or parked on a handshake whose peer has not answered.
+  uint64_t IdleCycles() const override;
 
   const std::string& name() const { return name_; }
   const ir::Module& module() const { return *module_; }

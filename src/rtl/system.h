@@ -1,10 +1,13 @@
 // The RTL clock domain: owns the handshake wires and ticks every component
-// with two-phase (evaluate, then commit) semantics at a fixed clock.
+// with two-phase (evaluate, then commit) semantics at a fixed clock. Edges on
+// which no component changes state are skipped in one jump (see Step), which
+// moves host time only: every modeled output is the same as ticking them.
 
 #ifndef SRC_RTL_SYSTEM_H_
 #define SRC_RTL_SYSTEM_H_
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -26,9 +29,11 @@ class RtlSystem {
   // Non-owning; the caller keeps components alive.
   void AddComponent(RtlComponent* component) { components_.push_back(component); }
 
-  // Invoked after every clock edge (waveform capture etc.).
+  // Invoked after every clock edge (waveform capture etc.). An installed hook
+  // sees every edge, so it turns idle-cycle skipping off.
   void SetPostTickHook(std::function<void(double now_ns)> hook) { hook_ = std::move(hook); }
 
+  // Evaluates and commits one clock edge: the full-tick reference.
   void Tick() {
     for (RtlComponent* component : components_) {
       component->Evaluate();
@@ -37,15 +42,49 @@ class RtlSystem {
       component->Commit();
     }
     ++cycles_;
+    ++cycles_ticked_;
     if (hook_) {
       hook_(time_ns());
     }
   }
 
-  void TickUntil(double target_ns) {
-    while (time_ns() < target_ns) {
+  // Advances the clock by at least one and at most `max_edges` edges: jumps
+  // the idle span (the minimum of every component's IdleCycles(); 0 with a
+  // post-tick hook) in one step when there is one, otherwise ticks one edge.
+  // Every component stays idle across the jump because none of them moves
+  // an output another one reads. Returns the edges advanced.
+  uint64_t Step(uint64_t max_edges) {
+    const uint64_t span = std::min(IdleSpan(), max_edges);
+    if (span == 0) {
       Tick();
+      return 1;
     }
+    for (RtlComponent* component : components_) {
+      component->AdvanceIdle(span);
+    }
+    cycles_ += span;
+    return span;
+  }
+
+  // Advances exactly `edges` edges, skipping idle ones.
+  void Advance(uint64_t edges) {
+    const uint64_t end = cycles_ + edges;
+    while (cycles_ < end) {
+      Step(end - cycles_);
+    }
+  }
+
+  // Lands on the cycle where `while (time_ns() < target_ns) Tick();` stops.
+  void TickUntil(double target_ns) { Advance(CycleReaching(target_ns) - cycles_); }
+
+  // First cycle count >= cycles() at which time_ns() < target_ns no longer
+  // holds, found with that same double comparison.
+  uint64_t CycleReaching(double target_ns) const {
+    return FirstCycleWhere(target_ns, [target_ns](double t) { return !(t < target_ns); });
+  }
+  // First cycle count >= cycles() at which time_ns() > deadline_ns.
+  uint64_t CycleAfter(double deadline_ns) const {
+    return FirstCycleWhere(deadline_ns, [deadline_ns](double t) { return t > deadline_ns; });
   }
 
   // Synchronous soft reset of the interconnect: deasserts valid/ready and
@@ -61,12 +100,54 @@ class RtlSystem {
   }
 
   uint64_t cycles() const { return cycles_; }
-  double time_ns() const { return static_cast<double>(cycles_) * clock_ns_; }
+  // Edges actually evaluated by Tick(); cycles() - cycles_ticked() were
+  // skipped as idle.
+  uint64_t cycles_ticked() const { return cycles_ticked_; }
+  double time_ns() const { return TimeAt(cycles_); }
   double clock_ns() const { return clock_ns_; }
 
  private:
+  double TimeAt(uint64_t cycle) const { return static_cast<double>(cycle) * clock_ns_; }
+
+  uint64_t IdleSpan() const {
+    if (hook_) {
+      return 0;
+    }
+    uint64_t span = kIdleForever;
+    for (const RtlComponent* component : components_) {
+      span = std::min(span, component->IdleCycles());
+      if (span == 0) {
+        break;
+      }
+    }
+    return span;
+  }
+
+  // First cycle count c >= cycles() with stop(TimeAt(c)), for a predicate
+  // that stays true once it holds. `bound_ns` (where it starts to hold) only
+  // seeds the search; the answer comes from evaluating `stop` itself.
+  template <typename Stop>
+  uint64_t FirstCycleWhere(double bound_ns, Stop stop) const {
+    uint64_t cycle = cycles_;
+    if (stop(TimeAt(cycle))) {
+      return cycle;
+    }
+    const double guess = std::ceil(bound_ns / clock_ns_);
+    if (guess > static_cast<double>(cycle) && guess < 0x1p62) {
+      cycle = static_cast<uint64_t>(guess);
+      while (cycle > cycles_ && stop(TimeAt(cycle - 1))) {
+        --cycle;
+      }
+    }
+    while (!stop(TimeAt(cycle))) {
+      ++cycle;
+    }
+    return cycle;
+  }
+
   double clock_ns_;
   uint64_t cycles_ = 0;
+  uint64_t cycles_ticked_ = 0;
   std::deque<HsWire> wires_;
   std::vector<RtlComponent*> components_;
   std::function<void(double)> hook_;

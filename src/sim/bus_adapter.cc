@@ -80,6 +80,31 @@ void BusAdapter::Evaluate() {
   }
 }
 
+uint64_t BusAdapter::IdleCycles() const {
+  // The wires must already show what Commit() would publish again.
+  if (down_wire_ == nullptr || up_wire_ == nullptr || down_wire_->ready != out_ready_ ||
+      up_wire_->valid != out_valid_ || up_wire_->data.size() != 2 ||
+      up_wire_->data[0] != (sample_scl_ ? 1 : 0) || up_wire_->data[1] != (sample_sda_ ? 1 : 0)) {
+    return 0;
+  }
+  switch (phase_) {
+    case Phase::kWaitLevels:
+      return out_ready_ && !down_wire_->valid ? rtl::kIdleForever : 0;
+    case Phase::kHold:
+      return hold_left_ > 1 ? static_cast<uint64_t>(hold_left_ - 1) : 0;
+    case Phase::kSendSample:
+      return out_valid_ && !up_wire_->ready ? rtl::kIdleForever : 0;
+  }
+  return 0;
+}
+
+void BusAdapter::AdvanceIdle(uint64_t edges) {
+  tick_ += static_cast<int64_t>(edges);
+  if (phase_ == Phase::kHold) {
+    hold_left_ -= static_cast<int>(edges);
+  }
+}
+
 void BusAdapter::Commit() {
   phase_ = next_phase_;
   hold_left_ = next_hold_left_;

@@ -61,6 +61,10 @@ class BusAdapter : public rtl::RtlComponent {
 
   void Evaluate() override;
   void Commit() override;
+  // Idle through a half-cycle hold (all but its sampling edge) and while
+  // parked on a handshake; the pacing clock tick_ advances across skips.
+  uint64_t IdleCycles() const override;
+  void AdvanceIdle(uint64_t edges) override;
 
  private:
   enum class Phase { kWaitLevels, kHold, kSendSample };

@@ -190,6 +190,16 @@ void Eeprom24aa512::Evaluate() {
   prev_sda_ = sda;
 }
 
+uint64_t Eeprom24aa512::IdleCycles() const {
+  return bus_->scl() == prev_scl_ && bus_->sda() == prev_sda_ ? rtl::kIdleForever : 0;
+}
+
+void Eeprom24aa512::AdvanceIdle(uint64_t edges) {
+  busy_ticks_left_ = static_cast<uint64_t>(busy_ticks_left_) > edges
+                         ? busy_ticks_left_ - static_cast<int64_t>(edges)
+                         : 0;
+}
+
 void Eeprom24aa512::Commit() {
   drive_sda_ = next_drive_sda_;
   bus_->SetDriver(driver_id_, /*scl=*/true, drive_sda_);

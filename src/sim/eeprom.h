@@ -31,6 +31,10 @@ class Eeprom24aa512 : public rtl::RtlComponent {
 
   void Evaluate() override;
   void Commit() override;
+  // Idle while the bus levels equal the last ones seen; the write-cycle
+  // countdown runs on across skipped edges.
+  uint64_t IdleCycles() const override;
+  void AdvanceIdle(uint64_t edges) override;
 
   // Device-side fault injection (NACK-on-address, NACK-on-data, busy
   // bursts). Non-owning; nullptr = ideal device.

@@ -231,6 +231,8 @@ class StackContext {
     report_.monitor = driver_->MonitorCounters();
     report_.faults_injected = driver_->fault_plan().faults_injected();
     report_.finished_at_ns = driver_->now_ns();
+    report_.rtl_cycles = driver_->rtl_cycles();
+    report_.rtl_cycles_ticked = driver_->rtl_cycles_ticked();
   }
 
   std::string Describe() const {
@@ -329,6 +331,8 @@ void MergeStackReport(const StackReport& stack, FleetReport* fleet) {
   if (stack.finished_at_ns > fleet->makespan_ns) {
     fleet->makespan_ns = stack.finished_at_ns;
   }
+  fleet->rtl_cycles += stack.rtl_cycles;
+  fleet->rtl_cycles_ticked += stack.rtl_cycles_ticked;
 }
 
 std::string FormatHistogram(const uint64_t (&hist)[FleetReport::kNumBuckets]) {
@@ -429,6 +433,14 @@ std::string FleetReport::Format() const {
                 static_cast<unsigned long long>(events_processed),
                 static_cast<unsigned long long>(faults_injected),
                 makespan_ns / 1e6, host_seconds, stacks_per_second);
+  out += line;
+  std::snprintf(line, sizeof(line),
+                "rtl: %llu cycles, %llu ticked (%.1f%%), the rest skipped idle\n",
+                static_cast<unsigned long long>(rtl_cycles),
+                static_cast<unsigned long long>(rtl_cycles_ticked),
+                rtl_cycles > 0 ? 100.0 * static_cast<double>(rtl_cycles_ticked) /
+                                     static_cast<double>(rtl_cycles)
+                               : 0.0);
   out += line;
   out += "recovery: " + driver::FormatRecoveryCounters(recovery) + "\n";
   out += "monitors: " + monitor::FormatTripCounters(monitor) + "\n";

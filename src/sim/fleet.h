@@ -81,6 +81,10 @@ struct StackReport {
   monitor::TripCounters monitor;
   // Stack-local virtual time when the stack went quiescent.
   double finished_at_ns = 0;
+  // Modeled RTL clock edges, and how many of them were evaluated rather than
+  // skipped as idle (host cost only; not part of the signature).
+  uint64_t rtl_cycles = 0;
+  uint64_t rtl_cycles_ticked = 0;
 };
 
 struct FleetOptions {
@@ -124,6 +128,12 @@ struct FleetReport {
 
   // Max stack-local virtual finish time across the fleet.
   double makespan_ns = 0;
+
+  // Modeled RTL clock edges summed over the stacks, and how many of them
+  // were evaluated rather than skipped as idle. Excluded from
+  // CounterSignature: the ticked share is host cost, not a modeled result.
+  uint64_t rtl_cycles = 0;
+  uint64_t rtl_cycles_ticked = 0;
 
   // Host-side cost — excluded from CounterSignature.
   double host_seconds = 0;

@@ -1,5 +1,7 @@
 #include "src/sim/mux.h"
 
+#include "src/support/check.h"
+
 namespace efeu::sim {
 
 I2cMux::I2cMux(I2cBus* upstream, std::vector<I2cBus*> downstream, const MuxConfig& config)
@@ -7,12 +9,11 @@ I2cMux::I2cMux(I2cBus* upstream, std::vector<I2cBus*> downstream, const MuxConfi
       downstream_(std::move(downstream)),
       config_(config),
       upstream_id_(upstream->AddDriver()) {
+  EFEU_CHECK(downstream_.size() <= 32, "I2cMux: at most 32 downstream channels");
   downstream_ids_.reserve(downstream_.size());
   for (I2cBus* bus : downstream_) {
     downstream_ids_.push_back(bus->AddDriver());
   }
-  next_down_scl_.assign(downstream_.size(), true);
-  next_down_sda_.assign(downstream_.size(), true);
 }
 
 int I2cMux::RotateMask(int mask) const {
@@ -165,50 +166,58 @@ void I2cMux::Evaluate() {
   prev_scl_ = scl;
   prev_sda_ = sda;
 
-  // Pass gates: every selected channel and the upstream segment form one
-  // wired-AND net. Each side's forwarded drive is the AND of every OTHER
-  // segment's except-own level, so the mux's own forwarded low never reads
-  // back as a latched low (see I2cBus::SclExcept).
-  bool up_scl = upstream_->SclExcept(upstream_id_);
-  bool up_sda = upstream_->SdaExcept(upstream_id_);
-  bool down_all_scl = true;
-  bool down_all_sda = true;
-  std::vector<bool> down_scl(downstream_.size(), true);
-  std::vector<bool> down_sda(downstream_.size(), true);
+  gates_ = ComputePassGates();
+}
+
+I2cMux::PassGates I2cMux::ComputePassGates() const {
+  // Every selected channel and the upstream segment form one wired-AND net.
+  // Each side's forwarded drive is the AND of every OTHER segment's
+  // except-own level, so the mux's own forwarded low never reads back as a
+  // latched low (see I2cBus::SclExcept).
+  uint32_t low_scl = 0;  // selected channels whose segment pulls SCL low
+  uint32_t low_sda = 0;
   for (size_t c = 0; c < downstream_.size(); ++c) {
     if ((routed_mask_ >> c) & 1) {
-      down_scl[c] = downstream_[c]->SclExcept(downstream_ids_[c]);
-      down_sda[c] = downstream_[c]->SdaExcept(downstream_ids_[c]);
-      down_all_scl = down_all_scl && down_scl[c];
-      down_all_sda = down_all_sda && down_sda[c];
-    }
-  }
-  next_up_scl_ = down_all_scl;
-  next_up_sda_ = down_all_sda;
-  for (size_t c = 0; c < downstream_.size(); ++c) {
-    if ((routed_mask_ >> c) & 1) {
-      bool others_scl = true;
-      bool others_sda = true;
-      for (size_t o = 0; o < downstream_.size(); ++o) {
-        if (o != c && ((routed_mask_ >> o) & 1)) {
-          others_scl = others_scl && down_scl[o];
-          others_sda = others_sda && down_sda[o];
-        }
+      if (!downstream_[c]->SclExcept(downstream_ids_[c])) {
+        low_scl |= 1u << c;
       }
-      next_down_scl_[c] = up_scl && others_scl;
-      next_down_sda_[c] = up_sda && others_sda;
-    } else {
-      next_down_scl_[c] = true;
-      next_down_sda_[c] = true;
+      if (!downstream_[c]->SdaExcept(downstream_ids_[c])) {
+        low_sda |= 1u << c;
+      }
     }
   }
+  const bool up_scl = upstream_->SclExcept(upstream_id_);
+  const bool up_sda = upstream_->SdaExcept(upstream_id_);
+  PassGates gates;
+  gates.up_scl = low_scl == 0;
+  gates.up_sda = low_sda == 0;
+  for (size_t c = 0; c < downstream_.size(); ++c) {
+    const uint32_t bit = 1u << c;
+    if ((routed_mask_ >> c) & 1) {
+      if (!up_scl || (low_scl & ~bit) != 0) {
+        gates.down_scl &= ~bit;
+      }
+      if (!up_sda || (low_sda & ~bit) != 0) {
+        gates.down_sda &= ~bit;
+      }
+    }
+  }
+  return gates;
+}
+
+uint64_t I2cMux::IdleCycles() const {
+  if (upstream_->scl() != prev_scl_ || upstream_->sda() != prev_sda_) {
+    return 0;
+  }
+  return ComputePassGates() == gates_ ? rtl::kIdleForever : 0;
 }
 
 void I2cMux::Commit() {
   fsm_sda_ = next_fsm_sda_;
-  upstream_->SetDriver(upstream_id_, next_up_scl_, next_up_sda_ && fsm_sda_);
+  upstream_->SetDriver(upstream_id_, gates_.up_scl, gates_.up_sda && fsm_sda_);
   for (size_t c = 0; c < downstream_.size(); ++c) {
-    downstream_[c]->SetDriver(downstream_ids_[c], next_down_scl_[c], next_down_sda_[c]);
+    downstream_[c]->SetDriver(downstream_ids_[c], (gates_.down_scl >> c) & 1,
+                              (gates_.down_sda >> c) & 1);
   }
 }
 

@@ -43,6 +43,9 @@ class I2cMux : public rtl::RtlComponent {
 
   void Evaluate() override;
   void Commit() override;
+  // Idle while the upstream levels equal the last ones seen and the pass
+  // gates would forward exactly what they forward now.
+  uint64_t IdleCycles() const override;
 
   void SetFaultPlan(FaultPlan* plan) { fault_plan_ = plan; }
 
@@ -65,6 +68,17 @@ class I2cMux : public rtl::RtlComponent {
     kIgnore,
   };
 
+  // Pass-gate drives: the level forwarded onto the upstream segment, and
+  // one bit per downstream channel (bit c = the level forwarded onto c).
+  struct PassGates {
+    bool up_scl = true;
+    bool up_sda = true;
+    uint32_t down_scl = ~0u;
+    uint32_t down_sda = ~0u;
+
+    bool operator==(const PassGates&) const = default;
+  };
+
   void OnStart();
   void OnStop();
   void OnRisingEdge(bool sda);
@@ -72,6 +86,9 @@ class I2cMux : public rtl::RtlComponent {
   void HandleReceivedByte();
   void ApplySelect(int mask);
   int RotateMask(int mask) const;
+  // The drives the gates forward given the current bus levels; allocation-
+  // free, shared by Evaluate and IdleCycles.
+  PassGates ComputePassGates() const;
 
   I2cBus* upstream_;
   std::vector<I2cBus*> downstream_;
@@ -99,11 +116,9 @@ class I2cMux : public rtl::RtlComponent {
   int routed_mask_ = 0;
   int stuck_left_ = 0;
 
-  // Staged pass-gate drives (computed in Evaluate, published in Commit).
-  bool next_up_scl_ = true;
-  bool next_up_sda_ = true;
-  std::vector<bool> next_down_scl_;
-  std::vector<bool> next_down_sda_;
+  // Pass-gate drives, staged in Evaluate and published in Commit (between
+  // edges: the drives on the buses).
+  PassGates gates_;
 
   FaultPlan* fault_plan_ = nullptr;
   uint64_t selects_applied_ = 0;

@@ -1,5 +1,7 @@
 #include "src/sim/regfile_device.h"
 
+#include <algorithm>
+
 namespace efeu::sim {
 
 MfdRegFileDevice::MfdRegFileDevice(I2cBus* bus, const MfdConfig& config)
@@ -267,6 +269,58 @@ void MfdRegFileDevice::Evaluate() {
   }
   prev_scl_ = scl;
   prev_sda_ = sda;
+}
+
+uint64_t MfdRegFileDevice::IdleCycles() const {
+  if (bus_->scl() != prev_scl_ || bus_->sda() != prev_sda_) {
+    return 0;
+  }
+  // Edges until TickCells() next touches a register: each running
+  // countdown's last edge does.
+  uint64_t idle = rtl::kIdleForever;
+  for (int cell = 0; cell < num_cells(); ++cell) {
+    const size_t index = static_cast<size_t>(cell);
+    int left = 0;
+    switch (config_.cells[index]) {
+      case MfdCellKind::kCounter:
+        if (regs_[static_cast<size_t>((cell + 1) * kMfdCellStride + 1)] == 0) {
+          continue;
+        }
+        left = counter_prescale_left_[index];
+        break;
+      case MfdCellKind::kStat:
+        if (stat_busy_left_[index] <= 0) {
+          continue;
+        }
+        left = stat_busy_left_[index];
+        break;
+      case MfdCellKind::kGpio:
+        continue;
+    }
+    idle = std::min(idle, left > 1 ? static_cast<uint64_t>(left - 1) : 0);
+  }
+  return idle;
+}
+
+void MfdRegFileDevice::AdvanceIdle(uint64_t edges) {
+  const int step = static_cast<int>(edges);
+  for (int cell = 0; cell < num_cells(); ++cell) {
+    const size_t index = static_cast<size_t>(cell);
+    switch (config_.cells[index]) {
+      case MfdCellKind::kCounter:
+        if (regs_[static_cast<size_t>((cell + 1) * kMfdCellStride + 1)] > 0) {
+          counter_prescale_left_[index] -= step;
+        }
+        break;
+      case MfdCellKind::kStat:
+        if (stat_busy_left_[index] > 0) {
+          stat_busy_left_[index] -= step;
+        }
+        break;
+      case MfdCellKind::kGpio:
+        break;
+    }
+  }
 }
 
 void MfdRegFileDevice::Commit() {

@@ -55,6 +55,10 @@ class MfdRegFileDevice : public rtl::RtlComponent {
 
   void Evaluate() override;
   void Commit() override;
+  // Idle while the bus levels equal the last ones seen, up to the next edge
+  // on which a cell changes a register (COUNT step, conversion done).
+  uint64_t IdleCycles() const override;
+  void AdvanceIdle(uint64_t edges) override;
 
   void SetFaultPlan(FaultPlan* plan) { fault_plan_ = plan; }
 

@@ -50,6 +50,23 @@ void SecondMaster::Evaluate() {
   prev_sda_ = sda;
 }
 
+uint64_t SecondMaster::IdleCycles() const {
+  if (bus_->scl() != prev_scl_ || bus_->sda() != prev_sda_) {
+    return 0;
+  }
+  if (state_ == State::kIdle) {
+    return rtl::kIdleForever;
+  }
+  // The countdown's last edge changes state.
+  return ticks_left_ > 1 ? static_cast<uint64_t>(ticks_left_ - 1) : 0;
+}
+
+void SecondMaster::AdvanceIdle(uint64_t edges) {
+  if (state_ != State::kIdle) {
+    ticks_left_ -= static_cast<int64_t>(edges);
+  }
+}
+
 void SecondMaster::Commit() {
   bus_->SetDriver(driver_id_, next_scl_, next_sda_);
 }

@@ -37,6 +37,10 @@ class SecondMaster : public rtl::RtlComponent {
 
   void Evaluate() override;
   void Commit() override;
+  // Idle while the bus levels equal the last ones seen, up to the edge that
+  // ends the current hold or release window.
+  uint64_t IdleCycles() const override;
+  void AdvanceIdle(uint64_t edges) override;
 
   void SetFaultPlan(FaultPlan* plan) { fault_plan_ = plan; }
 

@@ -1,11 +1,23 @@
 // End-to-end hybrid driver tests: every software/hardware split must move
 // real bytes over the simulated bus to the behavioural EEPROM and back, in
 // both polling and interrupt-driven modes; baselines must function too.
+// Idle-cycle skipping must leave every modeled output of a driver exactly as
+// the per-edge clock produces it.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/driver/baselines.h"
 #include "src/driver/hybrid.h"
+#include "src/driver/mfd.h"
+#include "src/driver/resources.h"
+#include "src/driver/supervisor.h"
+#include "src/i2c/stack.h"
+#include "src/sim/fleet.h"
 
 namespace efeu::driver {
 namespace {
@@ -97,6 +109,185 @@ TEST(XilinxIpBaseline, ReadsPreloadedData) {
   ASSERT_EQ(data.size(), 14u);
   for (int i = 0; i < 14; ++i) {
     EXPECT_EQ(data[i], 0x30 + i);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Idle-cycle skipping against the per-edge clock. A post-tick hook (waveform
+// capture) makes a driver tick every edge: that run is the reference.
+// ---------------------------------------------------------------------------
+
+// Exact spelling of a modeled time: equality must hold to the last bit.
+std::string Exact(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%a", value);
+  return buf;
+}
+
+std::string Bytes(const std::vector<uint8_t>& bytes) {
+  std::string out;
+  for (uint8_t byte : bytes) {
+    out += std::to_string(byte) + ",";
+  }
+  return out;
+}
+
+// Everything a supervised soak stack reports, op by op, except host time.
+struct SoakOutcome {
+  std::vector<std::string> ops;
+  uint64_t cycles = 0;
+  uint64_t ticked = 0;
+};
+
+// The fleet's soak workload (sim::Fleet) on one stack, run to the end even
+// past a failed op so every op's outcome is compared.
+SoakOutcome RunSoakStack(const sim::StackConfig& stack, bool full_tick,
+                         std::shared_ptr<const ir::Compilation> compilation) {
+  HybridConfig config = sim::Fleet::BuildStackHybridConfig(stack, std::move(compilation));
+  config.capture_waveform = full_tick;
+  HybridDriver driver(config);
+  Supervisor<HybridDriver> supervisor(&driver);
+  MfdClient<Supervisor<HybridDriver>> mfd(&supervisor, sim::MfdConfig{}.address);
+  mfd.SetCellHandler(0, [](uint16_t) {});
+  SoakOutcome outcome;
+  auto record = [&](bool ok, const std::string& data) {
+    outcome.ops.push_back(std::string(ok ? "ok " : "FAIL ") + data + " now=" +
+                          Exact(driver.now_ns()) + " " +
+                          FormatRecoveryCounters(supervisor.counters()) + " " +
+                          monitor::FormatTripCounters(driver.MonitorCounters()) + " " +
+                          HealthStateName(supervisor.health()));
+  };
+  const std::vector<uint8_t> payload = {0x10, 0x32, 0x54, 0x76};
+  for (int op = 0; op < stack.rounds * 2; ++op) {
+    const int offset = 0x0400 + 8 * (op / 2);
+    if (op % 2 == 0) {
+      record(supervisor.Write(offset, payload), "write");
+    } else {
+      std::vector<uint8_t> data;
+      const bool ok = supervisor.Read(offset, static_cast<int>(payload.size()), &data);
+      record(ok, Bytes(data));
+    }
+  }
+  if (stack.stack_class == sim::StackClass::kMfd) {
+    uint16_t value = 0;
+    record(mfd.ReadReg(sim::kMfdRegId, &value), std::to_string(value));
+    record(mfd.EnableIrqs(0xFFFF), "enable");
+    record(mfd.WriteReg(sim::kMfdCellStride, 0xA5C3), "gpio");
+    record(mfd.ReadReg(sim::kMfdCellStride + 1, &value), std::to_string(value));
+    record(mfd.DispatchIrqs() >= 0, "dispatch");
+  }
+  outcome.ops.push_back(driver.fault_plan().Describe());
+  outcome.cycles = driver.rtl_cycles();
+  outcome.ticked = driver.rtl_cycles_ticked();
+  return outcome;
+}
+
+class SoakSkipTest : public ::testing::TestWithParam<std::tuple<sim::StackClass, bool>> {};
+
+TEST_P(SoakSkipTest, SupervisedStackMatchesPerEdgeClock) {
+  auto [stack_class, interrupt_driven] = GetParam();
+  DiagnosticEngine diag;
+  std::shared_ptr<const ir::Compilation> compilation = i2c::CompileControllerStack(diag);
+  ASSERT_NE(compilation, nullptr);
+  // Seeds 1-4 reach every seed-selected schedule: seed % 3 picks the mux and
+  // multi-master scripted faults, seed % 4 the mux channel.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    sim::StackConfig stack;
+    stack.stack_class = stack_class;
+    stack.interrupt_driven = interrupt_driven;
+    stack.seed = seed;
+    const SoakOutcome reference = RunSoakStack(stack, /*full_tick=*/true, compilation);
+    const SoakOutcome skipping = RunSoakStack(stack, /*full_tick=*/false, compilation);
+    ASSERT_EQ(skipping.ops.size(), reference.ops.size()) << "seed " << seed;
+    for (size_t i = 0; i < reference.ops.size(); ++i) {
+      EXPECT_EQ(skipping.ops[i], reference.ops[i]) << "seed " << seed << " op " << i;
+    }
+    EXPECT_EQ(skipping.cycles, reference.cycles) << "seed " << seed;
+    EXPECT_EQ(reference.ticked, reference.cycles) << "seed " << seed;
+    EXPECT_LT(skipping.ticked, reference.ticked) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SoakClasses, SoakSkipTest,
+    ::testing::Combine(::testing::Values(sim::StackClass::kEeprom, sim::StackClass::kMuxed,
+                                         sim::StackClass::kMultiMaster, sim::StackClass::kMfd),
+                       ::testing::Values(false, true)),
+    [](const ::testing::TestParamInfo<std::tuple<sim::StackClass, bool>>& param_info) {
+      return std::string(sim::StackClassName(std::get<0>(param_info.param))) +
+             (std::get<1>(param_info.param) ? "_irq" : "_poll");
+    });
+
+// Every functional Fig 10 row (Electrical has no interrupt-driven row): the
+// measured reads, then one more read, both ways.
+TEST(IdleSkipping, Fig10RowsMatchPerEdgeClock) {
+  for (SplitPoint split : {SplitPoint::kElectrical, SplitPoint::kSymbol, SplitPoint::kByte,
+                           SplitPoint::kTransaction, SplitPoint::kEepDriver}) {
+    for (bool interrupt_driven : {false, true}) {
+      if (split == SplitPoint::kElectrical && interrupt_driven) {
+        continue;
+      }
+      std::string results[2];
+      uint64_t ticked[2] = {};
+      for (int full_tick = 0; full_tick < 2; ++full_tick) {
+        HybridConfig config;
+        config.split = split;
+        config.interrupt_driven = interrupt_driven;
+        config.capture_waveform = full_tick == 1;
+        HybridDriver driver(config);
+        for (int i = 0; i < 14; ++i) {
+          driver.eeprom().Preload(0x0300 + i, static_cast<uint8_t>(0x5A ^ i));
+        }
+        const DriverMetrics metrics = driver.MeasureReads(3, 14);
+        std::vector<uint8_t> data;
+        const bool ok = driver.Read(0x0300, 14, &data);
+        results[full_tick] = std::to_string(metrics.functional) + " elapsed=" +
+                             Exact(metrics.elapsed_ns) + " cpu=" + Exact(metrics.cpu_usage) +
+                             " irqs=" + std::to_string(metrics.irq_count) + " instr=" +
+                             std::to_string(metrics.instructions_retired) + " read=" +
+                             std::to_string(ok) + " " + Bytes(data) +
+                             " now=" + Exact(driver.now_ns()) +
+                             " busy=" + Exact(driver.cpu_busy_ns()) +
+                             " irq_total=" + std::to_string(driver.irq_count());
+        ticked[full_tick] = metrics.rtl_cycles_ticked;
+      }
+      const std::string row =
+          std::string(SplitPointName(split)) + (interrupt_driven ? " irq" : " poll");
+      EXPECT_EQ(results[0], results[1]) << row;
+      EXPECT_LT(ticked[0], ticked[1]) << row;
+    }
+  }
+}
+
+// The all-software baseline under a seeded fault plan with recovery and
+// monitors: its GPIO writes, line-fault overlay steps and recovery pulses
+// all land between edges.
+TEST(IdleSkipping, BitBangBaselineMatchesPerEdgeClock) {
+  for (uint64_t seed : {3, 7, 11, 19}) {
+    std::string results[2];
+    for (int full_tick = 0; full_tick < 2; ++full_tick) {
+      TimingModel timing;
+      sim::EepromConfig eeprom;
+      eeprom.write_cycle_ns = 50000;
+      RecoveryPolicy recovery;
+      recovery.enabled = true;
+      BitBangDriver driver(timing, eeprom, /*capture_waveform=*/full_tick == 1,
+                           sim::FaultPlan::Random(seed, 0.02, 4), recovery);
+      driver.EnableMonitors();
+      std::string& out = results[full_tick];
+      for (int round = 0; round < 3; ++round) {
+        const std::vector<uint8_t> payload = {static_cast<uint8_t>(round), 0x22, 0x33};
+        out += std::to_string(driver.Write(0x40 + 8 * round, payload)) + " now=" +
+               Exact(driver.now_ns()) + "; ";
+        std::vector<uint8_t> data;
+        out += std::to_string(driver.Read(0x40 + 8 * round, 3, &data)) + " " + Bytes(data) +
+               " now=" + Exact(driver.now_ns()) + "; ";
+      }
+      out += FormatRecoveryCounters(driver.recovery_counters()) + " " +
+             monitor::FormatTripCounters(driver.MonitorCounters()) + " " +
+             driver.fault_plan().Describe();
+    }
+    EXPECT_EQ(results[0], results[1]) << "seed " << seed;
   }
 }
 

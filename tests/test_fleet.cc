@@ -4,7 +4,8 @@
 // aggregate signature is byte-identical across thread counts, and a
 // single-stack fleet run matches the same stack run standalone without the
 // engine), and the tier-1 fleet soak slice (the >=1024-stack nightly soak
-// runs behind EFEU_FLEET_SOAK; EFEU_FLEET_SEED reseeds it).
+// runs behind EFEU_FLEET_SOAK; EFEU_FLEET_SEED reseeds it) with its pinned
+// signature and the share of RTL edges each soak stack ticks.
 
 #include <gtest/gtest.h>
 
@@ -233,6 +234,17 @@ TEST(FleetDeterminism, SingleStackMatchesStandaloneRun) {
 // Tier-1 runs a 16-stack slice of the fleet soak; the nightly CI job sets
 // EFEU_FLEET_SOAK for >=1024 stacks under a fresh daily base seed
 // (EFEU_FLEET_SEED). Every failure block embeds the per-stack replay command.
+// CounterSignature() of the default tier-1 slice (16 stacks, base seed 1),
+// recorded with every RTL edge ticked. The thread-count and standalone
+// equalities above cannot see a change every path shares; this pin can.
+constexpr const char* kSliceSignature =
+    "stacks=16 classes=4/4/4/4 healthy=16 degraded=0 wedged=0 ops=116 faults=52 events=116 "
+    "makespan_ns=9912030.0 | attempts=215 retries=63 nacks=64 failures=0 timeouts=17 "
+    "bus_recoveries=15 deadline_hits=0 backoff_us=9250.0 soft_resets=28 reprobes=5 degraded=0 "
+    "arb_waits=2 mux_selects=9 | trips=33 resets=[0:1 1:10 2:2 3-4:1 5-8:2 >8:0] "
+    "degr=[0:16 1:0 2:0 3-4:0 5-8:0 >8:0] trips_hist=[0:2 1:9 2:0 3-4:1 5-8:4 >8:0] "
+    "worst=7:6 failures=0";
+
 TEST(FleetSoak, MixedFleetSoaksToQuiescence) {
   const bool full = std::getenv("EFEU_FLEET_SOAK") != nullptr;
   const int num_stacks = full ? 1024 : 16;
@@ -265,6 +277,26 @@ TEST(FleetSoak, MixedFleetSoaksToQuiescence) {
   EXPECT_EQ(report.events_processed, expected_ops);
   EXPECT_GT(report.makespan_ns, 0.0);
   EXPECT_NE(report.Format().find("fleet: "), std::string::npos);
+  if (!full && std::getenv("EFEU_FLEET_SEED") == nullptr) {
+    EXPECT_EQ(report.CounterSignature(), kSliceSignature);
+  }
+}
+
+// Idle-cycle skipping stays on for every soak class in both wait modes. A new
+// component that keeps the default IdleCycles() = 0 would make the stack
+// tick every edge again, with every modeled output (and so every other test)
+// unchanged; this share is what notices.
+TEST(FleetSoak, SupervisedStacksTickUnderATenthOfTheirCycles) {
+  for (int i = 0; i < 2 * kNumStackClasses; ++i) {
+    const StackConfig config = MakeSoakStack(i, /*base_seed=*/1);
+    const StackReport report = RunStackStandalone(i, config);
+    EXPECT_TRUE(report.completed) << report.failure;
+    EXPECT_GT(report.rtl_cycles, 0u);
+    EXPECT_LT(report.rtl_cycles_ticked * 10, report.rtl_cycles)
+        << StackClassName(config.stack_class)
+        << (config.interrupt_driven ? " interrupt" : " polling") << ": "
+        << report.rtl_cycles_ticked << " of " << report.rtl_cycles << " cycles ticked";
+  }
 }
 
 }  // namespace

@@ -68,15 +68,24 @@ TEST(FuzzGenerator, GeneratedSpecsAreAlwaysAccepted) {
 // Differential harness
 // ---------------------------------------------------------------------------
 
+// The RTL leg runs twice, per edge and skipping idle edges, and the two must
+// agree cycle for cycle (a divergence fails `agree`). The skipping run must
+// really skip, or the comparison proves nothing.
 TEST(FuzzDifferential, CheckerVmRtlAgreeOnFixedSeeds) {
   DifferentialOptions options;
   options.run_c = false;
   options.run_vm_tiers = false;  // Tier coverage: ExecutionTiersAgreeOnFixedSeeds.
+  uint64_t rtl_cycles = 0;
+  uint64_t rtl_ticked = 0;
   for (uint64_t seed = 100; seed < 140; ++seed) {
     DifferentialResult result = RunDifferential(GenerateSpec(seed), options);
     ASSERT_TRUE(result.accepted) << "seed " << seed << ": " << result.reject_reason;
     EXPECT_TRUE(result.agree) << "seed " << seed << ": " << result.divergence;
+    rtl_cycles += result.rtl_cycles;
+    rtl_ticked += result.rtl_cycles_ticked;
   }
+  EXPECT_GT(rtl_cycles, 0u);
+  EXPECT_LT(rtl_ticked, rtl_cycles);
 }
 
 // The VM execution tiers ride every differential run (run_vm_tiers defaults
@@ -216,6 +225,11 @@ TEST(FuzzCorpus, FuzzCorpusReplay) {
         RunDifferential(entry.esi, entry.esm, entry.stimuli, options);
     ASSERT_TRUE(result.accepted) << entry.name << ": " << result.reject_reason;
     EXPECT_TRUE(result.agree) << entry.name << ": " << result.divergence;
+    if (result.vm.verdict == Verdict::kOk) {
+      // The skipping RTL run at least jumps the idle drain after the last
+      // reply, so it ticks fewer edges than the per-edge run it matched.
+      EXPECT_LT(result.rtl_cycles_ticked, result.rtl_cycles) << entry.name;
+    }
     // Every committed repro also replays through the symbolic soundness
     // cross-check: a corpus entry that once exposed an executor bug must
     // keep exposing it.

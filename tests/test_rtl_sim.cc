@@ -1,17 +1,28 @@
 // Unit tests for the RTL substrate and the platform simulation: handshake
 // wires between clocked FSMs, the MMIO register file's auto-reset semantics,
 // the deadline-paced bus adapter, the open-drain bus, the 24AA512 model, the
-// waveform analysis, and the Xilinx IP engine.
+// waveform analysis, the Xilinx IP engine, and idle-cycle skipping against
+// the per-edge clock.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/ir/compile.h"
+#include "src/monitor/bus_watcher.h"
 #include "src/rtl/regfile.h"
 #include "src/rtl/rtl_module.h"
 #include "src/rtl/system.h"
 #include "src/sim/bus_adapter.h"
 #include "src/sim/eeprom.h"
+#include "src/sim/fault_plan.h"
 #include "src/sim/i2c_bus.h"
+#include "src/sim/mux.h"
+#include "src/sim/regfile_device.h"
+#include "src/sim/second_master.h"
 #include "src/sim/waveform.h"
 #include "src/sim/xilinx_ip.h"
 
@@ -85,9 +96,9 @@ TEST(Waveform, AsciiRendering) {
 // RtlModule handshake between two generated FSMs
 // ---------------------------------------------------------------------------
 
-TEST(RtlModule, TwoModulesHandshakeOverWires) {
-  DiagnosticEngine diag;
-  auto comp = ir::Compile(
+// A talks to B twice and halts; B doubles every request, forever.
+std::unique_ptr<ir::Compilation> CompileTwoModules(DiagnosticEngine& diag) {
+  return ir::Compile(
       "layer A; layer B; interface <A, B> { => { i32 v; }, <= { i32 r; } };",
       R"esm(
 void A() {
@@ -105,6 +116,11 @@ void B() {
 }
 )esm",
       diag);
+}
+
+TEST(RtlModule, TwoModulesHandshakeOverWires) {
+  DiagnosticEngine diag;
+  auto comp = CompileTwoModules(diag);
   ASSERT_NE(comp, nullptr) << diag.RenderAll();
 
   rtl::RtlSystem system;
@@ -361,6 +377,513 @@ TEST(Eeprom, PageWriteWrapsWithinPage) {
   EXPECT_EQ(eeprom.MemoryAt(1), 4);
   EXPECT_EQ(eeprom.MemoryAt(2), 5);
   EXPECT_EQ(eeprom.MemoryAt(3), 6);
+}
+
+// ---------------------------------------------------------------------------
+// Idle-cycle skipping against the per-edge clock
+// ---------------------------------------------------------------------------
+
+TEST(RtlSystem, LandingCyclesMatchPerEdgeLoops) {
+  for (double clock_ns : {10.0, 3.3, 0.7, 1.0 / 3.0}) {
+    for (double target : {0.0, 5.0, 10.0, 99.99, 100.0, 1234.5, 1e5 + 0.1, 2e5}) {
+      rtl::RtlSystem reference(clock_ns);
+      while (reference.time_ns() < target) {
+        reference.Tick();
+      }
+      // No components: every edge is idle, so the whole span is one jump.
+      rtl::RtlSystem skipping(clock_ns);
+      skipping.TickUntil(target);
+      EXPECT_EQ(skipping.cycles(), reference.cycles()) << clock_ns << " ns, " << target;
+      EXPECT_EQ(skipping.cycles_ticked(), 0u);
+
+      rtl::RtlSystem timeout(clock_ns);
+      do {
+        timeout.Tick();
+      } while (!(timeout.time_ns() > target));
+      EXPECT_EQ(rtl::RtlSystem(clock_ns).CycleAfter(target), timeout.cycles())
+          << clock_ns << " ns, " << target;
+    }
+  }
+}
+
+// A component without the hooks keeps the default IdleCycles() = 0.
+class AlwaysBusy : public rtl::RtlComponent {
+ public:
+  void Evaluate() override {}
+  void Commit() override {}
+};
+
+TEST(RtlSystem, HookOrHooklessComponentTicksEveryEdge) {
+  rtl::RtlSystem hooked;
+  int calls = 0;
+  hooked.SetPostTickHook([&calls](double) { ++calls; });
+  hooked.TickUntil(1000);
+  EXPECT_EQ(hooked.cycles(), 100u);
+  EXPECT_EQ(hooked.cycles_ticked(), 100u);
+  EXPECT_EQ(calls, 100);
+
+  rtl::RtlSystem busy;
+  AlwaysBusy component;
+  busy.AddComponent(&component);
+  busy.TickUntil(1000);
+  EXPECT_EQ(busy.cycles_ticked(), 100u);
+}
+
+// The generated-FSM hook with no busy peer to cover for it: one module of
+// the two-module spec alone in its clock domain, the test playing the other
+// module on the wires between edges. Handshake entry, wait, transfer,
+// de-assert and halt edges must come out as the per-edge clock has them.
+TEST(IdleSkipping, LoneRtlModuleMatchesPerEdgeClock) {
+  DiagnosticEngine diag;
+  auto comp = CompileTwoModules(diag);
+  ASSERT_NE(comp, nullptr) << diag.RenderAll();
+  const esi::ChannelInfo* to_b = comp->system().FindChannel("A", "B");
+  const esi::ChannelInfo* to_a = comp->system().FindChannel("B", "A");
+  for (const char* layer : {"A", "B"}) {
+    const bool is_a = layer[0] == 'A';
+    std::vector<std::string> runs[2];
+    for (int skip = 0; skip < 2; ++skip) {
+      rtl::RtlSystem system;
+      rtl::RtlModule module(comp->FindModule(layer), layer);
+      rtl::HsWire* down = system.CreateWire(to_b->flat_size);
+      rtl::HsWire* up = system.CreateWire(to_a->flat_size);
+      module.BindPort(module.module().FindPort(to_b, /*is_send=*/is_a), down);
+      module.BindPort(module.module().FindPort(to_a, /*is_send=*/!is_a), up);
+      system.AddComponent(&module);
+      // The wire the test sends on, and the one it receives from.
+      rtl::HsWire* in = is_a ? up : down;
+      rtl::HsWire* out = is_a ? down : up;
+      auto advance = [&](uint64_t edges) {
+        const uint64_t end = system.cycles() + edges;
+        while (system.cycles() < end) {
+          if (skip == 1) {
+            system.Step(end - system.cycles());
+          } else {
+            system.Tick();
+          }
+        }
+        std::string state = std::to_string(system.cycles());
+        for (const rtl::HsWire* wire : {down, up}) {
+          state += " " + std::to_string(wire->valid) + std::to_string(wire->ready) + ":" +
+                   std::to_string(wire->data[0]);
+        }
+        for (int32_t slot : module.frame()) {
+          state += " " + std::to_string(slot);
+        }
+        state += " busy=" + std::to_string(module.busy_cycles()) +
+                 " halted=" + std::to_string(module.halted());
+        runs[skip].push_back(state);
+      };
+      advance(20);
+      for (int32_t value : {21, 5, 9}) {
+        in->data[0] = value;  // offer a message...
+        in->valid = true;
+        advance(3);
+        in->valid = false;
+        advance(10);
+        out->ready = true;  // ...and take the answer
+        advance(3);
+        out->ready = false;
+        advance(40);
+      }
+    }
+    EXPECT_EQ(runs[1], runs[0]) << "module " << layer;
+  }
+}
+
+// A hand-built platform holding every component with idle hooks: bus adapter
+// and MMIO register file at the Electrical split, a second master and a
+// three-channel mux on the controller's bus, an EEPROM and an MFD behind
+// channel 0, another EEPROM on channel 1, and a bus watcher. Channel 2 has
+// no modeled device, only a driver the test pulls like a stuck peripheral,
+// so nothing but the mux's pass gates notices it. The test plays the
+// software side between edges (register accesses, a recovery-style bus
+// driver, soft resets). The reference world ticks every edge; the other one
+// steps, jumping idle spans. Both record the bus after every step, which in
+// the skipping world sees every change because a jump changes no line.
+class SkipWorld {
+ public:
+  explicit SkipWorld(bool full_tick)
+      : full_tick_(full_tick),
+        adapter_(&bus_, /*half_cycle_ticks=*/50),
+        second_(&bus_, MasterConfig()),
+        mux_(&bus_, {&chan0_, &chan1_, &chan2_}, sim::MuxConfig{0x70, 3}),
+        eeprom_(&chan0_, DeviceConfig(0x50)),
+        mfd_(&chan0_, sim::MfdConfig{}),
+        eeprom1_(&chan1_, DeviceConfig(0x51)),
+        regfile_(2, 2),
+        watcher_(&bus_, &regfile_, monitor::BusWatcherOptions{1500, 3000}),
+        test_driver_(bus_.AddDriver()),
+        chan2_driver_(chan2_.AddDriver()) {
+    down_ = system_.CreateWire(2);
+    up_ = system_.CreateWire(2);
+    adapter_.BindDown(down_);
+    adapter_.BindUp(up_);
+    regfile_.BindDown(down_);
+    regfile_.BindUp(up_);
+    // Arbitration loss at the eighth START; a refused data byte and an SDA
+    // stuck-low burst in the final read.
+    plan_ = sim::FaultPlan::Scripted({{sim::FaultKind::kArbitrationLoss, 7, 1},
+                                      {sim::FaultKind::kNackOnData, 14, 1},
+                                      {sim::FaultKind::kSdaStuckLow, 900, 2}});
+    adapter_.SetFaultPlan(&plan_);
+    second_.SetFaultPlan(&plan_);
+    mux_.SetFaultPlan(&plan_);
+    eeprom_.SetFaultPlan(&plan_);
+    mfd_.SetFaultPlan(&plan_);
+    for (rtl::RtlComponent* component : std::vector<rtl::RtlComponent*>{
+             &adapter_, &second_, &mux_, &eeprom_, &mfd_, &eeprom1_, &regfile_, &watcher_}) {
+      system_.AddComponent(component);
+    }
+    for (sim::I2cBus* bus : {&bus_, &chan0_, &chan1_, &chan2_}) {
+      bus->EnableCapture(true);
+    }
+    Settle(320);
+  }
+
+  // -- Clocking: per edge, or stepping -------------------------------------
+  void SyncTo(double target_ns) {
+    if (full_tick_) {
+      while (system_.time_ns() < target_ns) {
+        system_.Tick();
+        Capture();
+      }
+      return;
+    }
+    const uint64_t end = system_.CycleReaching(target_ns);
+    while (system_.cycles() < end) {
+      system_.Step(end - system_.cycles());
+      Capture();
+    }
+  }
+  // Interrupt-style wait: false when the deadline passes first.
+  bool WaitIrq(double deadline_ns) {
+    const uint64_t timeout = system_.CycleAfter(deadline_ns);
+    while (!regfile_.irq()) {
+      if (full_tick_) {
+        system_.Tick();
+      } else {
+        system_.Step(timeout > system_.cycles() ? timeout - system_.cycles() : 1);
+      }
+      Capture();
+      if (system_.time_ns() > deadline_ns) {
+        return false;
+      }
+    }
+    return true;
+  }
+  void Settle(double ns) {
+    sw_ns_ = std::max(sw_ns_, system_.time_ns()) + ns;
+    SyncTo(sw_ns_);
+  }
+
+  // -- Software side: one level pair through the register file -------------
+  // Returns the sampled SDA level, or -1 when the sample never came back. A
+  // late arm lets the sample park on the wire first, so the arm is the only
+  // change between edges; a late consume holds the latched message.
+  int Levels(bool scl, bool sda, double arm_delay_ns = 0, double consume_delay_ns = 0) {
+    Settle(130);
+    regfile_.WriteDown(std::vector<int32_t>{scl ? 1 : 0, sda ? 1 : 0});
+    Settle(130);
+    regfile_.SetDownValid();
+    if (arm_delay_ns > 0) {
+      Settle(arm_delay_ns);
+      Snapshot();
+    }
+    regfile_.ArmUp();
+    if (!WaitIrq(system_.time_ns() + 1e6)) {
+      Snapshot();
+      return -1;
+    }
+    Settle(420 + consume_delay_ns);
+    const int sampled = regfile_.ReadUpWord(1);
+    regfile_.ConsumeUp();
+    Snapshot();
+    return sampled;
+  }
+  void Start() {
+    Levels(true, true);
+    Levels(true, false);
+    Levels(false, false);
+  }
+  void RepeatedStart() {
+    Levels(false, true);
+    Start();
+  }
+  void Stop() {
+    Levels(false, false);
+    Levels(true, false);
+    Levels(true, true);
+  }
+  // True when the byte was acknowledged.
+  bool WriteByte(int value) {
+    for (int bit = 7; bit >= 0; --bit) {
+      const bool level = ((value >> bit) & 1) != 0;
+      Levels(false, level);
+      Levels(true, level);
+      Levels(false, level);
+    }
+    Levels(false, true);
+    const bool ack = Levels(true, true) == 0;
+    Levels(false, true);
+    return ack;
+  }
+  int ReadByte(bool ack) {
+    int value = 0;
+    for (int bit = 0; bit < 8; ++bit) {
+      Levels(false, true);
+      value = (value << 1) | (Levels(true, true) == 1 ? 1 : 0);
+    }
+    Levels(false, !ack);
+    Levels(true, !ack);
+    Levels(false, !ack);
+    return value;
+  }
+
+  // -- Between-edge interventions -------------------------------------------
+  // Staged words the doorbell never publishes (a lost doorbell).
+  void StageWithoutDoorbell(int32_t scl, int32_t sda) {
+    regfile_.WriteDown(std::vector<int32_t>{scl, sda});
+    Settle(5000);
+    Snapshot();
+  }
+  // Nine SCL pulses and a STOP from a driver outside the clock domain.
+  void RecoveryPulses() {
+    for (int i = 0; i < 9; ++i) {
+      bus_.SetDriver(test_driver_, false, true);
+      Settle(1250);
+      bus_.SetDriver(test_driver_, true, true);
+      Settle(1250);
+      Snapshot();
+    }
+    bus_.SetDriver(test_driver_, true, false);
+    Settle(1250);
+    bus_.SetDriver(test_driver_, true, true);
+    Settle(1250);
+    Snapshot();
+  }
+  // A device-less peripheral on channel 2 holds SDA low for a while; only
+  // the mux's pass gates can carry that to the other segments.
+  void Channel2HoldsSda(double ns) {
+    chan2_.SetDriver(chan2_driver_, true, false);
+    Settle(ns);
+    Snapshot();
+    chan2_.SetDriver(chan2_driver_, true, true);
+    Settle(ns);
+    Snapshot();
+  }
+  void SoftReset() {
+    adapter_.Reset();
+    regfile_.SoftReset();
+    watcher_.Reset();
+    system_.ResetWires();
+    Settle(320);
+    Snapshot();
+  }
+
+  // Every component's observable state, one line per script step.
+  void Snapshot() {
+    std::string s = "t=" + std::to_string(system_.cycles());
+    auto flag = [&s](const char* name, bool value) {
+      s += ' ';
+      s += name;
+      s += value ? "=1" : "=0";
+    };
+    auto num = [&s](const char* name, uint64_t value) {
+      s += ' ';
+      s += name;
+      s += '=';
+      s += std::to_string(value);
+    };
+    for (const sim::I2cBus* bus : {&bus_, &chan0_, &chan1_, &chan2_}) {
+      flag("scl", bus->scl());
+      flag("sda", bus->sda());
+    }
+    for (const rtl::HsWire* wire : {down_, up_}) {
+      flag("v", wire->valid);
+      flag("r", wire->ready);
+      num("d0", static_cast<uint64_t>(wire->data[0]));
+      num("d1", static_cast<uint64_t>(wire->data[1]));
+    }
+    flag("pending", regfile_.DownPending());
+    flag("full", regfile_.UpFull());
+    flag("irq", regfile_.irq());
+    num("up0", static_cast<uint64_t>(regfile_.ReadUpWord(0)));
+    num("up1", static_cast<uint64_t>(regfile_.ReadUpWord(1)));
+    for (const sim::Eeprom24aa512* eeprom : {&eeprom_, &eeprom1_}) {
+      flag("busy", eeprom->busy());
+      num("wr", eeprom->bytes_written());
+      num("rd", eeprom->bytes_read());
+      num("starts", eeprom->transactions_seen());
+    }
+    num("m0", eeprom_.MemoryAt(0x10));
+    num("m1", eeprom_.MemoryAt(0x11));
+    num("mask", static_cast<uint64_t>(mux_.control_mask()));
+    num("routed", static_cast<uint64_t>(mux_.routed_mask()));
+    num("selects", mux_.selects_applied());
+    flag("holding", second_.holding());
+    num("wins", second_.arbitration_wins());
+    num("master_starts", second_.starts_seen());
+    for (int reg : {sim::kMfdRegIrqStatus, 0x21, 0x31, 0x32}) {
+      num("reg", mfd_.RegisterAt(reg));
+    }
+    num("mfd_irqs", mfd_.irqs_raised());
+    num("watch_ticks", watcher_.ticks());
+    flag("tripped", watcher_.tripped());
+    s += ' ' + monitor::FormatTripCounters(watcher_.counters());
+    num("faults", plan_.faults_injected());
+    steps_.push_back(std::move(s));
+  }
+
+  const std::vector<std::string>& steps() const { return steps_; }
+  const rtl::RtlSystem& system() const { return system_; }
+  std::vector<std::vector<sim::I2cBus::Sample>> BusTraces() const {
+    return {bus_.samples(), chan0_.samples(), chan1_.samples(), chan2_.samples()};
+  }
+  sim::Eeprom24aa512& eeprom() { return eeprom_; }
+  const monitor::BusWatcher& watcher() const { return watcher_; }
+  const sim::SecondMaster& second_master() const { return second_; }
+  const sim::MfdRegFileDevice& mfd() const { return mfd_; }
+
+ private:
+  static sim::SecondMasterConfig MasterConfig() {
+    sim::SecondMasterConfig config;
+    config.hold_ns_per_unit = 30000;
+    config.release_ns = 500;
+    return config;
+  }
+  static sim::EepromConfig DeviceConfig(int address) {
+    sim::EepromConfig config;
+    config.address = address;
+    config.memory_bytes = 4096;
+    config.write_cycle_ns = 20000;
+    return config;
+  }
+  void Capture() {
+    const double now = system_.time_ns();
+    bus_.Capture(now);
+    chan0_.Capture(now);
+    chan1_.Capture(now);
+    chan2_.Capture(now);
+  }
+
+  bool full_tick_;
+  rtl::RtlSystem system_;
+  sim::I2cBus bus_;
+  sim::I2cBus chan0_;
+  sim::I2cBus chan1_;
+  sim::I2cBus chan2_;
+  sim::BusAdapter adapter_;
+  sim::SecondMaster second_;
+  sim::I2cMux mux_;
+  sim::Eeprom24aa512 eeprom_;
+  sim::MfdRegFileDevice mfd_;
+  sim::Eeprom24aa512 eeprom1_;
+  rtl::MmioRegfile regfile_;
+  monitor::BusWatcher watcher_;
+  int test_driver_;
+  int chan2_driver_;
+  rtl::HsWire* down_ = nullptr;
+  rtl::HsWire* up_ = nullptr;
+  sim::FaultPlan plan_;
+  double sw_ns_ = 0;
+  std::vector<std::string> steps_;
+};
+
+// The script both worlds run: mux select, an EEPROM page write into its
+// write cycle, a NACKed busy probe, a read-back, MFD counter and conversion
+// countdowns, a stuck peripheral behind the mux, a late arm, a lost
+// doorbell, an arbitration loss holding the bus past the watcher's
+// stuck-low limit, an unconsumed up-message past its handshake limit,
+// recovery pulses, a soft reset, and a final read.
+void RunSkipScript(SkipWorld* world) {
+  world->Start();
+  world->WriteByte(0x70 << 1);
+  world->WriteByte(0x05);  // channels 0 and 2
+  world->Stop();
+  world->Start();
+  for (int byte : {0x50 << 1, 0x00, 0x10, 0xDE, 0xAD}) {
+    world->WriteByte(byte);
+  }
+  world->Stop();
+  world->Start();
+  world->WriteByte(0x50 << 1);  // busy: NACK
+  world->Stop();
+  world->Settle(30000);
+  world->Start();
+  world->WriteByte(0x50 << 1);
+  world->WriteByte(0x00);
+  world->WriteByte(0x10);
+  world->RepeatedStart();
+  world->WriteByte((0x50 << 1) | 1);
+  world->ReadByte(/*ack=*/true);
+  world->ReadByte(/*ack=*/false);
+  world->Stop();
+  world->Start();
+  for (int byte : {0x30 << 1, 0x00, 0x20, 0x00, 0x05}) {  // counter CTRL = 5
+    world->WriteByte(byte);
+  }
+  world->Stop();
+  world->Start();
+  for (int byte : {0x30 << 1, 0x00, 0x30, 0x00, 0x01}) {  // stat TRIGGER
+    world->WriteByte(byte);
+  }
+  world->Stop();
+  world->Settle(8000);
+  world->Channel2HoldsSda(4000);
+  world->Levels(true, true, /*arm_delay_ns=*/5000);
+  world->StageWithoutDoorbell(0, 1);
+  world->Start();  // the second master wins this one
+  world->WriteByte(0x50 << 1);
+  world->Settle(40000);
+  world->Stop();
+  world->Levels(false, true, /*arm_delay_ns=*/0, /*consume_delay_ns=*/40000);
+  world->RecoveryPulses();
+  world->SoftReset();
+  world->Start();
+  world->WriteByte(0x50 << 1);
+  world->WriteByte(0x00);
+  world->WriteByte(0x11);
+  world->RepeatedStart();
+  world->WriteByte((0x50 << 1) | 1);
+  world->ReadByte(/*ack=*/false);
+  world->Stop();
+  world->Settle(2000);
+  world->Snapshot();
+}
+
+TEST(IdleSkipping, HandBuiltPlatformMatchesPerEdgeClock) {
+  SkipWorld reference(/*full_tick=*/true);
+  SkipWorld skipping(/*full_tick=*/false);
+  RunSkipScript(&reference);
+  RunSkipScript(&skipping);
+
+  ASSERT_EQ(skipping.steps().size(), reference.steps().size());
+  for (size_t i = 0; i < reference.steps().size(); ++i) {
+    ASSERT_EQ(skipping.steps()[i], reference.steps()[i]) << "script step " << i;
+  }
+  const auto reference_traces = reference.BusTraces();
+  const auto skipping_traces = skipping.BusTraces();
+  for (size_t b = 0; b < reference_traces.size(); ++b) {
+    ASSERT_EQ(skipping_traces[b].size(), reference_traces[b].size()) << "bus " << b;
+    for (size_t i = 0; i < reference_traces[b].size(); ++i) {
+      EXPECT_EQ(skipping_traces[b][i].t_ns, reference_traces[b][i].t_ns) << b << ":" << i;
+      EXPECT_EQ(skipping_traces[b][i].scl, reference_traces[b][i].scl) << b << ":" << i;
+      EXPECT_EQ(skipping_traces[b][i].sda, reference_traces[b][i].sda) << b << ":" << i;
+    }
+  }
+
+  // The script reached every countdown and every watcher trip kind it aims
+  // at, so the equality above covers them.
+  EXPECT_EQ(reference.eeprom().MemoryAt(0x10), 0xDE);
+  EXPECT_EQ(reference.second_master().arbitration_wins(), 1u);
+  EXPECT_GE(reference.mfd().irqs_raised(), 2u);
+  const monitor::TripCounters& trips = reference.watcher().counters();
+  EXPECT_GT(trips.by_kind[static_cast<int>(monitor::TripKind::kStuckBus)], 0u);
+  EXPECT_GT(trips.by_kind[static_cast<int>(monitor::TripKind::kHandshakeStall)], 0u);
+  // And skipping did skip: most edges of the script are countdowns.
+  EXPECT_EQ(reference.system().cycles_ticked(), reference.system().cycles());
+  EXPECT_LT(skipping.system().cycles_ticked() * 4, skipping.system().cycles());
 }
 
 }  // namespace
