@@ -65,10 +65,12 @@ bool Run(bool quick, bench::JsonReport* json) {
       "Symbolic discharge vs explicit exploration: EepDriver verifier,\n"
       "Transaction abstraction. `expl states` is the explicit safety pass\n"
       "(all fault schedules); a discharged config covers them with `paths`\n"
-      "symbolic paths instead and skips that pass entirely.");
+      "symbolic paths instead and skips that pass entirely. `runs` counts\n"
+      "symbolic executor runs; a module whose receive facts did not change\n"
+      "since its last run reuses that summary.");
 
-  bench::Table table({20, 8, 12, 8, 9, 9, 10, 10, 10});
-  table.Row({"config", "disch", "expl states", "paths", "queries", "sym ms", "expl s",
+  bench::Table table({20, 8, 12, 8, 9, 6, 9, 10, 10, 10});
+  table.Row({"config", "disch", "expl states", "paths", "queries", "runs", "sym ms", "expl s",
              "sym-run s", "speedup"});
   bench::PrintRule();
 
@@ -123,8 +125,9 @@ bool Run(bool quick, bench::JsonReport* json) {
     table.Row({c.name, sym_run.sym.discharged ? "yes" : "no",
                std::to_string(explicit_run.safety.states_stored),
                std::to_string(sym_run.sym.paths), std::to_string(sym_run.sym.solver_queries),
-               bench::Fmt(sym_run.sym.seconds * 1000, 1), bench::Fmt(explicit_run.total_seconds, 2),
-               bench::Fmt(sym_run.total_seconds, 2), bench::Fmt(speedup, 2)});
+               std::to_string(sym_run.sym.module_runs), bench::Fmt(sym_run.sym.seconds * 1000, 1),
+               bench::Fmt(explicit_run.total_seconds, 2), bench::Fmt(sym_run.total_seconds, 2),
+               bench::Fmt(speedup, 2)});
 
     if (json != nullptr) {
       json->AddRow()
@@ -137,6 +140,7 @@ bool Run(bool quick, bench::JsonReport* json) {
           .Set("solver_queries", sym_run.sym.solver_queries)
           .Set("solver_ms", sym_run.sym.seconds * 1000)
           .Set("rounds", sym_run.sym.rounds)
+          .Set("module_runs", sym_run.sym.module_runs)
           .Set("explicit_safety_states", explicit_run.safety.states_stored)
           .Set("explicit_seconds", explicit_run.total_seconds)
           .Set("sym_run_seconds", sym_run.total_seconds)

@@ -48,8 +48,38 @@ bool CongruenceAdmits(int64_t m, int64_t r, int64_t v) {
 }
 
 // Conservative limit on interval sizes we are willing to enumerate when
-// deriving sets or checking subsumption structurally.
+// deriving sets or checking subsumption structurally. Also the size of the
+// candidate buffer EvalBinOp fills pointwise, which must hold the full
+// cross product of two tracked sets.
 constexpr int64_t kEnumerationLimit = 64;
+static_assert(kMaxSetSize * kMaxSetSize <= kEnumerationLimit);
+
+// The canonical value of the sorted, duplicate-free `vals[0, n)`, n >= 1.
+SymVal FromSorted(const int32_t* vals, int n) {
+  SymVal out;
+  out.interval = Interval::Of(vals[0], vals[n - 1]);
+  // The congruence of a set is cheap (a gcd chain over the gaps) and worth
+  // keeping even when the set itself is too big to track.
+  out.mod = 0;
+  out.res = vals[0];
+  for (int i = 0; i < n; ++i) {
+    JoinCongruence(out.mod, out.res, 0, vals[i], &out.mod, &out.res);
+  }
+  if (n <= kMaxSetSize) {
+    out.values.Assign(vals, n);
+  }
+  return out;
+}
+
+// The canonical value of the `n` values at `vals`, in any order and possibly
+// duplicated (sorted in place); Top when there are none.
+SymVal SetOf(int32_t* vals, int n) {
+  if (n == 0) {
+    return SymVal::Top();
+  }
+  std::sort(vals, vals + n);
+  return FromSorted(vals, static_cast<int>(std::unique(vals, vals + n) - vals));
+}
 
 }  // namespace
 
@@ -58,7 +88,7 @@ SymVal SymVal::Exact(int32_t v) {
   out.interval = Interval::Exact(v);
   out.mod = 0;
   out.res = v;
-  out.values = {v};
+  out.values.Assign(&v, 1);
   return out;
 }
 
@@ -72,30 +102,11 @@ SymVal SymVal::FromInterval(const Interval& iv) {
 }
 
 SymVal SymVal::FromSet(std::vector<int32_t> vals) {
-  SymVal out;
-  if (vals.empty()) {
-    return Top();
-  }
-  std::sort(vals.begin(), vals.end());
-  vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
-  out.interval = Interval::Of(vals.front(), vals.back());
-  // The congruence of a set is cheap (a gcd chain over the gaps) and worth
-  // keeping even when the set itself is too big to track.
-  out.mod = 0;
-  out.res = vals.front();
-  for (int32_t v : vals) {
-    JoinCongruence(out.mod, out.res, 0, v, &out.mod, &out.res);
-  }
-  if (static_cast<int>(vals.size()) <= kMaxSetSize) {
-    out.values = std::move(vals);
-  }
-  return out;
+  return SetOf(vals.data(), static_cast<int>(vals.size()));
 }
 
 SymVal SymVal::Storage(const Type& type) {
-  if (type.IsBoolish()) {
-    return FromSet({0, 1});
-  }
+  // Bit/bool storage is [0,1], which canonicalizes to the set {0,1}.
   return FromInterval(Interval::Storage(type));
 }
 
@@ -114,10 +125,7 @@ bool SymVal::Contains(int64_t v) const {
   if (!CongruenceAdmits(mod, res, v)) {
     return false;
   }
-  if (HasSet()) {
-    return std::binary_search(values.begin(), values.end(), static_cast<int32_t>(v));
-  }
-  return true;
+  return !HasSet() || values.Contains(static_cast<int32_t>(v));
 }
 
 bool SymVal::DefinitelyZero() const {
@@ -191,25 +199,27 @@ void SymVal::Canonicalize() {
       res = 0;
     } else {
       interval = Interval::Exact(res);
-      values = {static_cast<int32_t>(res)};
+      const int32_t v = static_cast<int32_t>(res);
+      values.Assign(&v, 1);
       return;
     }
   }
   res = Residue(res, mod);
   int64_t width = interval.hi - interval.lo;
   if (width < kEnumerationLimit) {
-    std::vector<int32_t> vals;
+    int32_t vals[kMaxSetSize];
+    int n = 0;
     for (int64_t v = interval.lo; v <= interval.hi; ++v) {
       if (CongruenceAdmits(mod, res, v)) {
-        vals.push_back(static_cast<int32_t>(v));
-        if (static_cast<int>(vals.size()) > kMaxSetSize) {
+        if (n == kMaxSetSize) {
           return;
         }
+        vals[n++] = static_cast<int32_t>(v);
       }
     }
-    if (!vals.empty()) {
+    if (n > 0) {
       bool keep_assumed = assumed;
-      *this = FromSet(std::move(vals));
+      *this = FromSorted(vals, n);
       assumed = keep_assumed;
     }
   }
@@ -227,7 +237,7 @@ std::string SymVal::ToString() const {
       out = std::to_string(values[0]);
     } else {
       out = "{";
-      for (size_t i = 0; i < values.size(); ++i) {
+      for (int i = 0; i < values.size(); ++i) {
         if (i > 0) {
           out += ",";
         }
@@ -249,30 +259,34 @@ std::string SymVal::ToString() const {
 
 SymVal Join(const SymVal& a, const SymVal& b) {
   SymVal out;
-  out.assumed = a.assumed || b.assumed;
-  if (a.HasSet() && b.HasSet() &&
-      static_cast<int>(a.values.size() + b.values.size()) <= 2 * kMaxSetSize) {
-    std::vector<int32_t> merged = a.values;
-    merged.insert(merged.end(), b.values.begin(), b.values.end());
-    bool keep_assumed = out.assumed;
-    out = SymVal::FromSet(std::move(merged));
-    out.assumed = keep_assumed;
-    return out;
+  if (a.HasSet() && b.HasSet()) {
+    if (a.values == b.values) {
+      // Both operands are in canonical form (see SymVal), so equal sets mean
+      // equal values up to the taint.
+      out = a;
+    } else {
+      int32_t merged[2 * kMaxSetSize];
+      int32_t* end = std::set_union(a.values.begin(), a.values.end(), b.values.begin(),
+                                    b.values.end(), merged);
+      out = FromSorted(merged, static_cast<int>(end - merged));
+    }
+  } else {
+    out.interval = Join(a.interval, b.interval);
+    JoinCongruence(a.mod, a.res, b.mod, b.res, &out.mod, &out.res);
+    out.Canonicalize();
   }
-  out.interval = Join(a.interval, b.interval);
-  JoinCongruence(a.mod, a.res, b.mod, b.res, &out.mod, &out.res);
-  out.Canonicalize();
+  out.assumed = a.assumed || b.assumed;
   return out;
 }
 
 SymVal Truncate(const SymVal& v, const Type& type) {
   if (v.HasSet()) {
-    std::vector<int32_t> vals;
-    vals.reserve(v.values.size());
+    int32_t vals[kMaxSetSize];
+    int n = 0;
     for (int32_t x : v.values) {
-      vals.push_back(type.Truncate(x));
+      vals[n++] = type.Truncate(x);
     }
-    SymVal out = SymVal::FromSet(std::move(vals));
+    SymVal out = SetOf(vals, n);
     out.assumed = v.assumed;
     return out;
   }
@@ -303,12 +317,12 @@ SymVal Truncate(const SymVal& v, const Type& type) {
 
 SymVal EvalUnOp(esm::UnaryOp op, const SymVal& a) {
   if (a.HasSet()) {
-    std::vector<int32_t> vals;
-    vals.reserve(a.values.size());
+    int32_t vals[kMaxSetSize];
+    int n = 0;
     for (int32_t x : a.values) {
-      vals.push_back(ir::EvalUnOp(op, x));
+      vals[n++] = ir::EvalUnOp(op, x);
     }
-    SymVal out = SymVal::FromSet(std::move(vals));
+    SymVal out = SetOf(vals, n);
     out.assumed = a.assumed;
     return out;
   }
@@ -343,20 +357,19 @@ SymVal EvalBinOp(esm::BinaryOp op, const SymVal& a, const SymVal& b, bool* may_f
   if (may_fail != nullptr && divides && b.Contains(0)) {
     *may_fail = true;
   }
-  if (a.HasSet() && b.HasSet() &&
-      static_cast<int64_t>(a.values.size()) * static_cast<int64_t>(b.values.size()) <=
-          kEnumerationLimit) {
-    std::vector<int32_t> vals;
+  if (a.HasSet() && b.HasSet()) {
+    int32_t vals[kEnumerationLimit];
+    int n = 0;
     for (int32_t x : a.values) {
       for (int32_t y : b.values) {
         int32_t r = 0;
         if (ir::EvalBinOp(op, x, y, &r)) {
-          vals.push_back(r);
+          vals[n++] = r;
         }
       }
     }
-    if (!vals.empty()) {
-      SymVal out = SymVal::FromSet(std::move(vals));
+    if (n > 0) {
+      SymVal out = SetOf(vals, n);
       out.assumed = a.assumed || b.assumed;
       return out;
     }
@@ -475,16 +488,17 @@ SymVal Widen(const SymVal& prev, const SymVal& next, const Interval& storage) {
 
 SymVal Refine(const SymVal& v, const SymVal& by) {
   if (v.HasSet()) {
-    std::vector<int32_t> vals;
+    int32_t vals[kMaxSetSize];
+    int n = 0;
     for (int32_t x : v.values) {
       if (by.Contains(x)) {
-        vals.push_back(x);
+        vals[n++] = x;
       }
     }
-    if (vals.empty() || vals.size() == v.values.size()) {
+    if (n == 0 || n == v.values.size()) {
       return v;
     }
-    SymVal out = SymVal::FromSet(std::move(vals));
+    SymVal out = FromSorted(vals, n);
     out.assumed = v.assumed || by.assumed;
     return out;
   }
@@ -505,16 +519,17 @@ SymVal Refine(const SymVal& v, const SymVal& by) {
 
 SymVal ExcludeValue(const SymVal& v, int32_t x) {
   if (v.HasSet()) {
-    std::vector<int32_t> vals;
+    int32_t vals[kMaxSetSize];
+    int n = 0;
     for (int32_t y : v.values) {
       if (y != x) {
-        vals.push_back(y);
+        vals[n++] = y;
       }
     }
-    if (vals.empty() || vals.size() == v.values.size()) {
+    if (n == 0 || n == v.values.size()) {
       return v;
     }
-    SymVal out = SymVal::FromSet(std::move(vals));
+    SymVal out = FromSorted(vals, n);
     out.assumed = v.assumed;
     return out;
   }

@@ -16,8 +16,10 @@
 #ifndef SRC_ANALYSIS_SYM_DOMAIN_H_
 #define SRC_ANALYSIS_SYM_DOMAIN_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/analysis/dataflow.h"
@@ -31,24 +33,63 @@ namespace efeu::analysis::sym {
 // and the fault/reset nondet arities with room to spare.
 inline constexpr int kMaxSetSize = 8;
 
+// A sorted, duplicate-free set of at most kMaxSetSize values, stored inline
+// so that SymVal (and with it a whole executor frame) copies without touching
+// the heap. Slots past size() are unspecified and never take part in a
+// comparison.
+class ValueSet {
+ public:
+  int size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const int32_t* begin() const { return vals_; }
+  const int32_t* end() const { return vals_ + size_; }
+  int32_t front() const { return vals_[0]; }
+  int32_t back() const { return vals_[size_ - 1]; }
+  int32_t operator[](int i) const { return vals_[i]; }
+  bool Contains(int32_t v) const { return std::binary_search(begin(), end(), v); }
+
+  // `vals[0, n)` must be sorted and duplicate-free, with 1 <= n <= kMaxSetSize.
+  void Assign(const int32_t* vals, int n) {
+    std::copy(vals, vals + n, vals_);
+    size_ = n;
+  }
+
+  bool operator==(const ValueSet& other) const {
+    return std::equal(begin(), end(), other.begin(), other.end());
+  }
+
+ private:
+  int32_t vals_[kMaxSetSize] = {};
+  int32_t size_ = 0;
+};
+
 // One abstract int32 value.
 //
 // Congruence encoding (the classic lattice): mod == 0 means the value is
 // exactly `res`; mod == 1 means no congruence information; mod == m > 1
 // means value == res (mod m) with 0 <= res < m.
+//
+// Invariant: a value that carries a set is in FromSet canonical form — its
+// interval is [min, max] of the set and its congruence is the gcd chain over
+// the members — so two set-carrying values with equal sets differ at most in
+// the taint. Every constructor and transfer function below keeps it. Values
+// without a set have no canonical form (Widen, for one, returns its hull
+// uncanonicalized).
 struct SymVal {
   Interval interval = Interval::Exact(0);
   int64_t mod = 0;
   int64_t res = 0;
-  // Sorted, unique, non-empty when tracked; empty means "set not tracked"
-  // (the interval/congruence hull is then the only bound).
-  std::vector<int32_t> values;
+  // Non-empty when tracked; empty means "set not tracked" (the
+  // interval/congruence hull is then the only bound).
+  ValueSet values;
   bool assumed = false;
 
   static SymVal Exact(int32_t v);
   static SymVal FromInterval(const Interval& iv);
   // From an arbitrary (possibly unsorted, duplicated) value list; collapses
-  // to the hull when the set exceeds kMaxSetSize.
+  // to the hull when the set exceeds kMaxSetSize. The transfer functions
+  // build their sets in stack buffers instead; this is the entry point for
+  // callers outside the domain.
   static SymVal FromSet(std::vector<int32_t> vals);
   // Everything `type`'s storage admits after truncation.
   static SymVal Storage(const Type& type);
@@ -76,7 +117,10 @@ struct SymVal {
   std::string ToString() const;
 };
 
-// Lattice join (set union while small, hulls otherwise).
+static_assert(std::is_trivially_copyable_v<SymVal>);
+
+// Lattice join (set union while small, hulls otherwise). Two set-carrying
+// operands with equal sets join to the operand itself, taints OR'ed.
 SymVal Join(const SymVal& a, const SymVal& b);
 
 // Abstract transfer of Type::Truncate: exact pointwise on sets, interval via

@@ -141,13 +141,11 @@ bool PrepareEnumeration(const ExprPtr& e, int64_t limit, Enumeration* out) {
   }
   out->combos = 1;
   for (const auto& [key, leaf] : leaves) {
-    std::vector<int32_t> candidates;
-    if (leaf->leaf_val.HasSet()) {
-      candidates = leaf->leaf_val.values;
-    }
-    if (candidates.empty()) {
+    const ValueSet& values = leaf->leaf_val.values;
+    if (values.empty()) {
       return false;
     }
+    std::vector<int32_t> candidates(values.begin(), values.end());
     out->combos *= static_cast<int64_t>(candidates.size());
     if (out->combos > limit) {
       return false;

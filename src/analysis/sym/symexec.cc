@@ -469,17 +469,10 @@ class SymExecutor {
           break;
         }
         case ir::Opcode::kNondet: {
-          SymVal v;
-          if (inst.imm >= 1 && inst.imm <= kMaxSetSize) {
-            std::vector<int32_t> vals(inst.imm);
-            for (int32_t k = 0; k < inst.imm; ++k) {
-              vals[k] = k;
-            }
-            v = SymVal::FromSet(std::move(vals));
-          } else {
-            v = SymVal::FromInterval(Interval::Of(0, std::max<int64_t>(0, inst.imm - 1)));
-          }
-          WriteCell(state, inst.dst, std::move(v), nullptr);
+          // The choices 0..imm-1; small arities canonicalize to exact sets.
+          WriteCell(state, inst.dst,
+                    SymVal::FromInterval(Interval::Of(0, std::max<int64_t>(0, inst.imm - 1))),
+                    nullptr);
           break;
         }
         case ir::Opcode::kAssert: {
@@ -620,15 +613,8 @@ std::vector<SymVal> ContractWordFacts(const esi::SystemInfo& info, const esi::Ch
     if (elem.IsEnum()) {
       const esi::EnumInfo* e = info.FindEnum(elem.enum_name);
       int members = e != nullptr ? static_cast<int>(e->members.size()) : 256;
-      if (members >= 1 && members <= kMaxSetSize) {
-        std::vector<int32_t> vals(members);
-        for (int32_t k = 0; k < members; ++k) {
-          vals[k] = k;
-        }
-        fact = SymVal::FromSet(std::move(vals));
-      } else {
-        fact = SymVal::FromInterval(Interval::Of(0, members - 1));
-      }
+      // The ordinals; small enums canonicalize to exact sets.
+      fact = SymVal::FromInterval(Interval::Of(0, members - 1));
     } else if (elem.BitWidth() >= 32) {
       continue;  // Unconstrained; Top already, and soundly so.
     } else {
@@ -728,24 +714,49 @@ CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp, const SymO
     }
   }
 
+  // Each module's last summary and the receive-port facts it ran under. The
+  // executor consults its facts only at kRecv, which lowering emits only on
+  // receive ports, so when those facts are unchanged a new run would
+  // reproduce the summary exactly; the summary is reused instead. The facts
+  // of the channels a module sends on change from round to round but never
+  // reach that module's own run.
+  struct LastRun {
+    std::vector<std::vector<SymVal>> recv_facts;
+    ModuleSummary summary;
+  };
+  std::vector<LastRun> last(modules.size());
+
   for (int round = 0; round < std::max(1, options.max_rounds); ++round) {
     out.rounds = round + 1;
-    out.modules.clear();
     ChannelFacts next = facts;
-    for (const ir::Module& m : modules) {
-      ModuleSummary summary = AnalyzeModuleSym(m, facts, options);
-      for (const PortFacts& pf : summary.send_facts) {
+    for (size_t i = 0; i < modules.size(); ++i) {
+      const ir::Module& m = modules[i];
+      LastRun& run = last[i];
+      std::vector<std::vector<SymVal>> recv_facts;
+      for (const ir::Port& p : m.ports) {
+        if (!p.is_send) {
+          recv_facts.push_back(facts.at(p.channel));
+        }
+      }
+      if (round == 0 || recv_facts != run.recv_facts) {
+        run.summary = AnalyzeModuleSym(m, facts, options);
+        run.recv_facts = std::move(recv_facts);
+        ++out.module_runs;
+      }
+      for (const PortFacts& pf : run.summary.send_facts) {
         const esi::ChannelInfo* ch = m.ports[pf.port].channel;
         std::vector<SymVal> words = pf.words;
         words.resize(ch->flat_size, SymVal::Exact(0));
         next[ch] = std::move(words);
       }
-      out.modules.push_back(std::move(summary));
     }
     if (next == facts) {
       break;
     }
     facts = std::move(next);
+  }
+  for (LastRun& run : last) {
+    out.modules.push_back(std::move(run.summary));
   }
 
   out.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

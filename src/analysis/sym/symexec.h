@@ -17,9 +17,12 @@
 // declared facts for native checker processes, assumed ESI contract ranges
 // for external senders — the same ranges monitor::MonitorSpec::FromSystem
 // derives), and kSend folds the staged words into the module's send summary.
-// AnalyzeCompilationSym iterates modules to a fact fixpoint
-// (assume-guarantee: the seed over-approximates every real message, and the
-// transfer is monotone, so each round's summaries stay sound).
+// AnalyzeCompilationSym runs every module in rounds against the previous
+// round's facts until the facts stop changing or SymOptions::max_rounds is
+// reached (assume-guarantee: the seed over-approximates every real message,
+// and the transfer is monotone, so each round's summaries stay sound and the
+// cap costs only precision). A module whose receive facts did not change
+// since its last run reuses that run's summary.
 //
 // The proof obligations tracked per module are exactly the executor's
 // failure points: kAssert conditions, division/modulo divisors, and
@@ -151,8 +154,14 @@ ModuleSummary AnalyzeModuleSym(const ir::Module& module, const ChannelFacts& fac
                                const SymOptions& options = {});
 
 struct CompilationSummary {
+  // The final round's summary of every module, in compilation order.
   std::vector<ModuleSummary> modules;
   int rounds = 0;
+  // Executor runs across all rounds; at most rounds * modules.size(), fewer
+  // when a module's receive facts repeat and its last summary is reused.
+  int module_runs = 0;
+  // Wall time of the whole call. A reused ModuleSummary keeps the `seconds`
+  // of the run that produced it.
   double seconds = 0;
 
   bool AllProved(bool* any_assumed = nullptr) const;

@@ -564,6 +564,7 @@ void TrySymDischarge(VerifierSystem& vs, VerifySymStats& stats) {
     }
     stats.paths += summary.TotalPaths();
     stats.solver_queries += summary.TotalSolverQueries();
+    stats.module_runs += summary.module_runs;
     stats.seconds += summary.seconds;
   }
   stats.discharged = discharged;

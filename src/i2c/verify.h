@@ -129,6 +129,9 @@ struct VerifySymStats {
   uint64_t solver_queries = 0;
   // Assume-guarantee rounds over the native-fact resolution (outer) loop.
   int rounds = 0;
+  // Symbolic executor runs behind the final round's summaries (see
+  // sym::CompilationSummary::module_runs).
+  int module_runs = 0;
   double seconds = 0;
 };
 

@@ -1,18 +1,26 @@
 // Tests for esmsym (src/analysis/sym): the abstract domain at bit-width
-// boundaries, the path-condition solver (enumeration, refinement, storage
-// verdicts), the symbolic executor over small lowered specs (rendezvous
-// facts, short-circuit conditions, nondet, loop widening), the two sym-backed
-// lint rules with triggering and silent cases, golden summary rendering, the
-// shipped specifications proving clean under Werror, and the checker fast
-// path (symbolic discharge) with exact state parity when not discharged.
+// boundaries and its invariants over seeded values (canonical sets, join
+// laws, set-capacity edges), the path-condition solver (enumeration,
+// refinement, storage verdicts), the symbolic executor over small lowered
+// specs (rendezvous facts, short-circuit conditions, nondet, loop widening),
+// the two sym-backed lint rules with triggering and silent cases, golden
+// summary rendering, every shipped specification proving clean under Werror
+// with its summary pinned and its unchanged module-rounds reused, and the
+// checker fast path (symbolic discharge) with exact state parity when not
+// discharged.
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/analysis.h"
@@ -22,6 +30,7 @@
 #include "src/i2c/stack.h"
 #include "src/i2c/verify.h"
 #include "src/ir/compile.h"
+#include "src/spi/verify.h"
 #include "src/support/diagnostics.h"
 
 namespace efeu {
@@ -30,6 +39,7 @@ namespace {
 using analysis::Interval;
 using analysis::sym::CompilationSummary;
 using analysis::sym::EvalBinOp;
+using analysis::sym::EvalUnOp;
 using analysis::sym::ExcludeValue;
 using analysis::sym::Expr;
 using analysis::sym::ExprPtr;
@@ -187,6 +197,224 @@ TEST(SymDomain, DivisionReportsMayFailOnlyWhenZeroAdmitted) {
   EvalBinOp(esm::BinaryOp::kDiv, SymVal::Exact(10), SymVal::FromInterval(Interval::Of(1, 4)),
             &may_fail);
   EXPECT_FALSE(may_fail);
+}
+
+// ---- domain: invariants over seeded values ---------------------------------
+
+// A set-carrying value is sorted, duplicate-free, at most kMaxSetSize long,
+// and in FromSet canonical form: interval [min, max], congruence from the gcd
+// of the members' distances to the minimum. Set-less values pass.
+::testing::AssertionResult Canonical(const SymVal& v) {
+  if (!v.HasSet()) {
+    return ::testing::AssertionSuccess();
+  }
+  if (v.values.size() > analysis::sym::kMaxSetSize) {
+    return ::testing::AssertionFailure() << v.ToString() << ": oversized set";
+  }
+  for (int i = 1; i < v.values.size(); ++i) {
+    if (v.values[i - 1] >= v.values[i]) {
+      return ::testing::AssertionFailure() << v.ToString() << ": not sorted and unique";
+    }
+  }
+  const int64_t lo = v.values.front();
+  int64_t mod = 0;
+  for (int32_t x : v.values) {
+    mod = std::gcd(mod, x - lo);
+  }
+  const int64_t res = mod == 0 ? lo : ((lo % mod) + mod) % mod;
+  if (v.interval.lo != lo || v.interval.hi != v.values.back() || v.mod != mod || v.res != res) {
+    return ::testing::AssertionFailure()
+           << v.ToString() << ": interval [" << v.interval.lo << "," << v.interval.hi
+           << "] mod " << v.mod << " res " << v.res << ", canonical [" << lo << ","
+           << v.values.back() << "] mod " << mod << " res " << res;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Exact equality, with both values in full in the failure message.
+::testing::AssertionResult Same(const SymVal& a, const SymVal& b) {
+  if (a == b) {
+    return ::testing::AssertionSuccess();
+  }
+  auto full = [](const SymVal& v) {
+    return v.ToString() + " [" + std::to_string(v.interval.lo) + "," +
+           std::to_string(v.interval.hi) + "] mod " + std::to_string(v.mod) + " res " +
+           std::to_string(v.res);
+  };
+  return ::testing::AssertionFailure() << full(a) << " != " << full(b);
+}
+
+// Deterministic abstract values of every shape the executor builds: exact
+// values, sets of up to kMaxSetSize members, small and wide intervals, strided
+// intervals, storage hulls and Top, each tainted now and then. Scalars mix a
+// small window around zero with storage-boundary corners.
+class ValueGen {
+ public:
+  explicit ValueGen(uint32_t seed) : rng_(seed) {}
+
+  int32_t Scalar() {
+    static constexpr int32_t kCorners[] = {
+        INT32_MIN, -65536, -32768, -129,  -128,  -1,    0,       1,        2,        127,
+        128,       255,    256,    32767, 32768, 65535, 65536,   1 << 30, INT32_MAX};
+    if (Pick(3) == 0) {
+      return kCorners[Pick(std::size(kCorners))];
+    }
+    return static_cast<int32_t>(Pick(41)) - 20;
+  }
+
+  SymVal Next() {
+    SymVal v;
+    switch (Pick(6)) {
+      case 0:
+        v = SymVal::Exact(Scalar());
+        break;
+      case 1: {
+        std::vector<int32_t> vals(1 + Pick(analysis::sym::kMaxSetSize));
+        for (int32_t& x : vals) {
+          x = Scalar();
+        }
+        v = SymVal::FromSet(vals);
+        break;
+      }
+      case 2: {
+        int64_t lo = static_cast<int64_t>(Pick(600)) - 300;
+        v = SymVal::FromInterval(Interval::Of(lo, lo + Pick(20)));
+        break;
+      }
+      case 3:
+        v = SymVal::FromInterval(Interval::Of(-static_cast<int64_t>(Pick(1000)), Pick(100000)));
+        break;
+      case 4: {
+        int64_t lo = static_cast<int64_t>(Pick(200)) - 100;
+        v = SymVal::FromInterval(Interval::Of(lo, lo + Pick(300)));
+        v.mod = 2 + Pick(15);
+        v.res = ((lo % v.mod) + v.mod) % v.mod;
+        v.Canonicalize();
+        break;
+      }
+      default: {
+        const Type types[] = {Type::Bit(), Type::Bool(), Type::U8(), Type::I16(), Type::I32()};
+        v = Pick(6) == 0 ? SymVal::Top() : SymVal::Storage(types[Pick(std::size(types))]);
+        break;
+      }
+    }
+    v.assumed = Pick(4) == 0;
+    return v;
+  }
+
+  uint32_t Pick(size_t n) { return static_cast<uint32_t>(rng_() % n); }
+
+ private:
+  std::mt19937 rng_;
+};
+
+TEST(SymDomainInvariants, TransferResultsStayCanonical) {
+  const Type types[] = {Type::Bit(), Type::Bool(), Type::U8(), Type::I16(), Type::I32()};
+  const esm::UnaryOp unops[] = {esm::UnaryOp::kPlus, esm::UnaryOp::kNegate, esm::UnaryOp::kBitNot,
+                                esm::UnaryOp::kLogicalNot};
+  ValueGen gen(/*seed=*/20251017);
+  for (int iter = 0; iter < 1500; ++iter) {
+    const SymVal a = gen.Next();
+    const SymVal b = gen.Next();
+    SCOPED_TRACE("a=" + a.ToString() + " b=" + b.ToString());
+    ASSERT_TRUE(Canonical(a));
+    ASSERT_TRUE(Canonical(b));
+    EXPECT_TRUE(Canonical(Join(a, b)));
+    for (const Type& type : types) {
+      EXPECT_TRUE(Canonical(Truncate(a, type)));
+      EXPECT_TRUE(Canonical(Widen(a, b, Interval::Storage(type))));
+    }
+    for (esm::UnaryOp op : unops) {
+      EXPECT_TRUE(Canonical(EvalUnOp(op, a)));
+    }
+    for (int op = 0; op <= static_cast<int>(esm::BinaryOp::kLogicalOr); ++op) {
+      EXPECT_TRUE(Canonical(EvalBinOp(static_cast<esm::BinaryOp>(op), a, b))) << "op " << op;
+    }
+    EXPECT_TRUE(Canonical(Refine(a, b)));
+    EXPECT_TRUE(Canonical(ExcludeValue(a, a.HasSet() ? a.values[gen.Pick(a.values.size())]
+                                                     : static_cast<int32_t>(a.interval.lo))));
+    EXPECT_TRUE(Canonical(ExcludeValue(a, gen.Scalar())));
+  }
+}
+
+TEST(SymDomainInvariants, JoinIsIdempotentCommutativeAndUpperBound) {
+  ValueGen gen(/*seed=*/7);
+  for (int iter = 0; iter < 1500; ++iter) {
+    const SymVal a = gen.Next();
+    const SymVal b = gen.Next();
+    SCOPED_TRACE("a=" + a.ToString() + " b=" + b.ToString());
+    if (a.HasSet()) {
+      EXPECT_TRUE(Same(Join(a, a), a));
+      SymVal tainted = a;
+      tainted.assumed = true;
+      EXPECT_TRUE(Same(Join(a, tainted), tainted));
+    }
+    const SymVal ab = Join(a, b);
+    EXPECT_TRUE(Same(ab, Join(b, a)));
+    EXPECT_TRUE(a.SubsumedBy(ab)) << ab.ToString();
+    EXPECT_TRUE(b.SubsumedBy(ab)) << ab.ToString();
+  }
+  // Idempotence is only claimed for sets: a widened bool cell is the
+  // set-less hull [0,1], and joining it with itself canonicalizes it.
+  const SymVal widened = Widen(SymVal::Exact(0), SymVal::Exact(1), Interval::Of(0, 1));
+  ASSERT_FALSE(widened.HasSet());
+  EXPECT_TRUE(Same(Join(widened, widened), SymVal::FromSet({0, 1})));
+}
+
+TEST(SymDomainInvariants, SetCapacityBoundaries) {
+  constexpr int kMax = analysis::sym::kMaxSetSize;
+  std::vector<int32_t> evens;
+  for (int i = 0; i < kMax; ++i) {
+    evens.push_back(2 * i);
+  }
+  // kMaxSetSize members are kept exactly.
+  SymVal full = SymVal::FromSet(evens);
+  ASSERT_TRUE(full.HasSet());
+  EXPECT_EQ(full.values.size(), kMax);
+  EXPECT_TRUE(
+      Same(Join(SymVal::FromSet(std::vector<int32_t>(evens.begin(), evens.begin() + kMax / 2)),
+                SymVal::FromSet(std::vector<int32_t>(evens.begin() + kMax / 2, evens.end()))),
+           full));
+  // One more collapses to the interval + congruence hull, directly or by join.
+  std::vector<int32_t> more = evens;
+  more.push_back(2 * kMax);
+  SymVal hull = SymVal::FromSet(more);
+  EXPECT_FALSE(hull.HasSet());
+  EXPECT_EQ(hull.interval.lo, 0);
+  EXPECT_EQ(hull.interval.hi, 2 * kMax);
+  EXPECT_EQ(hull.mod, 2);
+  EXPECT_EQ(hull.res, 0);
+  EXPECT_TRUE(Same(Join(full, SymVal::Exact(2 * kMax)), hull));
+  // An 8x8 pointwise operation fills the whole candidate buffer: all 64 sums
+  // of {0..7} and {0,8,..,56} are distinct.
+  std::vector<int32_t> low;
+  std::vector<int32_t> high;
+  for (int i = 0; i < kMax; ++i) {
+    low.push_back(i);
+    high.push_back(kMax * i);
+  }
+  SymVal sums = EvalBinOp(esm::BinaryOp::kAdd, SymVal::FromSet(low), SymVal::FromSet(high));
+  EXPECT_FALSE(sums.HasSet());
+  EXPECT_EQ(sums.interval.lo, 0);
+  EXPECT_EQ(sums.interval.hi, kMax * kMax - 1);
+  EXPECT_EQ(sums.mod, 1);
+  EXPECT_TRUE(Same(EvalBinOp(esm::BinaryOp::kMul, SymVal::FromSet(high), SymVal::Exact(1)),
+                   SymVal::FromSet(high)));
+}
+
+TEST(SymDomainInvariants, ShrunkSetsEqualDirectlyBuiltOnes) {
+  const SymVal v = SymVal::FromSet({9, 0, 5, 2});
+  EXPECT_TRUE(Same(ExcludeValue(v, 5), SymVal::FromSet({0, 2, 9})));
+  EXPECT_TRUE(Same(ExcludeValue(v, 9), SymVal::FromSet({0, 2, 5})));
+  EXPECT_TRUE(Same(Refine(v, SymVal::FromInterval(Interval::Of(1, 6))), SymVal::FromSet({2, 5})));
+  EXPECT_TRUE(Same(Refine(v, SymVal::FromSet({0, 9, 11})), SymVal::FromSet({0, 9})));
+  // Equality ignores the slots past the set's size: a set shrunk in place
+  // keeps stale members there.
+  SymVal shrunk = v;
+  const int32_t two = 2;
+  shrunk.values.Assign(&two, 1);
+  shrunk.Canonicalize();
+  EXPECT_TRUE(Same(shrunk, SymVal::Exact(2)));
 }
 
 // ---- solver: enumeration, refinement, storage verdicts ---------------------
@@ -685,7 +913,110 @@ void Up() {
                   analysis::sym::RenderSymSummary(*out.comp, out.summary));
 }
 
-// ---- shipped specifications prove clean under --sym=Werror ------------------
+// ---- shipped specifications ------------------------------------------------
+
+// Named shipped compilations plus the objects that own them.
+struct Shipped {
+  std::vector<std::unique_ptr<ir::Compilation>> stacks;
+  std::vector<std::unique_ptr<i2c::VerifierSystem>> i2c_verifiers;
+  std::vector<std::unique_ptr<spi::SpiVerifierSystem>> spi_verifiers;
+  // (name, compilation) in build order; points into the owners above.
+  std::vector<std::pair<std::string, const ir::Compilation*>> compilations;
+};
+
+// The controller stack and its quirk variant, the responder stack and its
+// KS0127 variant.
+void AddDriverStacks(Shipped* out) {
+  auto add = [out](const std::string& name, std::unique_ptr<ir::Compilation> comp,
+                   const DiagnosticEngine& diag) {
+    EXPECT_NE(comp, nullptr) << name << ":\n" << diag.RenderAll();
+    if (comp != nullptr) {
+      out->compilations.emplace_back(name, comp.get());
+      out->stacks.push_back(std::move(comp));
+    }
+  };
+  {
+    DiagnosticEngine diag;
+    add("controller", i2c::CompileControllerStack(diag), diag);
+  }
+  {
+    DiagnosticEngine diag;
+    i2c::ControllerStackOptions options;
+    options.no_clock_stretching = true;
+    options.ks0127_compat = true;
+    add("controller-quirks", i2c::CompileControllerStack(diag, options), diag);
+  }
+  {
+    DiagnosticEngine diag;
+    add("responder", i2c::CompileResponderStack(diag), diag);
+  }
+  {
+    DiagnosticEngine diag;
+    i2c::ResponderStackOptions options;
+    options.ks0127 = true;
+    add("responder-ks0127", i2c::CompileResponderStack(diag, options), diag);
+  }
+}
+
+// All ten I2C verifier mixes (each level over each abstraction it admits)
+// and both SPI verifiers: 13 compilations, since the EepDriver mix over the
+// full stack compiles each EEPROM's responder stack separately.
+void AddVerifierMixes(Shipped* out) {
+  using i2c::VerifyAbstraction;
+  using i2c::VerifyLevel;
+  struct Mix {
+    const char* name;
+    VerifyLevel level;
+    VerifyAbstraction abstraction;
+  };
+  const Mix mixes[] = {
+      {"i2c-symbol-none", VerifyLevel::kSymbol, VerifyAbstraction::kNone},
+      {"i2c-byte-none", VerifyLevel::kByte, VerifyAbstraction::kNone},
+      {"i2c-byte-symbol", VerifyLevel::kByte, VerifyAbstraction::kSymbol},
+      {"i2c-txn-none", VerifyLevel::kTransaction, VerifyAbstraction::kNone},
+      {"i2c-txn-symbol", VerifyLevel::kTransaction, VerifyAbstraction::kSymbol},
+      {"i2c-txn-byte", VerifyLevel::kTransaction, VerifyAbstraction::kByte},
+      {"i2c-eep-none", VerifyLevel::kEepDriver, VerifyAbstraction::kNone},
+      {"i2c-eep-symbol", VerifyLevel::kEepDriver, VerifyAbstraction::kSymbol},
+      {"i2c-eep-byte", VerifyLevel::kEepDriver, VerifyAbstraction::kByte},
+      {"i2c-eep-txn", VerifyLevel::kEepDriver, VerifyAbstraction::kTransaction},
+  };
+  for (const Mix& mix : mixes) {
+    i2c::VerifyConfig config;
+    config.level = mix.level;
+    config.abstraction = mix.abstraction;
+    DiagnosticEngine diag;
+    auto vs = i2c::BuildVerifier(config, diag);
+    EXPECT_NE(vs, nullptr) << mix.name << ":\n" << diag.RenderAll();
+    if (vs == nullptr) {
+      continue;
+    }
+    const auto& comps = vs->compilations();
+    for (size_t c = 0; c < comps.size(); ++c) {
+      std::string name = mix.name;
+      if (comps.size() > 1) {
+        name += "#" + std::to_string(c);
+      }
+      out->compilations.emplace_back(name, comps[c].get());
+    }
+    out->i2c_verifiers.push_back(std::move(vs));
+  }
+  const std::pair<const char*, spi::SpiVerifyLevel> spi_levels[] = {
+      {"spi-byte", spi::SpiVerifyLevel::kByte},
+      {"spi-driver", spi::SpiVerifyLevel::kDriver},
+  };
+  for (const auto& [name, level] : spi_levels) {
+    spi::SpiVerifyConfig config;
+    config.level = level;
+    DiagnosticEngine diag;
+    auto vs = spi::BuildSpiVerifier(config, diag);
+    EXPECT_NE(vs, nullptr) << name << ":\n" << diag.RenderAll();
+    if (vs != nullptr) {
+      out->compilations.emplace_back(name, vs->compilation_.get());
+      out->spi_verifiers.push_back(std::move(vs));
+    }
+  }
+}
 
 void ExpectSymClean(const ir::Compilation& comp, const std::string& what) {
   CompilationSummary summary = analysis::sym::AnalyzeCompilationSym(comp);
@@ -699,63 +1030,63 @@ void ExpectSymClean(const ir::Compilation& comp, const std::string& what) {
 }
 
 TEST(ShippedSpecsSym, DriverStacksAreCleanUnderWerror) {
-  {
-    DiagnosticEngine diag;
-    auto comp = i2c::CompileControllerStack(diag);
-    ASSERT_NE(comp, nullptr) << diag.RenderAll();
-    ExpectSymClean(*comp, "controller stack");
-  }
-  {
-    DiagnosticEngine diag;
-    i2c::ControllerStackOptions options;
-    options.no_clock_stretching = true;
-    options.ks0127_compat = true;
-    auto comp = i2c::CompileControllerStack(diag, options);
-    ASSERT_NE(comp, nullptr) << diag.RenderAll();
-    ExpectSymClean(*comp, "controller stack (quirks)");
-  }
-  {
-    DiagnosticEngine diag;
-    auto comp = i2c::CompileResponderStack(diag);
-    ASSERT_NE(comp, nullptr) << diag.RenderAll();
-    ExpectSymClean(*comp, "responder stack");
-  }
-  {
-    DiagnosticEngine diag;
-    i2c::ResponderStackOptions options;
-    options.ks0127 = true;
-    auto comp = i2c::CompileResponderStack(diag, options);
-    ASSERT_NE(comp, nullptr) << diag.RenderAll();
-    ExpectSymClean(*comp, "responder stack (ks0127)");
+  Shipped shipped;
+  AddDriverStacks(&shipped);
+  EXPECT_EQ(shipped.compilations.size(), 4u);
+  for (const auto& [name, comp] : shipped.compilations) {
+    ExpectSymClean(*comp, name);
   }
 }
 
 TEST(ShippedSpecsSym, VerifierMixesAreCleanUnderWerror) {
-  using i2c::VerifyAbstraction;
-  using i2c::VerifyLevel;
-  struct Combo {
-    VerifyLevel level;
-    VerifyAbstraction abstraction;
-  };
-  const Combo combos[] = {
-      {VerifyLevel::kSymbol, VerifyAbstraction::kNone},
-      {VerifyLevel::kByte, VerifyAbstraction::kSymbol},
-      {VerifyLevel::kTransaction, VerifyAbstraction::kByte},
-      {VerifyLevel::kEepDriver, VerifyAbstraction::kTransaction},
-  };
-  for (const Combo& combo : combos) {
-    i2c::VerifyConfig config;
-    config.level = combo.level;
-    config.abstraction = combo.abstraction;
-    DiagnosticEngine diag;
-    auto vs = i2c::BuildVerifier(config, diag);
-    ASSERT_NE(vs, nullptr) << diag.RenderAll();
-    std::string what = "i2c verifier level=" + std::to_string(static_cast<int>(combo.level)) +
-                       " abstraction=" + std::to_string(static_cast<int>(combo.abstraction));
-    for (const auto& comp : vs->compilations()) {
-      ExpectSymClean(*comp, what);
-    }
+  Shipped shipped;
+  AddVerifierMixes(&shipped);
+  EXPECT_EQ(shipped.compilations.size(), 13u);
+  for (const auto& [name, comp] : shipped.compilations) {
+    ExpectSymClean(*comp, name);
   }
+}
+
+TEST(SymGolden, ShippedSpecsMatchGolden) {
+  // Every shipped compilation's rendered summary and round count: host-time
+  // optimizations of the executor must leave all of it byte-identical.
+  Shipped shipped;
+  AddDriverStacks(&shipped);
+  AddVerifierMixes(&shipped);
+  ASSERT_EQ(shipped.compilations.size(), 17u);
+  std::string rendered;
+  for (const auto& [name, comp] : shipped.compilations) {
+    CompilationSummary summary = analysis::sym::AnalyzeCompilationSym(*comp);
+    rendered += "== " + name + " rounds=" + std::to_string(summary.rounds) + "\n" +
+                analysis::sym::RenderSymSummary(*comp, summary);
+  }
+  CompareOrUpdate("sym_shipped_specs.txt", rendered);
+}
+
+TEST(ShippedSpecsSym, UnchangedReceiveFactsReuseModuleSummaries) {
+  // A module whose receive facts equal those of its previous run reuses that
+  // run's summary (the golden above shows the reuse changes nothing). A key
+  // that never matched would rerun every module every round; one that
+  // matched less often (say, by also comparing the facts of the channels a
+  // module sends on) would raise the total recorded when the reuse landed.
+  Shipped shipped;
+  AddDriverStacks(&shipped);
+  AddVerifierMixes(&shipped);
+  int runs = 0;
+  int module_rounds = 0;
+  for (const auto& [name, comp] : shipped.compilations) {
+    CompilationSummary summary = analysis::sym::AnalyzeCompilationSym(*comp);
+    const int modules = static_cast<int>(comp->modules().size());
+    EXPECT_GE(summary.module_runs, modules) << name;
+    EXPECT_LE(summary.module_runs, summary.rounds * modules) << name;
+    if (name == "responder") {
+      EXPECT_LT(summary.module_runs, summary.rounds * modules);
+    }
+    runs += summary.module_runs;
+    module_rounds += summary.rounds * modules;
+  }
+  EXPECT_EQ(module_rounds, 276);
+  EXPECT_EQ(runs, 213);
 }
 
 // ---- checker fast path: symbolic discharge ---------------------------------
