@@ -6,9 +6,9 @@
 // rising edges; CPU usage from a continuous-read steady state.
 //
 // The execution-mode ablation section runs one 24AA512 config per split under
-// all three VM tiers (interp / threaded / compiled) and reports host-side
-// instruction throughput (IR instructions retired per second of host time
-// spent inside the software VM). The modeled metrics (kHz, CPU%, IRQs) must
+// both VM tiers (interp / compiled) and reports host-side instruction
+// throughput (IR instructions retired per second of host time spent inside
+// the software VM). The modeled metrics (kHz, CPU%, IRQs) must
 // be tier-invariant; only the host cost of dispatch changes.
 //
 // Flags: --json <path> writes the machine-readable report; --quick trims the
@@ -123,7 +123,7 @@ void RunFigure10(bench::JsonReport* json) {
       "driven CPU usage falls from Symbol to EepDriver, below the Xilinx IP.\n");
 }
 
-// Instruction-throughput ablation across the three execution tiers: same
+// Instruction-throughput ablation across the two execution tiers: same
 // 24AA512 workload, same modeled timeline, different host dispatch cost.
 // Returns false when a modeled metric varies across tiers (equivalence
 // violation) — the interesting tripwire; the speedup itself is reported, not
@@ -162,8 +162,7 @@ bool RunExecModeAblation(bench::JsonReport* json, bool quick) {
     const int split_ops = ops * ablation.ops_scale;
     double interp_throughput = 0;
     driver::DriverMetrics reference;
-    for (vm::ExecMode mode :
-         {vm::ExecMode::kInterp, vm::ExecMode::kThreaded, vm::ExecMode::kCompiled}) {
+    for (vm::ExecMode mode : {vm::ExecMode::kInterp, vm::ExecMode::kCompiled}) {
       driver::HybridConfig config;
       config.split = split;
       config.capture_waveform = true;
@@ -320,8 +319,7 @@ bool RunDispatchSection(bench::JsonReport* json, bool quick) {
   bool ok = true;
   uint64_t reference_pass_steps = 0;
   double interp_throughput = 0;
-  for (vm::ExecMode mode :
-       {vm::ExecMode::kInterp, vm::ExecMode::kThreaded, vm::ExecMode::kCompiled}) {
+  for (vm::ExecMode mode : {vm::ExecMode::kInterp, vm::ExecMode::kCompiled}) {
     std::vector<std::unique_ptr<vm::IrExecutor>> executors;
     if (mode == vm::ExecMode::kCompiled) {
       std::vector<const ir::Module*> modules;

@@ -1,13 +1,15 @@
 // Fleet-scale co-simulation bench: how many supervised driver stacks the
-// event-driven engine soaks to quiescence per host second, swept across fleet
-// sizes, plus the determinism tripwire (one fixed fleet run at three thread
-// counts must produce one byte-identical aggregate signature).
+// fleet runs to completion per host second, swept across fleet sizes, plus
+// the determinism tripwire (one fixed fleet run at three thread counts must
+// produce one byte-identical aggregate signature).
 //
 // Two sections:
 //   fleet_scaling       stack-count sweep 1 -> 4096 over the mixed soak
 //                       population (EEPROM / muxed / multi-master / MFD in
 //                       both wait modes); every fleet must finish with zero
-//                       failures and zero wedged stacks.
+//                       failures and zero wedged stacks. The process's peak
+//                       resident memory after each row shows that a fleet
+//                       holds one stack per worker thread, not all of them.
 //   fleet_determinism   same fleet at 1, 2 and 8 worker threads; any drift
 //                       in the aggregate counter signature fails the bench.
 //
@@ -15,7 +17,9 @@
 // sweep for CI smoke runs.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -24,6 +28,18 @@
 
 namespace efeu {
 namespace {
+
+// The process's peak resident set (VmHWM) in MB; 0 where /proc is missing.
+double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB
+    }
+  }
+  return 0;
+}
 
 sim::FleetReport RunFleet(int num_stacks, int num_threads, uint64_t base_seed) {
   sim::FleetOptions options;
@@ -37,12 +53,13 @@ sim::FleetReport RunFleet(int num_stacks, int num_threads, uint64_t base_seed) {
 
 bool RunScalingSection(bench::JsonReport* json, bool quick) {
   bench::PrintHeader(
-      "Fleet scaling: mixed supervised soak population, one shared timeline\n"
+      "Fleet scaling: mixed supervised soak population, one shared compile\n"
       "(seed base 1, single worker; stacks/s is host-side throughput; rtl ticked\n"
-      "is the share of modeled RTL edges evaluated, the rest skipped as idle)");
-  bench::Table table({8, 10, 10, 9, 9, 8, 12, 12, 12});
+      "is the share of modeled RTL edges evaluated, the rest skipped as idle;\n"
+      "peak MB is the process's peak resident memory so far)");
+  bench::Table table({8, 10, 10, 9, 9, 8, 12, 9, 11, 8});
   table.Row({"Stacks", "stacks/s", "ops/s", "faults", "resets", "wedged",
-             "makespan ms", "host s", "rtl ticked"});
+             "makespan ms", "host s", "rtl ticked", "peak MB"});
   bench::PrintRule();
 
   bool ok = true;
@@ -66,6 +83,7 @@ bool RunScalingSection(bench::JsonReport* json, bool quick) {
                               ? static_cast<double>(report.rtl_cycles_ticked) /
                                     static_cast<double>(report.rtl_cycles)
                               : 0;
+    const double peak_rss_mb = PeakRssMb();
     table.Row({std::to_string(stacks), bench::Fmt(report.stacks_per_second, 1),
                bench::Fmt(ops_per_s, 1),
                std::to_string(report.faults_injected),
@@ -73,7 +91,7 @@ bool RunScalingSection(bench::JsonReport* json, bool quick) {
                std::to_string(report.wedged),
                bench::Fmt(report.makespan_ns / 1e6, 3),
                bench::Fmt(report.host_seconds, 2),
-               bench::Fmt(100 * ticked_share, 1) + "%"});
+               bench::Fmt(100 * ticked_share, 1) + "%", bench::Fmt(peak_rss_mb, 1)});
     if (json != nullptr) {
       json->AddRow()
           .Set("section", "fleet_scaling")
@@ -88,7 +106,8 @@ bool RunScalingSection(bench::JsonReport* json, bool quick) {
           .Set("makespan_ns", report.makespan_ns)
           .Set("host_seconds", report.host_seconds)
           .Set("rtl_cycles", report.rtl_cycles)
-          .Set("rtl_ticked_share", ticked_share);
+          .Set("rtl_ticked_share", ticked_share)
+          .Set("peak_rss_mb", peak_rss_mb);
     }
   }
   return ok;

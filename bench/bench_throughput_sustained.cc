@@ -7,7 +7,7 @@
 // Two sections:
 //   sustained_tiers     exec-tier sweep at a fixed split: modeled metrics
 //                       must be tier-invariant while host instruction
-//                       throughput rises from interp to threaded to compiled.
+//                       throughput rises from interp to compiled.
 //   sustained_batching  batching sweep across splits: bursts/coalescing may
 //                       only speed up the modeled timeline, never slow the
 //                       bus, and the counters account for the crossings.
@@ -48,8 +48,7 @@ bool RunTierSection(bench::JsonReport* json, bool quick) {
   bool ok = true;
   driver::DriverMetrics reference;
   double interp_throughput = 0;
-  for (vm::ExecMode mode :
-       {vm::ExecMode::kInterp, vm::ExecMode::kThreaded, vm::ExecMode::kCompiled}) {
+  for (vm::ExecMode mode : {vm::ExecMode::kInterp, vm::ExecMode::kCompiled}) {
     driver::HybridConfig config;
     config.split = driver::SplitPoint::kElectrical;
     config.capture_waveform = true;

@@ -62,9 +62,9 @@ struct HybridConfig {
   SplitPoint split = SplitPoint::kByte;
   bool interrupt_driven = false;
   // Execution tier for the software layers above the split (src/vm/
-  // exec_mode.h): interp / threaded / compiled. Semantics are identical
-  // across tiers; only the per-instruction dispatch cost on the host — and
-  // therefore bench wall-time, not the modeled timeline — changes.
+  // exec_mode.h): interp / compiled. Semantics are identical across tiers;
+  // only the per-instruction dispatch cost on the host — and therefore
+  // bench wall-time, not the modeled timeline — changes.
   vm::ExecMode exec_mode = vm::ExecMode::kInterp;
   // Batch the hybrid boundary: move adjacent MMIO data words as one AXI
   // burst (first beat at full cost, later beats at mmio_burst_word_ns)
@@ -208,7 +208,7 @@ class HybridDriver {
   // Cumulative IR instructions executed by the software layers.
   uint64_t instructions_retired() const { return sw_.TotalSteps(); }
   // Configured execution tier for the software layers (the effective tier
-  // degrades to threaded when the compiled tier is unavailable).
+  // degrades to interp when the compiled tier is unavailable).
   vm::ExecMode exec_mode() const { return sw_.exec_mode(); }
   // Cumulative host wall-clock spent inside the software VM.
   double vm_host_seconds() const;

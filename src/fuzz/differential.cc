@@ -941,30 +941,22 @@ DifferentialResult RunDifferential(const std::string& esi_text, const std::strin
   result.vm = RunVmTarget(*compilation, entry, stimuli);
   std::string why;
   if (options.run_vm_tiers) {
-    // The tiers implement the interpreter's exact step semantics, so they are
-    // compared on everything even when the run failed: same verdict, same
-    // failing step, byte-identical error text, same internal channel
+    // The compiled tier implements the interpreter's exact step semantics, so
+    // it is compared on everything even when the run failed: same verdict,
+    // same failing step, byte-identical error text, same internal channel
     // sequences. (The checker is allowed to word errors differently; the
     // tiers are not.)
-    auto compare_tier = [&](const std::string& name, const TargetTrace& tier) {
-      if (!result.agree) {
-        return;
-      }
-      if (!CompareTraces(name, result.vm, tier, /*compare_internals=*/true, &why)) {
-        result.agree = false;
-        result.divergence = why;
-      } else if (tier.error != result.vm.error) {
-        result.agree = false;
-        result.divergence =
-            name + ": error text \"" + tier.error + "\", vm \"" + result.vm.error + "\"";
-      }
-    };
-    result.vm_threaded =
-        RunVmTarget(*compilation, entry, stimuli, vm::ExecMode::kThreaded);
-    compare_tier("vm-threaded", result.vm_threaded);
     result.vm_compiled =
         RunVmTarget(*compilation, entry, stimuli, vm::ExecMode::kCompiled);
-    compare_tier("vm-compiled", result.vm_compiled);
+    if (!CompareTraces("vm-compiled", result.vm, result.vm_compiled,
+                       /*compare_internals=*/true, &why)) {
+      result.agree = false;
+      result.divergence = why;
+    } else if (result.vm_compiled.error != result.vm.error) {
+      result.agree = false;
+      result.divergence = "vm-compiled: error text \"" + result.vm_compiled.error +
+                          "\", vm \"" + result.vm.error + "\"";
+    }
   }
   result.checker = RunCheckerTarget(*compilation, entry, stimuli, options);
   if (result.agree &&

@@ -1,10 +1,9 @@
-// Five-way differential harness: runs one accepted fuzz spec through the
-// model checker's transition relation, the VM (all three execution tiers:
-// interpreter, direct-threaded, and runtime-compiled), the cycle-accurate
-// RTL simulator (clocked per edge and again skipping idle edges), and the
-// dlopen'd generated C, feeding every target the same deterministic event
-// schedule (a fixed sequence of Env commands) and asserting agreement step
-// for step.
+// Four-way differential harness: runs one accepted fuzz spec through the
+// model checker's transition relation, the VM (both execution tiers:
+// interpreter and runtime-compiled), the cycle-accurate RTL simulator
+// (clocked per edge and again skipping idle edges), and the dlopen'd
+// generated C, feeding every target the same deterministic event schedule (a
+// fixed sequence of Env commands) and asserting agreement step for step.
 //
 // What makes the comparison well-defined: fuzz systems are closed trees of
 // layers connected by rendezvous channels (a Kahn network), so the sequence
@@ -19,8 +18,8 @@
 //   - the full message sequence on every internal channel (checker, VM, RTL)
 //   - final values of every named ESM variable after the schedule (ok only)
 //
-// Comparison policy: the checker and the VM's threaded/compiled tiers are
-// compared against the interpreter on everything — the tiers share the
+// Comparison policy: the checker and the VM's compiled tier are compared
+// against the interpreter on everything — the tiers share the
 // interpreter's exact step semantics, so even failing runs must agree on the
 // verdict, the failing step, and the error text. The RTL simulator and the
 // generated C are compared only when the VM verdict is ok — by design the
@@ -71,10 +70,10 @@ struct DifferentialOptions {
   // Compile + dlopen the generated C (skipped automatically when the VM
   // verdict is not kOk or no C compiler is available).
   bool run_c = true;
-  // Re-run the VM under the direct-threaded and runtime-compiled execution
-  // tiers and compare each against the interpreter trace (verdict, failing
-  // step, error text, replies, channel sequences, final variables). The
-  // compiled tier degrades to threaded when no host C compiler is available.
+  // Re-run the VM under the runtime-compiled execution tier and compare it
+  // against the interpreter trace (verdict, failing step, error text,
+  // replies, channel sequences, final variables). The compiled tier degrades
+  // to the interpreter when no host C compiler is available.
   bool run_vm_tiers = true;
   // Additionally run the full model checker with 1 and 2 threads and compare
   // the verdicts (search-order independence of the parallel engine).
@@ -96,7 +95,6 @@ struct DifferentialResult {
   std::string reject_reason;
 
   TargetTrace vm;           // interpreter tier: the reference trace
-  TargetTrace vm_threaded;  // direct-threaded tier (when run_vm_tiers)
   TargetTrace vm_compiled;  // runtime-compiled tier (when run_vm_tiers)
   TargetTrace checker;
   // The per-edge RTL clock's trace. The RTL leg runs a second time skipping

@@ -1,5 +1,5 @@
 // The fuzz campaign driver: generate (or mutate) specs, run each through the
-// five-way differential harness, auto-minimize divergences, and dump them as
+// four-way differential harness, auto-minimize divergences, and dump them as
 // standalone .efz repro files. Also hosts the frontend-robustness mode that
 // feeds corrupted spec text through the compiler pipeline.
 

@@ -4,7 +4,7 @@
 // convention, which the differential fuzzer repeatedly showed to be fragile.
 // This header is the single source of truth consumed by:
 //
-//   - the IR interpreter and the direct-threaded dispatcher (src/vm),
+//   - the IR interpreter (src/vm),
 //   - the compiled-tier C++ emitter (src/vm/compiled.cc),
 //   - the cycle-accurate RTL simulator (src/rtl) via the *total* evaluators,
 //   - esmlint's interval dataflow (src/analysis) for singleton folding,
@@ -21,7 +21,7 @@
 namespace efeu::ir {
 
 struct OpcodeInfo {
-  const char* name;     // mnemonic used by dumps and the threaded trace
+  const char* name;     // mnemonic used by dumps
   bool blocking;        // stops the executor (kSend/kRecv/kNondet)
   bool terminator;      // ends a basic block (kJump/kBranch/kHalt)
   bool writes_dst;      // Inst::dst is a single-slot destination
@@ -38,7 +38,7 @@ const char* BinaryOpSpelling(esm::BinaryOp op);
 
 // Scalar evaluation, VM/checker semantics: operands widen to int64, the
 // result truncates to int32; shifts outside [0, 32) yield 0. Inline: these
-// sit on the interpreter and threaded-dispatch hot paths.
+// sit on the interpreter's hot path.
 inline int32_t EvalUnOp(esm::UnaryOp op, int32_t a) {
   switch (op) {
     case esm::UnaryOp::kPlus:

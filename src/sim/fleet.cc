@@ -9,7 +9,6 @@
 #include "src/driver/mfd.h"
 #include "src/driver/resources.h"
 #include "src/i2c/stack.h"
-#include "src/sim/event_queue.h"
 #include "src/support/diagnostics.h"
 
 namespace efeu::sim {
@@ -110,10 +109,9 @@ namespace {
 
 using FleetSupervisor = driver::Supervisor<driver::HybridDriver>;
 
-// One isolated supervised stack registered as an event source: RunNextEvent
-// executes exactly one workload operation and returns the stack-local virtual
-// time to reschedule at, or a negative value once quiescent (workload done or
-// failed terminally).
+// One isolated supervised stack: its driver, supervisor and, on MFD stacks,
+// the IRQ-chip client. Run() issues the workload's operations one after
+// another until the last one completes or one fails terminally.
 class StackContext {
  public:
   StackContext(int id, const StackConfig& config,
@@ -126,36 +124,32 @@ class StackContext {
     driver_ = std::make_unique<driver::HybridDriver>(
         Fleet::BuildStackHybridConfig(config, std::move(compilation)));
     supervisor_ = std::make_unique<FleetSupervisor>(driver_.get());
-    total_ops_ = config.rounds * 2;
     if (config.stack_class == StackClass::kMfd) {
       mfd_ = std::make_unique<driver::MfdClient<FleetSupervisor>>(
           supervisor_.get(), MfdConfig{}.address);
-      mfd_->SetCellHandler(0, [this](uint16_t) { ++gpio_irqs_; });
+      // DispatchIrqs fans out only to cells with a handler; the client
+      // counts the dispatched IRQs itself.
+      mfd_->SetCellHandler(0, [](uint16_t) {});
       gpio_pattern_ = static_cast<uint16_t>(0xA500 | (config.seed & 0xFF));
-      total_ops_ += kMfdExtraOps;
     }
   }
 
-  double RunNextEvent() {
-    if (done_) {
-      return -1;
+  StackReport Run() {
+    const int eeprom_ops = config_.rounds * 2;
+    const int total_ops = eeprom_ops + (mfd_ != nullptr ? kMfdExtraOps : 0);
+    for (int op = 0; op < total_ops; ++op) {
+      ++report_.ops_attempted;
+      const std::string step =
+          op < eeprom_ops ? RunEepromOp(op) : RunMfdOp(op - eeprom_ops);
+      if (!step.empty()) {
+        Fail(op, step);
+        return report_;
+      }
+      ++report_.ops_completed;
     }
-    const int op = next_op_++;
-    std::string step = op < config_.rounds * 2 ? RunEepromOp(op)
-                                               : RunMfdOp(op - config_.rounds * 2);
-    if (!step.empty()) {
-      Fail(op, step);
-      return -1;
-    }
-    ++report_.ops_completed;
-    if (next_op_ >= total_ops_) {
-      Finish();
-      return -1;
-    }
-    return driver_->now_ns();
+    Finish();
+    return report_;
   }
-
-  const StackReport& report() const { return report_; }
 
  private:
   static constexpr int kMfdExtraOps = 5;
@@ -243,7 +237,6 @@ class StackContext {
   }
 
   void Fail(int op, const std::string& step) {
-    done_ = true;
     report_.completed = false;
     Collect();
     report_.failure =
@@ -255,7 +248,6 @@ class StackContext {
   }
 
   void Finish() {
-    done_ = true;
     Collect();
     if (report_.health == driver::HealthState::kWedged) {
       report_.completed = false;
@@ -276,10 +268,6 @@ class StackContext {
   std::unique_ptr<FleetSupervisor> supervisor_;
   std::unique_ptr<driver::MfdClient<FleetSupervisor>> mfd_;
   uint16_t gpio_pattern_ = 0;
-  uint64_t gpio_irqs_ = 0;
-  int next_op_ = 0;
-  int total_ops_ = 0;
-  bool done_ = false;
 };
 
 const std::vector<uint8_t> StackContext::kPayload = {0x10, 0x32, 0x54, 0x76};
@@ -298,6 +286,7 @@ void MergeStackReport(const StackReport& stack, FleetReport* fleet) {
       break;
   }
   fleet->ops_completed += stack.ops_completed;
+  fleet->events_processed += stack.ops_attempted;
   fleet->faults_injected += stack.faults_injected;
 
   const driver::RecoveryCounters& r = stack.recovery;
@@ -473,10 +462,7 @@ int Fleet::AddStack(const StackConfig& config) {
 
 StackReport RunStackStandalone(int id, const StackConfig& config,
                                std::shared_ptr<const ir::Compilation> compilation) {
-  StackContext context(id, config, std::move(compilation));
-  while (context.RunNextEvent() >= 0) {
-  }
-  return context.report();
+  return StackContext(id, config, std::move(compilation)).Run();
 }
 
 FleetReport Fleet::Run() {
@@ -501,28 +487,16 @@ FleetReport Fleet::Run() {
   }
 
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<StackContext>> stacks(static_cast<size_t>(n));
-  std::vector<uint64_t> shard_events(static_cast<size_t>(threads), 0);
-
-  // One event queue per shard; shard s owns stacks s, s+threads, s+2*threads,
-  // ... Stacks are isolated, so shard-local interleaving cannot change any
+  std::vector<StackReport> reports(static_cast<size_t>(n));
+  // Shard s owns stacks s, s+threads, s+2*threads, ... and runs them one
+  // after another, so at most one stack per thread is alive. Stacks are
+  // isolated, so neither the shard nor the order inside it can change a
   // per-stack result; only the merge order below matters, and that is always
   // stack-id order.
   auto run_shard = [&](int shard) {
-    EventQueue queue;
     for (int id = shard; id < n; id += threads) {
-      stacks[static_cast<size_t>(id)] =
-          std::make_unique<StackContext>(id, configs_[static_cast<size_t>(id)],
-                                         compilation_);
-      queue.Schedule(0.0, static_cast<uint32_t>(id));
-    }
-    EventQueue::Event event;
-    while (queue.Pop(&event)) {
-      ++shard_events[static_cast<size_t>(shard)];
-      double next = stacks[event.source]->RunNextEvent();
-      if (next >= 0) {
-        queue.Schedule(next, event.source);
-      }
+      reports[static_cast<size_t>(id)] =
+          RunStackStandalone(id, configs_[static_cast<size_t>(id)], compilation_);
     }
   };
 
@@ -539,11 +513,8 @@ FleetReport Fleet::Run() {
     }
   }
 
-  for (int id = 0; id < n; ++id) {
-    MergeStackReport(stacks[static_cast<size_t>(id)]->report(), &report);
-  }
-  for (uint64_t events : shard_events) {
-    report.events_processed += events;
+  for (const StackReport& stack : reports) {
+    MergeStackReport(stack, &report);
   }
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;

@@ -1,18 +1,18 @@
 // Fleet-scale co-simulation: thousands of isolated supervised driver stacks
-// stepped on one deterministic virtual timeline by the shared EventQueue
-// (src/sim/event_queue.h). Each stack is a full HybridDriver — its own RTL
+// under one shared compile. Each stack is a full HybridDriver — its own RTL
 // system, bus, devices, software VM — wrapped in a Supervisor and driven
-// through a per-class soak workload under a seeded FaultPlan; one event is
-// one supervised operation, and after each operation the stack reschedules
-// itself at its own virtual completion time.
+// through a per-class soak workload under a seeded FaultPlan, one supervised
+// operation after another, until the workload completes or an operation fails
+// terminally.
 //
 // Stacks are fully isolated (no shared mutable state beyond the read-only
-// compiled controller stack), so per-stack results are independent of event
-// interleaving. The fleet exploits that for parallelism: with num_threads>1,
-// stacks shard by id onto per-shard event queues drained by worker threads,
-// and the aggregate report is merged in stack-id order — byte-identical for
-// any thread count, which the determinism regression pins via
-// FleetReport::CounterSignature().
+// compiled controller stack), so a stack's result does not depend on when or
+// on which thread it runs. With num_threads>1, stacks shard by id onto worker
+// threads; each shard runs its stacks to completion one at a time and frees
+// each before it builds the next, so peak memory grows with the thread count,
+// not the stack count. The aggregate report is merged in stack-id order —
+// byte-identical for any thread count, which the determinism regression pins
+// via FleetReport::CounterSignature().
 
 #ifndef SRC_SIM_FLEET_H_
 #define SRC_SIM_FLEET_H_
@@ -63,7 +63,7 @@ struct StackConfig {
 // mode under N distinct fault schedules.
 StackConfig MakeSoakStack(int index, uint64_t base_seed);
 
-// Outcome of one stack at quiescence (its event source drained).
+// Outcome of one stack once its workload completed or an operation failed.
 struct StackReport {
   int id = 0;
   StackClass stack_class = StackClass::kEeprom;
@@ -76,10 +76,13 @@ struct StackReport {
   // dumps); empty on success.
   std::string failure;
   uint64_t ops_completed = 0;
+  // Supervised operations issued: the completed ones plus the one that
+  // failed, if any. FleetReport::events_processed sums these.
+  uint64_t ops_attempted = 0;
   uint64_t faults_injected = 0;
   driver::RecoveryCounters recovery;
   monitor::TripCounters monitor;
-  // Stack-local virtual time when the stack went quiescent.
+  // Stack-local virtual time when the stack's last operation returned.
   double finished_at_ns = 0;
   // Modeled RTL clock edges, and how many of them were evaluated rather than
   // skipped as idle (host cost only; not part of the signature).
@@ -88,9 +91,9 @@ struct StackReport {
 };
 
 struct FleetOptions {
-  // Worker threads. Stacks shard by id % num_threads onto per-shard event
-  // queues; aggregates merge in stack-id order, so the report is identical
-  // for any thread count.
+  // Worker threads. Stacks shard by id % num_threads, and each shard runs its
+  // stacks one at a time; aggregates merge in stack-id order, so the report
+  // is identical for any thread count.
   int num_threads = 1;
   // Carried into every stack's HybridConfig (fleet soaks run monitored).
   bool enable_monitors = true;
@@ -103,13 +106,14 @@ struct FleetReport {
   int num_threads = 1;
   int class_counts[kNumStackClasses] = {};
 
-  // Health at quiescence.
+  // Health once every stack has run.
   int healthy = 0;
   int degraded = 0;
   int wedged = 0;
 
   uint64_t ops_completed = 0;
   uint64_t faults_injected = 0;
+  // One per supervised operation attempted, completed or failed.
   uint64_t events_processed = 0;
   driver::RecoveryCounters recovery;  // summed in stack-id order
   monitor::TripCounters monitor;      // merged in stack-id order
@@ -149,10 +153,9 @@ struct FleetReport {
 int HistogramBucket(uint64_t count);
 const char* HistogramBucketLabel(int bucket);
 
-// Runs one stack's full workload to quiescence directly — no event queue, no
-// fleet — and returns its report. The engine-vs-legacy determinism regression
-// compares this against a single-stack Fleet run; null compilation compiles
-// privately.
+// Runs one stack's full workload to completion and returns its report; the
+// stack is freed before this returns. Fleet::Run calls it for every stack.
+// Null compilation compiles privately.
 StackReport RunStackStandalone(
     int id, const StackConfig& config,
     std::shared_ptr<const ir::Compilation> compilation = nullptr);
@@ -169,12 +172,12 @@ class Fleet {
   int AddStack(const StackConfig& config);
   int num_stacks() const { return static_cast<int>(configs_.size()); }
 
-  // Builds every stack, drains the event queues to quiescence and merges the
-  // per-stack reports. Callable once per Fleet.
+  // Runs every stack to completion and merges the per-stack reports.
+  // Callable once per Fleet.
   FleetReport Run();
 
-  // The HybridConfig a fleet stack runs under (shared by the engine-vs-legacy
-  // determinism test, which replays the same workload without the engine).
+  // The HybridConfig a fleet stack runs under (public so callers can replay
+  // a stack's workload outside the fleet).
   static driver::HybridConfig BuildStackHybridConfig(
       const StackConfig& config,
       std::shared_ptr<const ir::Compilation> compilation);

@@ -15,7 +15,6 @@
 
 #include "src/ir/opcode_info.h"
 #include "src/vm/executor.h"
-#include "src/vm/threaded.h"
 
 namespace efeu::vm {
 
@@ -386,7 +385,7 @@ RunState IrExecutor::RunCompiled(uint64_t max_steps) {
     }
   }
   if (compiled_ == nullptr) {
-    return RunThreaded(max_steps);
+    return RunInterp(max_steps);
   }
   int32_t block = block_;
   int32_t inst_index = inst_index_;

@@ -15,7 +15,7 @@
 //
 // Environment knobs:
 //   EFEU_CC                overrides the compiler (default: cc)
-//   EFEU_NO_COMPILED_TIER  disables the tier; kCompiled degrades to kThreaded
+//   EFEU_NO_COMPILED_TIER  disables the tier; kCompiled degrades to kInterp
 
 #ifndef SRC_VM_COMPILED_H_
 #define SRC_VM_COMPILED_H_
@@ -31,7 +31,7 @@ namespace efeu::vm {
 
 // True when a host C compiler is available and the tier is not disabled.
 // Probed once per process; when false, ExecMode::kCompiled silently runs the
-// threaded tier instead (IrExecutor::effective_mode reports the truth).
+// interpreter instead (IrExecutor::effective_mode reports the truth).
 bool CompiledTierAvailable();
 
 class CompiledModule {
@@ -57,7 +57,7 @@ class CompiledModule {
   StepFn step() const { return step_; }
 
   // Returns the compiled artifact for `module`, compiling on first use.
-  // Returns nullptr when compilation fails (caller falls back to threaded).
+  // Returns nullptr when compilation fails (caller falls back to interp).
   static std::shared_ptr<const CompiledModule> Get(const ir::Module& module);
 
   // Batch-compiles every not-yet-cached module in one compiler invocation and

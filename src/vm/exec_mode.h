@@ -1,28 +1,23 @@
-// Execution tiers for the IR data path. All three tiers implement identical
+// Execution tiers for the IR data path. Both tiers implement identical
 // semantics — same blocking points, same step counts, same error strings —
 // and differ only in dispatch cost:
 //
 //   kInterp    one switch per instruction over the CFG (the reference tier;
 //              the model checker always uses it).
-//   kThreaded  computed-goto dispatch over a flattened instruction stream
-//              with fused common pairs (const+binop, binop+branch).
-//   kCompiled  IR lowered to C++, compiled with the system compiler, and
-//              dlopen'd; falls back to kThreaded when no compiler is
-//              available.
+//   kCompiled  IR lowered to a C step function, compiled with the system
+//              compiler, and dlopen'd; falls back to kInterp when no
+//              compiler is available.
 //
 // The equivalence obligation is enforced by tests/test_exec_modes.cc and the
-// five-way differential fuzz harness (src/fuzz).
+// four-way differential fuzz harness (src/fuzz).
 
 #ifndef SRC_VM_EXEC_MODE_H_
 #define SRC_VM_EXEC_MODE_H_
-
-#include <string_view>
 
 namespace efeu::vm {
 
 enum class ExecMode {
   kInterp,
-  kThreaded,
   kCompiled,
 };
 
@@ -30,25 +25,10 @@ inline const char* ExecModeName(ExecMode mode) {
   switch (mode) {
     case ExecMode::kInterp:
       return "interp";
-    case ExecMode::kThreaded:
-      return "threaded";
     case ExecMode::kCompiled:
       return "compiled";
   }
   return "?";
-}
-
-inline bool ParseExecMode(std::string_view text, ExecMode* out) {
-  if (text == "interp") {
-    *out = ExecMode::kInterp;
-  } else if (text == "threaded") {
-    *out = ExecMode::kThreaded;
-  } else if (text == "compiled") {
-    *out = ExecMode::kCompiled;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace efeu::vm

@@ -143,8 +143,6 @@ RunState IrExecutor::Run(uint64_t max_steps) {
   switch (effective_mode()) {
     case ExecMode::kInterp:
       return RunInterp(max_steps);
-    case ExecMode::kThreaded:
-      return RunThreaded(max_steps);
     case ExecMode::kCompiled:
       return RunCompiled(max_steps);
   }
@@ -153,7 +151,7 @@ RunState IrExecutor::Run(uint64_t max_steps) {
 
 ExecMode IrExecutor::effective_mode() const {
   if (mode_ == ExecMode::kCompiled && (compiled_unavailable_ || !CompiledTierAvailable())) {
-    return ExecMode::kThreaded;
+    return ExecMode::kInterp;
   }
   return mode_;
 }

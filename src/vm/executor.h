@@ -5,9 +5,9 @@
 // model checker (src/check), and the hybrid driver runtime (src/driver),
 // which also charges per-instruction CPU costs from the step counters.
 //
-// Run() dispatches over three execution tiers (src/vm/exec_mode.h); the
+// Run() dispatches over two execution tiers (src/vm/exec_mode.h); the
 // canonical machine state — (frame, block, inst_index, state) — is shared by
-// all tiers, so a process can switch tiers at any blocking point and every
+// both, so a process can switch tiers at any blocking point and every
 // host-facing API (blocked_port, pending_message, Complete*, Snapshot) is
 // tier-independent.
 
@@ -25,7 +25,6 @@
 
 namespace efeu::vm {
 
-struct FlatProgram;    // threaded tier (src/vm/threaded.cc)
 class CompiledModule;  // compiled tier (src/vm/compiled.cc)
 
 enum class RunState {
@@ -55,7 +54,7 @@ class IrExecutor {
   // blocking point; the canonical state carries over between tiers.
   void set_exec_mode(ExecMode mode) { mode_ = mode; }
   ExecMode exec_mode() const { return mode_; }
-  // The tier that would actually execute: kCompiled degrades to kThreaded
+  // The tier that would actually execute: kCompiled degrades to kInterp
   // when no native compiler is available or AOT compilation failed.
   ExecMode effective_mode() const;
 
@@ -111,14 +110,11 @@ class IrExecutor {
   void Reset();
 
  private:
-  friend struct FlatProgram;
-
   const ir::Inst& CurrentInst() const { return module_->blocks[block_].insts[inst_index_]; }
   // Executes one non-blocking instruction; advances the pc. Returns false if
   // the machine stopped (blocked/halted/error).
   bool Step();
   RunState RunInterp(uint64_t max_steps);
-  RunState RunThreaded(uint64_t max_steps);  // src/vm/threaded.cc
   RunState RunCompiled(uint64_t max_steps);  // src/vm/compiled.cc
   void AdvancePastCurrent();
   void Fail(RunState state, std::string message);
@@ -140,9 +136,8 @@ class IrExecutor {
   ExecMode mode_ = ExecMode::kInterp;
   // Lazily-built tier artifacts; shared across executors of one module where
   // the tier's cache allows it.
-  std::shared_ptr<const FlatProgram> flat_;
   std::shared_ptr<const CompiledModule> compiled_;
-  bool compiled_unavailable_ = false;  // AOT failed for this module; use threaded
+  bool compiled_unavailable_ = false;  // AOT failed for this module; interpret
 };
 
 }  // namespace efeu::vm

@@ -247,8 +247,7 @@ TEST(DriverBatching, IrqCoalescingReducesInterrupts) {
 // instructions-retired counter matches exactly.
 TEST(DriverBatching, ExecTiersAgreeOnModeledMetrics) {
   DriverMetrics reference;
-  for (vm::ExecMode mode : {vm::ExecMode::kInterp, vm::ExecMode::kThreaded,
-                            vm::ExecMode::kCompiled}) {
+  for (vm::ExecMode mode : {vm::ExecMode::kInterp, vm::ExecMode::kCompiled}) {
     HybridConfig config;
     config.split = SplitPoint::kByte;
     config.capture_waveform = true;

@@ -1,10 +1,10 @@
 // Cross-tier equivalence for the VM execution modes (src/vm/exec_mode.h).
-// The interpreter is the reference semantics; the direct-threaded and
-// compiled tiers must be *indistinguishable* from it: identical frames,
-// identical canonical pc, identical step counts (including budget stops
-// landing between fused superinstruction halves), identical blocking points,
-// and byte-identical error strings. The fuzz harness extends this with
-// randomized programs; these tests pin the contract on targeted cases.
+// The interpreter is the reference semantics; the compiled tier must be
+// *indistinguishable* from it: identical frames, identical canonical pc,
+// identical step counts (including budget stops at every instruction),
+// identical blocking points, and byte-identical error strings. The fuzz
+// harness extends this with randomized programs; these tests pin the
+// contract on targeted cases.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "src/ir/compile.h"
 #include "src/vm/compiled.h"
 #include "src/vm/system.h"
-#include "src/vm/threaded.h"
 
 namespace efeu {
 namespace {
@@ -29,8 +28,7 @@ interface <Up, Down> {
 };
 )esi";
 
-constexpr vm::ExecMode kAllModes[] = {vm::ExecMode::kInterp, vm::ExecMode::kThreaded,
-                                      vm::ExecMode::kCompiled};
+constexpr vm::ExecMode kAllModes[] = {vm::ExecMode::kInterp, vm::ExecMode::kCompiled};
 
 std::unique_ptr<ir::Compilation> Compile(const std::string& esm) {
   DiagnosticEngine diag;
@@ -56,34 +54,29 @@ void ExpectSameMachineState(const vm::IrExecutor& a, const vm::IrExecutor& b,
   }
 }
 
-// Runs `module` under every tier in lockstep with the given step budget per
+// Runs `module` under both tiers in lockstep with the given step budget per
 // Run() call, comparing the full machine state after every slice. A budget
-// of 1 forces a stop after every instruction, including between the halves
-// of fused pairs and straight through compiled-tier re-entry dispatch.
+// of 1 forces a stop after every instruction, straight through compiled-tier
+// re-entry dispatch.
 void LockstepAllTiers(const ir::Module* module, uint64_t budget) {
   vm::IrExecutor reference(module);
-  vm::IrExecutor threaded(module);
   vm::IrExecutor compiled(module);
-  threaded.set_exec_mode(vm::ExecMode::kThreaded);
   compiled.set_exec_mode(vm::ExecMode::kCompiled);
   for (int slice = 0; slice < 100000; ++slice) {
     vm::RunState state = reference.Run(budget);
-    threaded.Run(budget);
     compiled.Run(budget);
     std::string context = module->layer_name + " budget=" + std::to_string(budget) +
                           " slice=" + std::to_string(slice);
-    ExpectSameMachineState(reference, threaded, context + " [threaded]");
     ExpectSameMachineState(reference, compiled, context + " [compiled]");
     if (state != vm::RunState::kRunnable) {
-      return;  // Blocked, halted, or failed identically in all tiers.
+      return;  // Blocked, halted, or failed identically in both tiers.
     }
   }
   FAIL() << "program did not terminate";
 }
 
 // Exercises every opcode class: constants, truncating copies, unary and
-// binary operators (with fusable const+binop and binop+branch pairs), array
-// indexing, loops, and a final halt.
+// binary operators, array indexing, loops, and a final halt.
 constexpr const char* kArithBody = R"esm(
 void Up() {
   int x;
@@ -230,42 +223,29 @@ TEST(ExecModes, TierSwitchAtBlockingPoint) {
   std::vector<int32_t> snapshot(interp.SnapshotSize());
   interp.Snapshot(snapshot);
 
-  for (vm::ExecMode mode : {vm::ExecMode::kThreaded, vm::ExecMode::kCompiled}) {
-    vm::IrExecutor other(module);
-    other.set_exec_mode(mode);
-    other.Restore(snapshot);
-    ASSERT_EQ(other.state(), vm::RunState::kBlockedRecv);
-    const std::vector<int32_t> request = {6, 7, 9, 8, 7};
-    other.CompleteRecv(request);
-    interp.Restore(snapshot);
-    interp.CompleteRecv(request);
-    interp.Run();
-    other.Run();
-    ASSERT_EQ(other.state(), vm::RunState::kBlockedSend) << vm::ExecModeName(mode);
-    ASSERT_EQ(interp.state(), vm::RunState::kBlockedSend);
-    EXPECT_EQ(std::vector<int32_t>(other.pending_message().begin(),
-                                   other.pending_message().end()),
-              std::vector<int32_t>(interp.pending_message().begin(),
-                                   interp.pending_message().end()))
-        << vm::ExecModeName(mode);
-  }
+  vm::IrExecutor compiled(module);
+  compiled.set_exec_mode(vm::ExecMode::kCompiled);
+  compiled.Restore(snapshot);
+  ASSERT_EQ(compiled.state(), vm::RunState::kBlockedRecv);
+  const std::vector<int32_t> request = {6, 7, 9, 8, 7};
+  compiled.CompleteRecv(request);
+  interp.CompleteRecv(request);
+  interp.Run();
+  compiled.Run();
+  ASSERT_EQ(compiled.state(), vm::RunState::kBlockedSend);
+  ASSERT_EQ(interp.state(), vm::RunState::kBlockedSend);
+  EXPECT_EQ(std::vector<int32_t>(compiled.pending_message().begin(),
+                                 compiled.pending_message().end()),
+            std::vector<int32_t>(interp.pending_message().begin(),
+                                 interp.pending_message().end()));
 }
 
 TEST(ExecModes, ParseAndNames) {
-  vm::ExecMode mode = vm::ExecMode::kInterp;
-  EXPECT_TRUE(vm::ParseExecMode("interp", &mode));
-  EXPECT_EQ(mode, vm::ExecMode::kInterp);
-  EXPECT_TRUE(vm::ParseExecMode("threaded", &mode));
-  EXPECT_EQ(mode, vm::ExecMode::kThreaded);
-  EXPECT_TRUE(vm::ParseExecMode("compiled", &mode));
-  EXPECT_EQ(mode, vm::ExecMode::kCompiled);
-  EXPECT_FALSE(vm::ParseExecMode("jit", &mode));
   EXPECT_STREQ(vm::ExecModeName(vm::ExecMode::kInterp), "interp");
-  EXPECT_STREQ(vm::ExecModeName(vm::ExecMode::kThreaded), "threaded");
   EXPECT_STREQ(vm::ExecModeName(vm::ExecMode::kCompiled), "compiled");
 }
 
-// kCompiled silently degrades to kThreaded when no artifact can be built;
+// kCompiled silently degrades to kInterp when no artifact can be built;
 // effective_mode() reports the tier that actually executes.
 TEST(ExecModes, EffectiveModeReflectsAvailability) {
   auto comp = Compile("void Up() { int x; x = 1; }");
@@ -276,25 +256,8 @@ TEST(ExecModes, EffectiveModeReflectsAvailability) {
   if (vm::CompiledTierAvailable()) {
     EXPECT_EQ(executor.effective_mode(), vm::ExecMode::kCompiled);
   } else {
-    EXPECT_EQ(executor.effective_mode(), vm::ExecMode::kThreaded);
+    EXPECT_EQ(executor.effective_mode(), vm::ExecMode::kInterp);
   }
-}
-
-// The flattener must keep the pc mapping 1:1 and actually fuse something on
-// a program with const+binop and binop+branch patterns.
-TEST(ExecModes, FlatProgramStructure) {
-  auto comp = Compile(kArithBody);
-  ASSERT_NE(comp, nullptr);
-  const ir::Module* module = comp->FindModule("Up");
-  auto flat = vm::FlatProgram::Build(*module);
-  ASSERT_EQ(static_cast<int>(flat->insts.size()), module->CountInsts());
-  for (size_t f = 0; f < flat->insts.size(); ++f) {
-    const int block = flat->flat_block[f];
-    const int index = flat->flat_index[f];
-    EXPECT_EQ(flat->block_base[block] + index, static_cast<int>(f));
-    EXPECT_EQ(flat->insts[f].inst, &module->blocks[block].insts[index]);
-  }
-  EXPECT_GT(flat->fused_pairs, 0);
 }
 
 // The emitted C is deterministic (it is the artifact cache key).

@@ -1,140 +1,21 @@
-// Fleet-engine tests: the shared event queue (ordering, tie-breaks, the far
-// list, a reference-model stress across cascade boundaries and the
-// wrapped-cursor-slot regression), the fleet determinism invariants (the
+// Fleet tests: report plumbing, the fleet determinism invariants (the
 // aggregate signature is byte-identical across thread counts, and a
-// single-stack fleet run matches the same stack run standalone without the
-// engine), and the tier-1 fleet soak slice (the >=1024-stack nightly soak
-// runs behind EFEU_FLEET_SOAK; EFEU_FLEET_SEED reseeds it) with its pinned
-// signature and the share of RTL edges each soak stack ticks.
+// single-stack fleet run matches the same stack run standalone), and the
+// tier-1 fleet soak slice (the >=1024-stack nightly soak runs behind
+// EFEU_FLEET_SOAK; EFEU_FLEET_SEED reseeds it) with its pinned signature and
+// the share of RTL edges each soak stack ticks.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/driver/resources.h"
-#include "src/sim/event_queue.h"
 #include "src/sim/fleet.h"
 
 namespace efeu::sim {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Event queue
-// ---------------------------------------------------------------------------
-
-TEST(EventQueue, PopsInDueOrderWithSeqTieBreak) {
-  EventQueue queue;
-  queue.Schedule(500.0, 1);
-  queue.Schedule(100.0, 2);
-  queue.Schedule(100.0, 3);  // same due time: scheduled later, pops later
-  queue.Schedule(3e8, 4);    // 300 ms: beyond the wheel block, parks far
-  queue.Schedule(0.0, 5);
-  EXPECT_EQ(queue.size(), 5u);
-
-  std::vector<uint32_t> order;
-  EventQueue::Event event;
-  double last = -1;
-  while (queue.Pop(&event)) {
-    order.push_back(event.source);
-    EXPECT_GE(event.due_ns, last);
-    last = event.due_ns;
-  }
-  EXPECT_EQ(order, (std::vector<uint32_t>{5, 2, 3, 1, 4}));
-  EXPECT_TRUE(queue.empty());
-  EXPECT_GT(queue.stats().far_parked, 0u);
-  EXPECT_EQ(queue.stats().max_size, 5u);
-}
-
-TEST(EventQueue, PastDueClampsToNow) {
-  EventQueue queue;
-  queue.Schedule(1000.0, 1);
-  EventQueue::Event event;
-  ASSERT_TRUE(queue.Pop(&event));
-  EXPECT_DOUBLE_EQ(queue.now_ns(), 1000.0);
-  // A source asking for the past fires at now, not before it.
-  queue.Schedule(10.0, 2);
-  queue.Schedule(1500.0, 3);
-  ASSERT_TRUE(queue.Pop(&event));
-  EXPECT_EQ(event.source, 2u);
-  EXPECT_DOUBLE_EQ(queue.now_ns(), 1000.0);
-  ASSERT_TRUE(queue.Pop(&event));
-  EXPECT_EQ(event.source, 3u);
-}
-
-// Regression for the wrapped-cursor-slot livelock: with delta-based level
-// selection an entry ~2^16 ticks ahead aliases into its level's cursor slot
-// (e.g. now=0x180 ticks, entry at 0x10100 -> level 1, slot 1 = cursor slot)
-// and every cascade re-inserts it into the same slot. Block-aligned level
-// selection sends it a level up instead; this pins the fix.
-TEST(EventQueue, FarAheadEntryAliasingCursorSlotStillPops) {
-  constexpr double kNsPerTick = 1.0 / 16.0;
-  EventQueue queue;
-  queue.Schedule(0x180 * kNsPerTick, 1);
-  EventQueue::Event event;
-  ASSERT_TRUE(queue.Pop(&event));  // now = 0x180 ticks
-  queue.Schedule(0x10100 * kNsPerTick, 2);
-  queue.Schedule(0x3F0 * kNsPerTick, 3);
-  ASSERT_TRUE(queue.Pop(&event));
-  EXPECT_EQ(event.source, 3u);
-  ASSERT_TRUE(queue.Pop(&event));
-  EXPECT_EQ(event.source, 2u);
-  EXPECT_FALSE(queue.Pop(&event));
-}
-
-// Reference-model stress: random schedule/pop interleavings, with due times
-// spread to exercise every level, cross-level cascades, ties and the far
-// list. The reference is an ordered set over (tick, seq) with the same
-// clamp-to-now rule.
-TEST(EventQueueStress, MatchesReferenceModel) {
-  constexpr double kNsPerTick = 1.0 / 16.0;
-  EventQueue queue;
-  std::set<std::pair<uint64_t, uint64_t>> reference;  // (tick, seq)
-  uint64_t rng = 0x9E3779B97F4A7C15ull;
-  auto next_random = [&rng]() {
-    rng ^= rng << 13;
-    rng ^= rng >> 7;
-    rng ^= rng << 17;
-    return rng;
-  };
-  uint64_t now_tick = 0;
-  uint64_t seq = 0;
-  // Offsets chosen to land in every wheel level plus the far list.
-  const uint64_t spans[] = {1, 200, 5000, 70000, 1 << 22, 1ull << 30, 5ull << 32};
-  for (int i = 0; i < 20000; ++i) {
-    bool do_schedule = reference.empty() || next_random() % 3 != 0;
-    if (do_schedule) {
-      uint64_t span = spans[next_random() % (sizeof(spans) / sizeof(spans[0]))];
-      uint64_t tick = now_tick + next_random() % span;
-      queue.Schedule(static_cast<double>(tick) * kNsPerTick,
-                     static_cast<uint32_t>(i));
-      reference.emplace(tick < now_tick ? now_tick : tick, seq++);
-    } else {
-      EventQueue::Event event;
-      ASSERT_TRUE(queue.Pop(&event)) << "iteration " << i;
-      auto expect = *reference.begin();
-      reference.erase(reference.begin());
-      EXPECT_EQ(event.seq, expect.second) << "iteration " << i;
-      now_tick = expect.first;
-      EXPECT_DOUBLE_EQ(queue.now_ns(),
-                       static_cast<double>(now_tick) * kNsPerTick)
-          << "iteration " << i;
-    }
-  }
-  // Drain what is left; order must still match.
-  EventQueue::Event event;
-  while (queue.Pop(&event)) {
-    ASSERT_FALSE(reference.empty());
-    EXPECT_EQ(event.seq, reference.begin()->second);
-    reference.erase(reference.begin());
-  }
-  EXPECT_TRUE(reference.empty());
-  EXPECT_GT(queue.stats().cascaded, 0u);
-  EXPECT_GT(queue.stats().far_parked, 0u);
-}
 
 // ---------------------------------------------------------------------------
 // Report plumbing
@@ -178,6 +59,23 @@ TEST(FleetReportUnits, EmptyFleetRunsToAnEmptyReport) {
   EXPECT_TRUE(report.failures.empty());
 }
 
+// events_processed counts every supervised operation attempted, the one that
+// fails included. The soak slices and the benchmark pin fleets in which no
+// operation fails, so a failing stack is pinned here: an unbounded fault plan
+// makes its first write fail terminally.
+TEST(FleetReportUnits, FailedOperationCountsAsAnEvent) {
+  StackConfig failing;
+  failing.fault_rate = 0.1;
+  failing.max_faults = 1000;
+  Fleet fleet;
+  fleet.AddStack(failing);
+  fleet.AddStack(MakeSoakStack(1, /*base_seed=*/1));
+  FleetReport report = fleet.Run();
+  ASSERT_EQ(report.failures.size(), 1u) << report.Format();
+  EXPECT_NE(report.failures[0].find(" op 0 write"), std::string::npos) << report.failures[0];
+  EXPECT_EQ(report.events_processed, report.ops_completed + 1);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism invariants
 // ---------------------------------------------------------------------------
@@ -207,8 +105,8 @@ TEST(FleetDeterminism, SignatureInvariantAcrossThreadCounts) {
   EXPECT_NE(baseline.find("stacks=8"), std::string::npos) << baseline;
 }
 
-// Engine-vs-legacy: the event-driven engine stepping a single stack must
-// reproduce exactly what the same stack does run directly to completion.
+// A single-stack fleet must report exactly what the same stack reports when
+// run standalone: the merge carries every per-stack counter through.
 TEST(FleetDeterminism, SingleStackMatchesStandaloneRun) {
   StackConfig config;
   config.stack_class = StackClass::kEeprom;
@@ -272,7 +170,7 @@ TEST(FleetSoak, MixedFleetSoaksToQuiescence) {
   EXPECT_TRUE(report.failures.empty()) << all;
   EXPECT_EQ(report.wedged, 0) << report.Format();
   EXPECT_EQ(report.healthy + report.degraded, num_stacks);
-  // One event per supervised operation, scheduled on one virtual timeline.
+  // One event per supervised operation attempted.
   EXPECT_EQ(report.ops_completed, expected_ops);
   EXPECT_EQ(report.events_processed, expected_ops);
   EXPECT_GT(report.makespan_ns, 0.0);

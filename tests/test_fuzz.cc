@@ -1,5 +1,5 @@
 // Tier-1 slice of the fuzz subsystem: generator determinism and acceptance,
-// bounded five-way differential smoke runs (fixed seeds, seconds not hours),
+// bounded four-way differential smoke runs (fixed seeds, seconds not hours),
 // minimizer behaviour, corpus replay, the esmc exit-code contract, and named
 // regression tests for the C-backend bugs the fuzzer found. The open-ended
 // nightly campaign lives in CI (`esmfuzz --iterations 500 ...`), not here.
@@ -99,9 +99,7 @@ TEST(FuzzDifferential, ExecutionTiersAgreeOnFixedSeeds) {
     DifferentialResult result = RunDifferential(GenerateSpec(seed), options);
     ASSERT_TRUE(result.accepted) << "seed " << seed << ": " << result.reject_reason;
     EXPECT_TRUE(result.agree) << "seed " << seed << ": " << result.divergence;
-    EXPECT_EQ(result.vm_threaded.verdict, result.vm.verdict) << "seed " << seed;
     EXPECT_EQ(result.vm_compiled.verdict, result.vm.verdict) << "seed " << seed;
-    EXPECT_EQ(result.vm_threaded.error, result.vm.error) << "seed " << seed;
     EXPECT_EQ(result.vm_compiled.error, result.vm.error) << "seed " << seed;
   }
 }

@@ -505,8 +505,8 @@ TEST(SupervisionBaselines, XilinxIpRecoversFromDroppedCompletionInterrupt) {
 // ---------------------------------------------------------------------------
 
 // One supervised run per (seed, wait mode) under a seeded random schedule of
-// wire + boundary faults, all seeds soaking together as one fleet on one
-// virtual timeline instead of 2 x num_seeds sequential driver builds. Each
+// wire + boundary faults, all seeds run as one fleet sharing one compiled
+// controller stack instead of 2 x num_seeds separately compiled drivers. Each
 // stack carries the supervised soak config (kByte split, 50 us write cycle,
 // monitors on, FaultPlan::Random(seed, 0.01, max 4) with boundary faults);
 // failures come back replay-ready from the fleet report.
