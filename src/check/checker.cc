@@ -3,8 +3,8 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
+#include <map>
 #include <memory>
-#include <unordered_set>
 
 #include "src/support/check.h"
 
@@ -16,22 +16,21 @@
 
 namespace efeu::check {
 
-namespace {
-
-struct StateHash {
-  size_t operator()(const std::vector<int32_t>& state) const {
-    return static_cast<size_t>(HashWords(state));
-  }
-};
-
-}  // namespace
-
 std::string CheckedSystem::Transition::Describe(const CheckedSystem& system) const {
   if (kind == Kind::kChoice) {
     return system.entries_[process].process->name() + ": nondet -> " + std::to_string(choice);
   }
   return system.entries_[process].process->name() + " -> " +
          system.entries_[peer].process->name();
+}
+
+std::vector<std::string> CheckedSystem::DescribePath(std::span<const Transition> path) const {
+  std::vector<std::string> lines;
+  lines.reserve(path.size());
+  for (const Transition& t : path) {
+    lines.push_back(t.Describe(*this));
+  }
+  return lines;
 }
 
 int CheckedSystem::AddProcess(std::unique_ptr<Process> process) {
@@ -65,7 +64,7 @@ void CheckedSystem::Connect(vm::PortRef sender, vm::PortRef receiver) {
              "Connect: port already connected");
   entries_[sender.process].links[sender.port] = receiver;
   entries_[receiver.process].links[receiver.port] = sender;
-  channel_links_ready_ = false;
+  exclusive_ports_ready_ = false;
 }
 
 void CheckedSystem::ConnectByChannel(int from_process, int to_process,
@@ -104,14 +103,6 @@ std::unique_ptr<CheckedSystem> CheckedSystem::Clone() const {
   return clone;
 }
 
-int CheckedSystem::TotalSnapshotSize() const {
-  int total = 0;
-  for (const Entry& entry : entries_) {
-    total += entry.process->SnapshotSize();
-  }
-  return total;
-}
-
 std::vector<int> CheckedSystem::SnapshotSizes() const {
   std::vector<int> sizes;
   sizes.reserve(entries_.size());
@@ -119,17 +110,6 @@ std::vector<int> CheckedSystem::SnapshotSizes() const {
     sizes.push_back(entry.process->SnapshotSize());
   }
   return sizes;
-}
-
-std::vector<int32_t> CheckedSystem::SnapshotAll() const {
-  std::vector<int32_t> state(TotalSnapshotSize());
-  int offset = 0;
-  for (const Entry& entry : entries_) {
-    int size = entry.process->SnapshotSize();
-    entry.process->Snapshot(std::span<int32_t>(state).subspan(offset, size));
-    offset += size;
-  }
-  return state;
 }
 
 void CheckedSystem::RestoreAll(const std::vector<int32_t>& state) {
@@ -170,6 +150,13 @@ bool CheckedSystem::Closure(Violation* violation, bool* progress) {
 
 std::vector<CheckedSystem::Transition> CheckedSystem::EnabledTransitions() const {
   std::vector<Transition> transitions;
+  EnabledTransitions(&transitions);
+  return transitions;
+}
+
+void CheckedSystem::EnabledTransitions(std::vector<Transition>* out) const {
+  std::vector<Transition>& transitions = *out;
+  transitions.clear();
   for (size_t p = 0; p < entries_.size(); ++p) {
     const Process& process = *entries_[p].process;
     if (process.state() == vm::RunState::kBlockedSend) {
@@ -196,7 +183,6 @@ std::vector<CheckedSystem::Transition> CheckedSystem::EnabledTransitions() const
       }
     }
   }
-  return transitions;
 }
 
 void CheckedSystem::Apply(const Transition& t) {
@@ -214,22 +200,28 @@ void CheckedSystem::Apply(const Transition& t) {
 }
 
 bool CheckedSystem::TransferOnExclusiveChannel(const Transition& t) const {
-  if (!channel_links_ready_) {
-    channel_links_.clear();
+  if (!exclusive_ports_ready_) {
+    std::map<const esi::ChannelInfo*, int> links;
     for (const Entry& entry : entries_) {
       const std::vector<PortDecl>& decls = entry.process->ports();
       for (size_t port = 0; port < decls.size(); ++port) {
         if (decls[port].is_send && entry.links[port].has_value()) {
-          ++channel_links_[decls[port].channel];
+          ++links[decls[port].channel];
         }
       }
     }
-    channel_links_ready_ = true;
+    exclusive_ports_.assign(entries_.size(), {});
+    for (size_t p = 0; p < entries_.size(); ++p) {
+      const std::vector<PortDecl>& decls = entries_[p].process->ports();
+      for (const PortDecl& decl : decls) {
+        exclusive_ports_[p].push_back(links[decl.channel] == 1);
+      }
+    }
+    exclusive_ports_ready_ = true;
   }
   const Process& sender = *entries_[t.process].process;
-  const esi::ChannelInfo* channel = sender.ports()[sender.blocked_port()].channel;
-  auto it = channel_links_.find(channel);
-  return it != channel_links_.end() && it->second == 1;
+  return exclusive_ports_[static_cast<size_t>(t.process)]
+                         [static_cast<size_t>(sender.blocked_port())];
 }
 
 int CheckedSystem::PickAmple(const std::vector<Transition>& transitions,
@@ -334,6 +326,7 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
 
   struct Frame {
     std::vector<int32_t> key;
+    uint64_t hash = 0;  // HashWords(key).
     std::vector<Transition> transitions;
     size_t next = 0;
     // Progress transitions taken on the stack up to and including this frame.
@@ -345,39 +338,39 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
     // Index of the edge this frame most recently descended through (for
     // counterexample traces).
     int taken = -1;
-    // Descriptions of the forced-run transitions walked inline between the
-    // parent's `taken` edge and this frame's state (see kPorChainSampleMask).
-    std::vector<std::string> chain;
+    // The forced-run transitions walked inline between the parent's `taken`
+    // edge and this frame's state (see kPorChainSampleMask).
+    std::vector<Transition> chain;
   };
 
-  std::vector<Frame> stack;
+  // stack[0, depth) is the DFS stack. Frames are recycled, so their vectors
+  // keep their capacity: stack[depth] is where the next child is built.
+  // Growing `stack` moves the frames, so a Frame& is taken anew after it.
+  std::vector<Frame> stack(1);
+  size_t depth = 0;
 
-  // Builds the counterexample trace from the DFS stack plus the transition
-  // currently being applied.
-  auto make_trace = [&](const Transition* current) {
-    std::vector<std::string> trace;
-    for (size_t i = 0; i + 1 < stack.size(); ++i) {
+  // Reports a violation whose trace is the DFS stack's path, then `current`
+  // (the transition being applied), then `chain` (the forced run walked
+  // after it). Strings are built only here.
+  auto report = [&](ViolationKind kind, std::string message, const Transition* current,
+                    const std::vector<Transition>* chain = nullptr) {
+    std::vector<Transition> path;
+    for (size_t i = 0; i + 1 < depth; ++i) {
       const Frame& frame = stack[i];
       assert(frame.taken >= 0);
-      trace.push_back(frame.transitions[static_cast<size_t>(frame.taken)].Describe(*this));
-      const Frame& child = stack[i + 1];
-      trace.insert(trace.end(), child.chain.begin(), child.chain.end());
+      path.push_back(frame.transitions[static_cast<size_t>(frame.taken)]);
+      path.insert(path.end(), stack[i + 1].chain.begin(), stack[i + 1].chain.end());
     }
-    if (!stack.empty() && current != nullptr) {
-      trace.push_back(current->Describe(*this));
+    if (depth > 0 && current != nullptr) {
+      path.push_back(*current);
     }
-    return trace;
-  };
-
-  auto report = [&](ViolationKind kind, std::string message, const Transition* current,
-                    const std::vector<std::string>* chain = nullptr) {
+    if (chain != nullptr) {
+      path.insert(path.end(), chain->begin(), chain->end());
+    }
     Violation v;
     v.kind = kind;
     v.message = std::move(message);
-    v.trace = make_trace(current);
-    if (chain != nullptr) {
-      v.trace.insert(v.trace.end(), chain->begin(), chain->end());
-    }
+    v.trace = DescribePath(path);
     result.violation = std::move(v);
   };
 
@@ -405,25 +398,37 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
   table_options.fingerprint_only = options.fingerprint_only;
   table_options.track_progress = options.check_livelock;
   ShardedStateTable visited(table_options);
-  std::unordered_map<std::vector<int32_t>, int, StateHash> on_stack;
+  // Key hash -> index of the stack frame holding that key. A frame's entry is
+  // erased when it pops. The dedup-free tree search can push a key that is
+  // already on the stack; the newer frame then takes the entry over.
+  FingerprintIndex on_stack;
+  auto find_on_stack = [&](uint64_t hash, const std::vector<int32_t>& key) {
+    return on_stack.Find(hash, [&](uint32_t index) { return stack[index].key == key; });
+  };
+  // The forced walk's unsampled states (exact, whatever fingerprint_only
+  // says), emptied per walk.
+  ShardedStateTable walk_seen;
 
-  Frame initial;
-  codec.EncodeFull(&initial.key);
-  initial.transitions = EnabledTransitions();
-  visited.ClaimHashed(HashWords(initial.key), initial.key, 0);
-  on_stack[initial.key] = 0;
+  {
+    Frame& initial = stack[0];
+    codec.EncodeFull(&initial.key);
+    initial.hash = HashWords(initial.key);
+    EnabledTransitions(&initial.transitions);
+    visited.ClaimHashed(initial.hash, initial.key, 0);
+    on_stack.Insert(initial.hash, 0);
 
-  if (initial.transitions.empty() && options.check_deadlock && !AllAtValidEnd()) {
-    report(ViolationKind::kInvalidEndState, "invalid end state: " + DescribeBlockedProcesses(),
-           nullptr);
-    result.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-    return result;
+    if (initial.transitions.empty() && options.check_deadlock && !AllAtValidEnd()) {
+      report(ViolationKind::kInvalidEndState, "invalid end state: " + DescribeBlockedProcesses(),
+             nullptr);
+      result.seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
+      return result;
+    }
+    if (options.por) {
+      initial.ample = PickAmple(initial.transitions, options.check_livelock);
+    }
+    depth = 1;
   }
-  if (options.por) {
-    initial.ample = PickAmple(initial.transitions, options.check_livelock);
-  }
-  stack.push_back(std::move(initial));
 
   auto out_of_budget = [&]() {
     if (options.max_states != 0 && visited.size() >= options.max_states) {
@@ -446,23 +451,30 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
   // copied when the child is actually pushed.
   std::vector<int32_t> next_key;
 
-  while (!stack.empty() && !result.violation.has_value()) {
-    Frame& frame = stack.back();
+  auto pop = [&]() {
+    --depth;
+    on_stack.Erase(stack[depth].hash, static_cast<uint32_t>(depth));
+  };
+
+  while (depth > 0 && !result.violation.has_value()) {
+    if (stack.size() == depth) {
+      stack.emplace_back();
+    }
+    Frame& frame = stack[depth - 1];
     bool frame_done =
         frame.ample >= 0 ? frame.next > 0 : frame.next >= frame.transitions.size();
     if (frame_done) {
       if (frame.ample >= 0) {
         ++result.por_reduced_states;
       }
-      on_stack.erase(frame.key);
-      stack.pop_back();
+      pop();
       continue;
     }
     if (out_of_budget()) {
       result.budget_exhausted = true;
       break;
     }
-    if (static_cast<int>(stack.size()) > options.max_depth) {
+    if (static_cast<int>(depth) > options.max_depth) {
       // Depth prune. The budget flag means "a reachable subtree was actually
       // skipped", so probe the frame's successors: only an unvisited one (or
       // a violating closure we are not reporting) marks the run incomplete.
@@ -488,14 +500,12 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
           }
         }
       }
-      on_stack.erase(frame.key);
-      stack.pop_back();
+      pop();
       continue;
     }
     // Pruned frames above are not counted: with depth pruning active,
     // max_depth_reached never exceeds max_depth.
-    result.max_depth_reached =
-        std::max(result.max_depth_reached, static_cast<int>(stack.size()));
+    result.max_depth_reached = std::max(result.max_depth_reached, static_cast<int>(depth));
 
     size_t index = frame.ample >= 0 ? static_cast<size_t>(frame.ample) : frame.next;
     frame.taken = static_cast<int>(index);
@@ -516,15 +526,15 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
     codec.EncodeStep(&next_key);
     uint64_t next_hash = HashWords(next_key);
 
-    auto stack_it = on_stack.end();
+    const uint32_t* stack_hit = nullptr;
     if (options.check_livelock || frame.ample >= 0) {
-      stack_it = on_stack.find(next_key);
+      stack_hit = find_on_stack(next_hash, next_key);
     }
 
     // Non-progress cycle: a back edge to an on-stack state with no progress
     // transition anywhere along the cycle.
-    if (options.check_livelock && stack_it != on_stack.end()) {
-      uint64_t progress_at_entry = stack[static_cast<size_t>(stack_it->second)].progress_count;
+    if (options.check_livelock && stack_hit != nullptr) {
+      uint64_t progress_at_entry = stack[*stack_hit].progress_count;
       uint64_t progress_now = parent_progress + (step_progress ? 1 : 0);
       if (progress_now == progress_at_entry) {
         report(ViolationKind::kNonProgressCycle,
@@ -539,7 +549,7 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
     // cycle (otherwise the postponed transitions could be ignored forever
     // around that cycle), or when it dynamically passed a progress label the
     // static lookahead missed.
-    if (frame.ample >= 0 && (stack_it != on_stack.end() || step_progress)) {
+    if (frame.ample >= 0 && (stack_hit != nullptr || step_progress)) {
       frame.ample = -1;
       frame.next = 0;
     }
@@ -550,9 +560,13 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
       continue;  // Already explored (at this progress credit or lower).
     }
 
-    Frame child;
-    child.transitions = EnabledTransitions();
+    Frame& child = stack[depth];
+    EnabledTransitions(&child.transitions);
     child.progress_count = next_progress;
+    child.next = 0;
+    child.ample = -1;
+    child.taken = -1;
+    child.chain.clear();
 
     // Forced-run compression (see kPorChainSampleMask in checker.h): walk a
     // run of singleton-transition states inline, closure-checking each one,
@@ -562,7 +576,7 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
     // dedup-free tree search (no table to sample into).
     if (options.por && !options.check_livelock && !options.disable_state_dedup &&
         child.transitions.size() == 1) {
-      std::unordered_set<std::vector<int32_t>, StateHash> walk_seen;
+      walk_seen.Clear();
       bool abandoned = false;
       bool halt = false;
       while (child.transitions.size() == 1) {
@@ -570,7 +584,7 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
         codec.NoteStep(forced);
         Apply(forced);
         ++result.transitions;
-        child.chain.push_back(forced.Describe(*this));
+        child.chain.push_back(forced);
         bool chain_progress = false;
         if (!Closure(&violation, &chain_progress)) {
           report(violation.kind, violation.message, &t, &child.chain);
@@ -582,17 +596,17 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
         if (chain_progress) {
           ++child.progress_count;
         }
-        child.transitions = EnabledTransitions();
+        EnabledTransitions(&child.transitions);
         if (child.transitions.size() != 1) {
           break;  // Landing state (branch point or end): claimed below.
         }
-        if ((HashWords(SnapshotAll()) & kPorChainSampleMask) == 0) {
+        if ((codec.FullStateHash(next_hash) & kPorChainSampleMask) == 0) {
           if (!visited.ClaimHashed(next_hash, next_key, child.progress_count)) {
             abandoned = true;  // Sampled run state already stored: the rest
             break;             // of the run was (or is being) explored.
           }
         } else {
-          if (!walk_seen.insert(next_key).second) {
+          if (!walk_seen.ClaimHashed(next_hash, next_key)) {
             abandoned = true;  // Unsampled cycle, now fully traversed once.
             break;
           }
@@ -629,8 +643,13 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
       child.ample = PickAmple(child.transitions, options.check_livelock);
     }
     child.key = next_key;
-    on_stack[child.key] = static_cast<int>(stack.size());
-    stack.push_back(std::move(child));
+    child.hash = next_hash;
+    if (uint32_t* hit = find_on_stack(next_hash, next_key)) {
+      *hit = static_cast<uint32_t>(depth);
+    } else {
+      on_stack.Insert(next_hash, static_cast<uint32_t>(depth));
+    }
+    ++depth;
   }
 
   result.states_stored = visited.size();

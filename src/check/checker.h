@@ -21,9 +21,8 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/check/process.h"
@@ -120,8 +119,9 @@ struct CheckResult {
 // transition is trivially fully expanded, so it needs no DFS frame, and only
 // a sparse sample of run states goes into the visited table — just enough
 // that a later path re-entering the run terminates against a stored state.
-// A run state is stored iff the hash of its FULL state vector (deliberately
-// not the COLLAPSE key, so collapse on/off store identical sets) has these
+// A run state is stored iff the hash of its FULL state vector
+// (StateCodec::FullStateHash; deliberately not the hash of the COLLAPSE key,
+// so collapse on/off store identical sets) has these
 // low bits clear; mask 7 stores 1 in 8. Sampled runs keep verdicts exact:
 // every run state is still visited and closure-checked, and any cycle
 // through a run contains fully expanded states, satisfying the ample-set
@@ -146,8 +146,8 @@ class CheckedSystem {
   Process& process(int id) { return *entries_[id].process; }
   const Process& process(int id) const { return *entries_[id].process; }
   int process_count() const { return static_cast<int>(entries_.size()); }
-  // Per-process snapshot word counts, in process-id order (the layout both
-  // SnapshotAll and the collapse codec use).
+  // Per-process snapshot word counts, in process-id order (the layout of the
+  // full state vector RestoreAll takes and the collapse codec keeps).
   std::vector<int> SnapshotSizes() const;
 
   // Structural deep copy: every process cloned in its reset state, all
@@ -169,15 +169,22 @@ class CheckedSystem {
     std::string Describe(const CheckedSystem& system) const;
   };
 
+  // One Describe line per transition: a counterexample trace. The engines
+  // record paths as transitions and render them only for a violation.
+  std::vector<std::string> DescribePath(std::span<const Transition> path) const;
+
   // Resets every process to its initial state.
   void ResetAll();
-  std::vector<int32_t> SnapshotAll() const;
+  // Restores every process from a full state vector (the processes'
+  // snapshots concatenated in process-id order).
   void RestoreAll(const std::vector<int32_t>& state);
   // Runs every runnable process to its next blocking point. Returns false on
   // an assertion failure or runtime error (violation filled in); sets
   // *progress when a progress label was passed.
   bool Closure(Violation* violation, bool* progress);
   std::vector<Transition> EnabledTransitions() const;
+  // Same, into `out` (cleared first), so a caller can reuse its capacity.
+  void EnabledTransitions(std::vector<Transition>* out) const;
   void Apply(const Transition& t);
   bool AllAtValidEnd() const;
   std::string DescribeBlockedProcesses() const;
@@ -202,15 +209,15 @@ class CheckedSystem {
     std::vector<std::optional<vm::PortRef>> links;
   };
 
-  int TotalSnapshotSize() const;
   // True when `t` is a transfer whose channel has exactly one connected link.
   bool TransferOnExclusiveChannel(const Transition& t) const;
 
   std::vector<Entry> entries_;
-  // Lazy link count per channel for TransferOnExclusiveChannel; rebuilt after
-  // any Connect.
-  mutable std::unordered_map<const esi::ChannelInfo*, int> channel_links_;
-  mutable bool channel_links_ready_ = false;
+  // exclusive_ports_[p][port]: the port's channel has exactly one connected
+  // sender/receiver link system-wide. Lazy, for TransferOnExclusiveChannel;
+  // rebuilt after any Connect.
+  mutable std::vector<std::vector<bool>> exclusive_ports_;
+  mutable bool exclusive_ports_ready_ = false;
 };
 
 }  // namespace efeu::check

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_set>
 
 #include "src/check/state_codec.h"
 #include "src/support/hash.h"
@@ -17,19 +16,15 @@ namespace efeu::check {
 
 namespace {
 
-struct StateHash {
-  size_t operator()(const std::vector<int32_t>& state) const {
-    return static_cast<size_t>(HashWords(state));
-  }
-};
+using Transition = CheckedSystem::Transition;
 
 struct WorkItem {
   // Post-closure state key (see StateCodec), already claimed in the shared
   // table.
   std::vector<int32_t> state;
-  // Transition descriptions from the initial state to `state`; doubles as the
-  // item's depth (transitions taken so far).
-  std::vector<std::string> trace;
+  // Transitions from the initial state to `state` (rendered only for a
+  // violation); doubles as the item's depth (transitions taken so far).
+  std::vector<Transition> path;
 };
 
 class Engine {
@@ -57,12 +52,15 @@ class Engine {
   bool Seed(CheckedSystem& system, CheckResult* result);
 
   void Worker(CheckedSystem& system);
-  void Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& item);
+  // `walk_seen` is the worker's reused set of a forced walk's unsampled
+  // states.
+  void Explore(CheckedSystem& system, StateCodec& codec, ShardedStateTable& walk_seen,
+               const WorkItem& item);
 
   // Depth-prune probe: sets the exhausted flag only if one of the remaining
   // successors of `key` is actually unvisited (or its closure violates).
   void ProbeSkipped(CheckedSystem& system, StateCodec& codec, const std::vector<int32_t>& key,
-                    const std::vector<CheckedSystem::Transition>& transitions, size_t begin);
+                    const std::vector<Transition>& transitions, size_t begin);
 
   std::optional<WorkItem> Pop();
   void PushWork(WorkItem item);
@@ -181,8 +179,7 @@ bool Engine::OutOfBudget() {
 
 void Engine::ProbeSkipped(CheckedSystem& system, StateCodec& codec,
                           const std::vector<int32_t>& key,
-                          const std::vector<CheckedSystem::Transition>& transitions,
-                          size_t begin) {
+                          const std::vector<Transition>& transitions, size_t begin) {
   if (exhausted_.load(std::memory_order_relaxed)) {
     return;
   }
@@ -233,40 +230,41 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
   size_t target = static_cast<size_t>(seed_factor) * static_cast<size_t>(workers_);
 
   std::vector<int32_t> next_key;
+  ShardedStateTable walk_seen;
   while (!frontier.empty() && frontier.size() < target) {
     if (OutOfBudget()) {
       return false;
     }
     WorkItem item = std::move(frontier.front());
     frontier.pop_front();
-    int depth = static_cast<int>(item.trace.size()) + 1;
+    int depth = static_cast<int>(item.path.size()) + 1;
     codec.Restore(item.state);
-    std::vector<CheckedSystem::Transition> transitions = system.EnabledTransitions();
+    std::vector<Transition> transitions = system.EnabledTransitions();
     if (depth > options_.base.max_depth) {
       ProbeSkipped(system, codec, item.state, transitions, 0);
       continue;
     }
     NoteDepth(depth);
-    for (const CheckedSystem::Transition& t : transitions) {
+    for (const Transition& t : transitions) {
       codec.Restore(item.state);
       codec.NoteStep(t);
       system.Apply(t);
       transitions_.fetch_add(1, std::memory_order_relaxed);
+      std::vector<Transition> path = item.path;
+      path.push_back(t);
       Violation step_violation;
       bool step_progress = false;
       if (!system.Closure(&step_violation, &step_progress)) {
-        step_violation.trace = item.trace;
-        step_violation.trace.push_back(t.Describe(system));
+        step_violation.trace = system.DescribePath(path);
         result->violation = std::move(step_violation);
         return false;
       }
       codec.EncodeStep(&next_key);
-      if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+      uint64_t next_hash = HashWords(next_key);
+      if (!table_.ClaimHashed(next_hash, next_key)) {
         continue;
       }
-      std::vector<std::string> trace = item.trace;
-      trace.push_back(t.Describe(system));
-      std::vector<CheckedSystem::Transition> next_transitions = system.EnabledTransitions();
+      std::vector<Transition> next_transitions = system.EnabledTransitions();
 
       // Forced-run compression during seeding too, with the same sampling
       // rule as the DFS engines: the seed phase must store the same states
@@ -274,34 +272,34 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
       // Seed states are fully expanded, and run states are fully expanded by
       // construction, so the proviso argument is unchanged.
       if (options_.base.por && next_transitions.size() == 1) {
-        std::unordered_set<std::vector<int32_t>, StateHash> walk_seen;
+        walk_seen.Clear();
         bool abandoned = false;
         while (next_transitions.size() == 1) {
-          const CheckedSystem::Transition forced = next_transitions[0];
+          const Transition forced = next_transitions[0];
           codec.NoteStep(forced);
           system.Apply(forced);
           transitions_.fetch_add(1, std::memory_order_relaxed);
+          path.push_back(forced);
           Violation chain_violation;
           bool chain_progress = false;
           if (!system.Closure(&chain_violation, &chain_progress)) {
-            trace.push_back(forced.Describe(system));
-            chain_violation.trace = std::move(trace);
+            chain_violation.trace = system.DescribePath(path);
             result->violation = std::move(chain_violation);
             return false;
           }
-          trace.push_back(forced.Describe(system));
           codec.EncodeStep(&next_key);
-          next_transitions = system.EnabledTransitions();
+          next_hash = HashWords(next_key);
+          system.EnabledTransitions(&next_transitions);
           if (next_transitions.size() != 1) {
             break;  // Landing state (branch point or end): claimed below.
           }
-          if ((HashWords(system.SnapshotAll()) & kPorChainSampleMask) == 0) {
-            if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+          if ((codec.FullStateHash(next_hash) & kPorChainSampleMask) == 0) {
+            if (!table_.ClaimHashed(next_hash, next_key)) {
               abandoned = true;  // Sampled run state already stored.
               break;
             }
           } else {
-            if (!walk_seen.insert(next_key).second) {
+            if (!walk_seen.ClaimHashed(next_hash, next_key)) {
               abandoned = true;  // Unsampled cycle, now fully traversed once.
               break;
             }
@@ -314,7 +312,7 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
         if (abandoned) {
           continue;
         }
-        if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+        if (!table_.ClaimHashed(next_hash, next_key)) {
           continue;
         }
       }
@@ -324,13 +322,13 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
           Violation v;
           v.kind = ViolationKind::kInvalidEndState;
           v.message = "invalid end state: " + system.DescribeBlockedProcesses();
-          v.trace = std::move(trace);
+          v.trace = system.DescribePath(path);
           result->violation = std::move(v);
           return false;
         }
         continue;
       }
-      frontier.push_back(WorkItem{next_key, std::move(trace)});
+      frontier.push_back(WorkItem{next_key, std::move(path)});
     }
   }
 
@@ -344,45 +342,52 @@ bool Engine::Seed(CheckedSystem& system, CheckResult* result) {
 
 void Engine::Worker(CheckedSystem& system) {
   StateCodec codec(system, collapse_.get());
+  ShardedStateTable walk_seen;
   for (;;) {
     std::optional<WorkItem> item = Pop();
     if (!item.has_value()) {
       return;
     }
-    Explore(system, codec, *item);
+    Explore(system, codec, walk_seen, *item);
   }
 }
 
-void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& item) {
+void Engine::Explore(CheckedSystem& system, StateCodec& codec, ShardedStateTable& walk_seen,
+                     const WorkItem& item) {
   const bool por = options_.base.por;
   struct Frame {
     std::vector<int32_t> key;
-    std::vector<CheckedSystem::Transition> transitions;
+    std::vector<Transition> transitions;
     size_t next = 0;
     // >= 0: only transitions[ample] is explored (partial-order reduction);
     // reset to -1 with next = 0 when the ample successor turns out to be
     // already claimed (the parallel cycle proviso, conservative: any cycle's
     // closing edge necessarily targets an already-claimed state).
     int ample = -1;
-    // Description of the transition that led into this frame (empty for the
-    // item's root frame, whose path is item.trace).
-    std::string desc;
-    // Descriptions of the forced-run transitions walked inline between that
-    // edge and this frame's state (see kPorChainSampleMask in checker.h).
-    std::vector<std::string> chain;
+    // The transition that led into this frame (unused for the item's root
+    // frame, whose path is item.path).
+    Transition edge;
+    // The forced-run transitions walked inline between that edge and this
+    // frame's state (see kPorChainSampleMask in checker.h).
+    std::vector<Transition> chain;
   };
   std::vector<Frame> stack;
 
-  auto build_trace = [&](const CheckedSystem::Transition* current) {
-    std::vector<std::string> trace = item.trace;
+  // The path from the initial state through the stack, then `current` and
+  // `chain`: a violation's trace or a donated item's path.
+  auto build_path = [&](const Transition& current, const std::vector<Transition>& chain) {
+    std::vector<Transition> path = item.path;
     for (size_t i = 1; i < stack.size(); ++i) {
-      trace.push_back(stack[i].desc);
-      trace.insert(trace.end(), stack[i].chain.begin(), stack[i].chain.end());
+      path.push_back(stack[i].edge);
+      path.insert(path.end(), stack[i].chain.begin(), stack[i].chain.end());
     }
-    if (current != nullptr) {
-      trace.push_back(current->Describe(system));
-    }
-    return trace;
+    path.push_back(current);
+    path.insert(path.end(), chain.begin(), chain.end());
+    return path;
+  };
+  auto report = [&](Violation v, const Transition& current, const std::vector<Transition>& chain) {
+    v.trace = system.DescribePath(build_path(current, chain));
+    ReportViolation(std::move(v));
   };
 
   codec.Restore(item.state);
@@ -397,6 +402,7 @@ void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& i
   stack.push_back(std::move(root));
 
   std::vector<int32_t> next_key;
+  std::vector<Transition> chain;
   while (!stack.empty()) {
     if (ShouldStop()) {
       return;
@@ -414,7 +420,7 @@ void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& i
     if (OutOfBudget()) {
       return;
     }
-    int depth = static_cast<int>(item.trace.size() + stack.size());
+    int depth = static_cast<int>(item.path.size() + stack.size());
     if (depth > options_.base.max_depth) {
       ProbeSkipped(system, codec, frame.key, frame.transitions,
                    frame.ample >= 0 ? 0 : frame.next);
@@ -425,20 +431,21 @@ void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& i
 
     size_t index = frame.ample >= 0 ? static_cast<size_t>(frame.ample) : frame.next;
     ++frame.next;
-    const CheckedSystem::Transition t = frame.transitions[index];
+    const Transition t = frame.transitions[index];
     codec.Restore(frame.key);
     codec.NoteStep(t);
     system.Apply(t);
     transitions_.fetch_add(1, std::memory_order_relaxed);
+    chain.clear();
     Violation violation;
     bool progress = false;
     if (!system.Closure(&violation, &progress)) {
-      violation.trace = build_trace(&t);
-      ReportViolation(std::move(violation));
+      report(std::move(violation), t, chain);
       return;
     }
     codec.EncodeStep(&next_key);
-    if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+    uint64_t next_hash = HashWords(next_key);
+    if (!table_.ClaimHashed(next_hash, next_key)) {
       // Another worker (or this one) already owns this state. If it was the
       // ample successor, it might close a cycle of reduced states: fall back
       // to the full expansion (cycle proviso).
@@ -448,44 +455,41 @@ void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& i
       }
       continue;
     }
-    std::vector<CheckedSystem::Transition> next_transitions = system.EnabledTransitions();
+    std::vector<Transition> next_transitions = system.EnabledTransitions();
 
     // Forced-run compression, mirroring the sequential engine exactly (same
     // full-state sampling rule, so both engines store identical sets; see
     // kPorChainSampleMask in checker.h). Run states are fully expanded by
     // construction, so no cycle-proviso fallback is needed on a mid-run
     // claim failure.
-    std::vector<std::string> chain;
     if (por && next_transitions.size() == 1) {
-      std::unordered_set<std::vector<int32_t>, StateHash> walk_seen;
+      walk_seen.Clear();
       bool abandoned = false;
       while (next_transitions.size() == 1) {
-        const CheckedSystem::Transition forced = next_transitions[0];
+        const Transition forced = next_transitions[0];
         codec.NoteStep(forced);
         system.Apply(forced);
         transitions_.fetch_add(1, std::memory_order_relaxed);
-        chain.push_back(forced.Describe(system));
+        chain.push_back(forced);
         Violation chain_violation;
         bool chain_progress = false;
         if (!system.Closure(&chain_violation, &chain_progress)) {
-          chain_violation.trace = build_trace(&t);
-          chain_violation.trace.insert(chain_violation.trace.end(), chain.begin(),
-                                       chain.end());
-          ReportViolation(std::move(chain_violation));
+          report(std::move(chain_violation), t, chain);
           return;
         }
         codec.EncodeStep(&next_key);
-        next_transitions = system.EnabledTransitions();
+        next_hash = HashWords(next_key);
+        system.EnabledTransitions(&next_transitions);
         if (next_transitions.size() != 1) {
           break;  // Landing state (branch point or end): claimed below.
         }
-        if ((HashWords(system.SnapshotAll()) & kPorChainSampleMask) == 0) {
-          if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+        if ((codec.FullStateHash(next_hash) & kPorChainSampleMask) == 0) {
+          if (!table_.ClaimHashed(next_hash, next_key)) {
             abandoned = true;  // Sampled run state already stored.
             break;
           }
         } else {
-          if (!walk_seen.insert(next_key).second) {
+          if (!walk_seen.ClaimHashed(next_hash, next_key)) {
             abandoned = true;  // Unsampled cycle, now fully traversed once.
             break;
           }
@@ -499,7 +503,7 @@ void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& i
         continue;
       }
       // Claim the landing state like any other fresh child.
-      if (!table_.ClaimHashed(HashWords(next_key), next_key)) {
+      if (!table_.ClaimHashed(next_hash, next_key)) {
         continue;
       }
     }
@@ -509,25 +513,19 @@ void Engine::Explore(CheckedSystem& system, StateCodec& codec, const WorkItem& i
         Violation v;
         v.kind = ViolationKind::kInvalidEndState;
         v.message = "invalid end state: " + system.DescribeBlockedProcesses();
-        v.trace = build_trace(&t);
-        v.trace.insert(v.trace.end(), chain.begin(), chain.end());
-        ReportViolation(std::move(v));
+        report(std::move(v), t, chain);
         return;
       }
       continue;
     }
     if (queue_hint_.load(std::memory_order_relaxed) < static_cast<size_t>(workers_)) {
       // Other workers look starved: donate this subtree instead of descending.
-      WorkItem donated;
-      donated.trace = build_trace(&t);
-      donated.trace.insert(donated.trace.end(), chain.begin(), chain.end());
-      donated.state = next_key;
-      PushWork(std::move(donated));
+      PushWork(WorkItem{next_key, build_path(t, chain)});
       continue;
     }
     Frame child;
-    child.desc = t.Describe(system);
-    child.chain = std::move(chain);
+    child.edge = t;
+    child.chain = chain;
     child.key = next_key;
     child.transitions = std::move(next_transitions);
     if (por) {

@@ -20,14 +20,15 @@ int32_t CollapseTable::Intern(int process, std::span<const int32_t> snapshot) {
   PerProcess& pp = *per_process_[process];
   uint64_t fingerprint = HashWords(snapshot);
   std::lock_guard<std::mutex> lock(pp.mu);
-  std::vector<int32_t>& chain = pp.index[fingerprint];
-  for (int32_t id : chain) {
-    const int32_t* stored = Slot(pp, id);
-    if (std::equal(snapshot.begin(), snapshot.end(), stored)) {
-      return id;
-    }
-  }
   int32_t id = pp.count.load(std::memory_order_relaxed);
+  auto [stored_id, inserted] =
+      pp.index.FindOrInsert(fingerprint, static_cast<uint32_t>(id), [&](uint32_t candidate) {
+        return std::equal(snapshot.begin(), snapshot.end(),
+                          Slot(pp, static_cast<int32_t>(candidate)));
+      });
+  if (!inserted) {
+    return static_cast<int32_t>(*stored_id);
+  }
   EFEU_CHECK(id < PerProcess::kChunkSize * PerProcess::kMaxChunks,
              "CollapseTable: per-process component table overflow");
   size_t chunk_index = static_cast<size_t>(id) >> PerProcess::kChunkShift;
@@ -42,7 +43,6 @@ int32_t CollapseTable::Intern(int process, std::span<const int32_t> snapshot) {
   int32_t* slot = chunk + (static_cast<size_t>(id) & (PerProcess::kChunkSize - 1)) *
                               static_cast<size_t>(pp.size);
   std::copy(snapshot.begin(), snapshot.end(), slot);
-  chain.push_back(id);
   // Publish after the payload is in place; readers that learned `id` through
   // a synchronized handoff see the filled slot.
   pp.count.store(id + 1, std::memory_order_release);
@@ -70,27 +70,25 @@ StateCodec::StateCodec(CheckedSystem& system, CollapseTable* table)
   int process_count = system.process_count();
   sizes_.resize(static_cast<size_t>(process_count));
   offsets_.resize(static_cast<size_t>(process_count));
-  int max_size = 0;
   int total = 0;
   for (int p = 0; p < process_count; ++p) {
     sizes_[static_cast<size_t>(p)] = system.process(p).SnapshotSize();
     offsets_[static_cast<size_t>(p)] = total;
     total += sizes_[static_cast<size_t>(p)];
-    max_size = std::max(max_size, sizes_[static_cast<size_t>(p)]);
   }
   if (table_ != nullptr) {
     key_size_ = process_count;
     current_.assign(static_cast<size_t>(process_count), kDirty);
-    scratch_.resize(static_cast<size_t>(max_size));
+    full_.resize(static_cast<size_t>(total));
   } else {
     key_size_ = total;
   }
 }
 
 void StateCodec::EncodeProcess(int process) {
-  std::span<int32_t> buffer(scratch_.data(), static_cast<size_t>(sizes_[static_cast<size_t>(process)]));
-  system_.process(process).Snapshot(buffer);
-  current_[static_cast<size_t>(process)] = table_->Intern(process, buffer);
+  std::span<int32_t> slice = Slice(static_cast<size_t>(process));
+  system_.process(process).Snapshot(slice);
+  current_[static_cast<size_t>(process)] = table_->Intern(process, slice);
 }
 
 void StateCodec::EncodeFull(std::vector<int32_t>* key) {
@@ -141,9 +139,9 @@ void StateCodec::Restore(const std::vector<int32_t>& key) {
     if (current_[p] == key[p]) {
       continue;  // Live process already holds this component.
     }
-    std::span<int32_t> buffer(scratch_.data(), static_cast<size_t>(sizes_[p]));
-    table_->Expand(static_cast<int>(p), key[p], buffer);
-    system_.process(static_cast<int>(p)).Restore(buffer);
+    std::span<int32_t> slice = Slice(p);
+    table_->Expand(static_cast<int>(p), key[p], slice);
+    system_.process(static_cast<int>(p)).Restore(slice);
     current_[p] = key[p];
   }
 }

@@ -10,13 +10,22 @@
 // content-addressed, so every worker maps identical snapshots to identical
 // ids and the compressed keys stay comparable across threads.
 //
+// Each process's index is a flat FingerprintIndex of {fingerprint, id} slots
+// (src/support/state_table.h) over a chunked payload store, so interning is
+// one probe plus a word compare, and ids stay dense (0, 1, 2, ... per
+// process).
+//
 // StateCodec is the per-worker view: it tracks which component id each live
 // process currently corresponds to, so a DFS step only re-snapshots the one
 // or two processes a transition moved (Apply + Closure can only wake the
 // transition's participants) and a restore only rewrites the processes whose
-// component differs from the target key. In full mode (no table) it degrades
-// to whole-vector snapshot/restore with a reused scratch buffer, which is the
-// `collapse = false` ablation baseline.
+// component differs from the target key. It also keeps the live full state
+// vector (every process's snapshot, in process-id order) in one buffer: an
+// encode snapshots a process into its slice, a restore expands the component
+// into it. That buffer is what the forced-run sampling rule hashes
+// (FullStateHash). In full mode (no table) it degrades to whole-vector
+// snapshot/restore straight into the key, which then is the full state
+// vector — the `collapse = false` ablation baseline.
 
 #ifndef SRC_CHECK_STATE_CODEC_H_
 #define SRC_CHECK_STATE_CODEC_H_
@@ -27,10 +36,11 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/check/checker.h"
+#include "src/support/hash.h"
+#include "src/support/state_table.h"
 
 namespace efeu::check {
 
@@ -65,8 +75,8 @@ class CollapseTable {
 
     std::mutex mu;
     int size = 0;
-    // fingerprint -> component ids with that fingerprint (collision chain).
-    std::unordered_map<uint64_t, std::vector<int32_t>> index;
+    // fingerprint -> component id; guarded by mu.
+    FingerprintIndex index;
     std::atomic<int32_t> count{0};
     // Fixed-size top level so readers never race a reallocation; chunk
     // payloads are written before the pointer is release-published.
@@ -114,20 +124,36 @@ class StateCodec {
   // Restores the live system to `key`.
   void Restore(const std::vector<int32_t>& key);
 
+  // HashWords of the live full state vector (every process's snapshot in
+  // process-id order) as of the last encode, given `key_hash` = HashWords of
+  // the key that encode wrote. In full mode the key is that vector, so this
+  // is `key_hash`; under COLLAPSE it hashes the codec's buffer. The
+  // forced-run sampling rule (kPorChainSampleMask) decides on this value, so
+  // collapse on and off store the same run states.
+  uint64_t FullStateHash(uint64_t key_hash) const {
+    return table_ == nullptr ? key_hash : HashWords(full_);
+  }
+
  private:
   static constexpr int32_t kDirty = -1;
 
   void EncodeProcess(int process);
+  std::span<int32_t> Slice(size_t process) {
+    return std::span<int32_t>(full_).subspan(static_cast<size_t>(offsets_[process]),
+                                             static_cast<size_t>(sizes_[process]));
+  }
 
   CheckedSystem& system_;
   CollapseTable* table_;
   std::vector<int> sizes_;
-  std::vector<int> offsets_;  // Full-mode key layout (SnapshotAll order).
+  std::vector<int> offsets_;  // Each process's offset in the full state vector.
   int key_size_ = 0;
   // Collapse mode: the component id each live process currently holds, or
   // kDirty when the live process has moved past its last encoding.
   std::vector<int32_t> current_;
-  std::vector<int32_t> scratch_;  // One per-process snapshot scratch buffer.
+  // Collapse mode: the live full state vector. Process p's slice holds the
+  // payload of component current_[p] whenever that is not kDirty.
+  std::vector<int32_t> full_;
 };
 
 }  // namespace efeu::check

@@ -1,6 +1,6 @@
 // Concurrency-safe visited-state table for the model checker: N-way striped
-// buckets keyed by the 64-bit state fingerprint, so worker threads contend
-// only when their states land in the same stripe. Two storage modes:
+// shards keyed by the 64-bit state fingerprint, so worker threads contend
+// only when their states land in the same shard. Two storage modes:
 //
 //  - full (default): the complete state vector is stored and compared, so
 //    membership is exact;
@@ -10,11 +10,19 @@
 //    false-negative probability of roughly stored_states^2 / 2^65 in
 //    exchange for a fixed 8 bytes per state.
 //
+// Storage is SPIN's flat layout: each shard is a FingerprintIndex (an
+// open-addressing array of {fingerprint, entry} slots) over an append-only
+// arena of key words. The key width is fixed per table — the first claim sets
+// it (under COLLAPSE one component id per process, otherwise the full
+// snapshot) — so entry e's words sit at a computed place in the arena. The
+// arena grows in chunks of kChunkEntries keys, so an append never copies the
+// keys already stored (full snapshots can run to hundreds of words).
+//
 // Each state vector is hashed exactly once: callers that already computed
 // HashWords (the checker DFS needs it anyway) pass it to the *Hashed entry
-// points, which use it for both shard selection and bucket placement. Exact
-// mode keeps fingerprint-collision chains, so a colliding pair of distinct
-// states still occupies two entries and membership stays exact.
+// points, which use it for both shard selection and slot placement. Exact
+// mode compares key words whenever fingerprints match, so a colliding pair of
+// distinct states still occupies two entries and membership stays exact.
 //
 // With track_progress the table additionally remembers the minimum progress
 // credit each state was reached with, and Claim re-admits a state reached
@@ -30,12 +38,95 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/support/hash.h"
 
 namespace efeu {
+
+// Open-addressing multimap from 64-bit fingerprints to 32-bit values: a
+// power-of-two slot array with linear probing, kept at most half full. What
+// a value means, and when two entries with one fingerprint are the same, is
+// the caller's business: lookups walk every slot carrying the fingerprint and
+// ask `same(value)`. Single-threaded; callers lock around it.
+//
+// A slot's place is taken from the high bits of fingerprint * phi, so it
+// depends on every fingerprint bit: callers that stripe by
+// `fingerprint % shards` still spread evenly within a shard. Clear() is O(1):
+// a slot counts as occupied only while its generation is the index's.
+class FingerprintIndex {
+ public:
+  FingerprintIndex() { Reset(kMinBits); }
+
+  // The value stored under `fingerprint` for which same(value) holds, or
+  // nullptr. Among several such entries, the first in probe order.
+  template <typename Same>
+  uint32_t* Find(uint64_t fingerprint, Same&& same) {
+    for (size_t i = Home(fingerprint);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.generation != generation_) {
+        return nullptr;
+      }
+      if (slot.fingerprint == fingerprint && same(slot.value)) {
+        return &slot.value;
+      }
+    }
+  }
+
+  // Find, inserting {fingerprint, value} when nothing matches. Returns the
+  // stored value's slot and whether it was inserted.
+  template <typename Same>
+  std::pair<uint32_t*, bool> FindOrInsert(uint64_t fingerprint, uint32_t value, Same&& same) {
+    if ((size_ + 1) * 2 > slots_.size()) {
+      Grow();
+    }
+    for (size_t i = Home(fingerprint);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.generation != generation_) {
+        slot = Slot{fingerprint, value, generation_};
+        ++size_;
+        return {&slot.value, true};
+      }
+      if (slot.fingerprint == fingerprint && same(slot.value)) {
+        return {&slot.value, false};
+      }
+    }
+  }
+
+  // Adds {fingerprint, value} unconditionally.
+  void Insert(uint64_t fingerprint, uint32_t value) {
+    FindOrInsert(fingerprint, value, [](uint32_t) { return false; });
+  }
+
+  // Removes the entry {fingerprint, value}, if present.
+  void Erase(uint64_t fingerprint, uint32_t value);
+
+  void Clear();
+  size_t size() const { return size_; }
+
+ private:
+  static constexpr int kMinBits = 4;
+
+  struct Slot {
+    uint64_t fingerprint = 0;
+    uint32_t value = 0;
+    // Occupied iff equal to the index's generation_ (which is never 0).
+    uint32_t generation = 0;
+  };
+
+  size_t Home(uint64_t fingerprint) const {
+    return static_cast<size_t>((fingerprint * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+  void Reset(int bits);
+  void Grow();
+
+  std::vector<Slot> slots_;
+  size_t mask_ = 0;
+  int shift_ = 64;
+  size_t size_ = 0;
+  uint32_t generation_ = 1;
+};
 
 struct StateTableOptions {
   // Number of independently locked stripes; 1 is fine for single-threaded
@@ -70,35 +161,45 @@ class ShardedStateTable {
 
   // Distinct states stored.
   uint64_t size() const;
-  // Bytes of state payload held (full vectors or 8-byte fingerprints, plus
-  // the progress credit when tracked) — the bench's bytes/state numerator.
+  // Bytes of state payload held: per state its key words (or the 8-byte
+  // fingerprint), plus 8 for the progress credit when tracked — the bench's
+  // bytes/state numerator. The slot arrays are not counted.
   uint64_t payload_bytes() const;
 
+  // Empties the table, keeping its memory; the next claim sets a new key
+  // width.
   void Clear();
 
  private:
-  struct Entry {
-    std::vector<int32_t> words;
-    uint64_t progress = 0;
-  };
+  static constexpr int kChunkShift = 10;
+  static constexpr uint32_t kChunkEntries = 1u << kChunkShift;
 
   struct Shard {
-    mutable std::mutex mu;
-    // fingerprint -> min progress credit (fingerprint_only mode).
-    std::unordered_map<uint64_t, uint64_t> by_fingerprint;
-    // fingerprint -> states with that fingerprint (exact mode; the chain is
-    // almost always a single entry).
-    std::unordered_map<uint64_t, std::vector<Entry>> by_state;
+    std::mutex mu;
+    // fingerprint -> entry number.
+    FingerprintIndex index;
+    // Exact mode only: entry e's key words at offset
+    // (e % kChunkEntries) * width of key_chunks[e / kChunkEntries]. Clear()
+    // empties the chunks and keeps their capacity.
+    std::vector<std::vector<int32_t>> key_chunks;
+    // Entry e's minimum progress credit; track_progress only.
+    std::vector<uint64_t> progress;
+    // Entries stored; written under mu, read lock-free by size().
     std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> bytes{0};
   };
 
   Shard& shard_for(uint64_t fingerprint) const {
     return *shards_[fingerprint % shards_.size()];
   }
+  // Sets the table's key width on first use and checks `state` has it.
+  void CheckKeyWidth(std::span<const int32_t> state) const;
+  // Whether entry `entry` of `shard` is `state` (always, fingerprint-only).
+  // Caller holds shard.mu.
+  bool SameKey(const Shard& shard, uint32_t entry, std::span<const int32_t> state) const;
 
   StateTableOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::atomic<int64_t> key_width_{-1};
 };
 
 }  // namespace efeu

@@ -1,12 +1,16 @@
 // Unit tests for the model checker on small synthetic systems: assertion
 // failures with counterexample traces, invalid end states (deadlock),
 // nondeterministic choice exploration, non-progress cycles (livelock),
-// budgets, and native-process integration.
+// budgets, native-process integration, the COLLAPSE component pool, and
+// line-by-line pins of the sequential engine's counterexample traces.
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "src/check/checker.h"
 #include "src/check/native_process.h"
+#include "src/check/state_codec.h"
 #include "src/ir/compile.h"
 
 namespace efeu {
@@ -747,6 +751,262 @@ void Up() {
   EXPECT_EQ(seq.ok, par.ok);
   EXPECT_EQ(seq.states_stored, par.states_stored);
   EXPECT_EQ(seq.transitions, par.transitions);
+}
+
+// -- COLLAPSE component pool ----------------------------------------------------
+
+// 8 threads intern overlapping snapshot sets into one pool, each from its own
+// starting point: every snapshot gets one id whichever thread got there
+// first, the ids are dense, and Expand returns the snapshot behind each id.
+TEST(CollapseTable, ConcurrentInternGivesIdenticalDenseIds) {
+  constexpr int kThreads = 8;
+  constexpr int32_t kSnapshots = 3000;
+  constexpr int kWidth = 5;
+  auto snapshot = [](int32_t i) {
+    return std::vector<int32_t>{i, -i, i * 31, i % 7, 12345};
+  };
+  check::CollapseTable table({kWidth, 2});
+  std::vector<std::vector<int32_t>> ids(kThreads, std::vector<int32_t>(kSnapshots, -1));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int32_t k = 0; k < kSnapshots; ++k) {
+        int32_t i = (k + t * 397) % kSnapshots;
+        ids[static_cast<size_t>(t)][static_cast<size_t>(i)] = table.Intern(0, snapshot(i));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::vector<bool> seen(kSnapshots, false);
+  for (int32_t i = 0; i < kSnapshots; ++i) {
+    int32_t id = ids[0][static_cast<size_t>(i)];
+    for (int t = 1; t < kThreads; ++t) {
+      ASSERT_EQ(ids[static_cast<size_t>(t)][static_cast<size_t>(i)], id) << "snapshot " << i;
+    }
+    ASSERT_GE(id, 0);
+    ASSERT_LT(id, kSnapshots);
+    EXPECT_FALSE(seen[static_cast<size_t>(id)]) << "id " << id << " given twice";
+    seen[static_cast<size_t>(id)] = true;
+    std::vector<int32_t> expanded(kWidth);
+    table.Expand(0, id, expanded);
+    EXPECT_EQ(expanded, snapshot(i)) << "snapshot " << i;
+  }
+  EXPECT_EQ(table.components(), static_cast<uint64_t>(kSnapshots));
+  EXPECT_EQ(table.payload_bytes(), static_cast<uint64_t>(kSnapshots) * (kWidth + 1) * 4);
+  // The other process's pool is separate: its ids start at 0 again.
+  EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 2}), 0);
+  EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 3}), 1);
+  EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 2}), 0);
+}
+
+// -- Counterexample trace pins -------------------------------------------------
+// The sequential engine's traces, line by line. The DFS order is
+// deterministic, so each trace is a fixed string list: the edges each DFS
+// frame descended through, interleaved with the forced-run transitions walked
+// inline below it (see kPorChainSampleMask). Both storage modes must report
+// the same trace.
+
+// Two branch points, each followed by a forced rendezvous run; the assertion
+// fails inside the second run.
+constexpr const char* kForcedRunAssertEsm = R"esm(
+void Up() {
+  int x;
+  int y;
+  x = nondet(2);
+  UpPostDown(x);
+  y = nondet(2);
+  UpPostDown(x + y);
+  UpPostDown(x + y + 1);
+}
+void Down() {
+  UpToDown q;
+  end_first:
+  q = DownReadUp();
+  q = DownReadUp();
+  q = DownReadUp();
+  assert(q.v != 3);
+}
+)esm";
+
+// After Up's choice, the pair only exchanges over its exclusive channel while
+// the bystander's choice stays pending, so every transfer is a reduced
+// (ample) edge; the assertion fails in the closure of the second one.
+constexpr const char* kAmplePairEsm = R"esm(
+void Up() {
+  int x;
+  x = nondet(2);
+  UpPostDown(x);
+  UpPostDown(x + 1);
+}
+void Down() {
+  UpToDown q;
+  end_first:
+  q = DownReadUp();
+  q = DownReadUp();
+  assert(q.v != 2);
+}
+)esm";
+
+constexpr const char* kBystanderEsm = R"esm(
+void Up() {
+  int x;
+  x = nondet(3);
+}
+)esm";
+
+// Choice 1 strands Down on a third receive outside an end label; the
+// deadlock is the landing state of a forced run.
+constexpr const char* kForcedRunDeadlockEsm = R"esm(
+void Up() {
+  int x;
+  x = nondet(2);
+  UpPostDown(x);
+  UpPostDown(x);
+}
+void Down() {
+  UpToDown q;
+  end_first:
+  q = DownReadUp();
+  q = DownReadUp();
+  if (q.v == 1) {
+    q = DownReadUp();
+  }
+}
+)esm";
+
+std::vector<std::string> TraceOf(const check::CheckResult& result) {
+  return result.violation.has_value() ? result.violation->trace : std::vector<std::string>{};
+}
+
+void ExpectTrace(const check::CheckResult& result, check::ViolationKind kind,
+                 const std::vector<std::string>& expected, const std::string& context) {
+  ASSERT_FALSE(result.ok) << context;
+  ASSERT_TRUE(result.violation.has_value()) << context;
+  EXPECT_EQ(result.violation->kind, kind) << context;
+  EXPECT_EQ(TraceOf(result), expected) << context;
+}
+
+TEST(CheckerTracePins, AssertionInsideForcedRun) {
+  auto comp = Compile(kForcedRunAssertEsm);
+  for (bool collapse : {true, false}) {
+    check::CheckedSystem system;
+    int up = system.AddModule(comp->FindModule("Up"), "Up");
+    int down = system.AddModule(comp->FindModule("Down"), "Down");
+    system.ConnectByChannel(up, down, comp->system().FindChannel("Up", "Down"));
+    check::CheckerOptions options;
+    options.collapse = collapse;
+    ExpectTrace(system.Check(options), check::ViolationKind::kAssertionFailed,
+                {"Up: nondet -> 1", "Up -> Down", "Up: nondet -> 1", "Up -> Down", "Up -> Down"},
+                "collapse=" + std::to_string(collapse));
+  }
+}
+
+TEST(CheckerTracePins, AssertionThroughReducedEdge) {
+  auto pair = Compile(kAmplePairEsm);
+  auto bystander = Compile(kBystanderEsm);
+  for (bool collapse : {true, false}) {
+    check::CheckedSystem system;
+    int up = system.AddModule(pair->FindModule("Up"), "Up");
+    int down = system.AddModule(pair->FindModule("Down"), "Down");
+    system.AddModule(bystander->FindModule("Up"), "Bystander");
+    system.ConnectByChannel(up, down, pair->system().FindChannel("Up", "Down"));
+    check::CheckerOptions options;
+    options.collapse = collapse;
+    check::CheckResult result = system.Check(options);
+    EXPECT_GT(result.por_reduced_states, 0u);
+    ExpectTrace(result, check::ViolationKind::kAssertionFailed,
+                {"Up: nondet -> 1", "Up -> Down", "Up -> Down"},
+                "collapse=" + std::to_string(collapse));
+  }
+}
+
+TEST(CheckerTracePins, InvalidEndStateAtForcedRunLanding) {
+  auto comp = Compile(kForcedRunDeadlockEsm);
+  for (bool collapse : {true, false}) {
+    check::CheckedSystem system;
+    int up = system.AddModule(comp->FindModule("Up"), "Up");
+    int down = system.AddModule(comp->FindModule("Down"), "Down");
+    system.ConnectByChannel(up, down, comp->system().FindChannel("Up", "Down"));
+    check::CheckerOptions options;
+    options.collapse = collapse;
+    check::CheckResult result = system.Check(options);
+    ExpectTrace(result, check::ViolationKind::kInvalidEndState,
+                {"Up: nondet -> 1", "Up -> Down", "Up -> Down"},
+                "collapse=" + std::to_string(collapse));
+    EXPECT_EQ(result.violation->message,
+              "invalid end state: Down (blocked receiving outside an end label)");
+  }
+}
+
+// The cross-edge livelock of CrossEdgeLivelockDetected: the trace runs
+// through the progress detour's re-admitted states to the back edge.
+TEST(CheckerTracePins, NonProgressCycle) {
+  auto comp = Compile(R"esm(
+void Up() {
+  int b;
+  hub:
+  b = nondet(2);
+  if (b == 0) {
+    progress_detour:
+    b = 0;
+  }
+  b = 0;
+  yy:
+  b = nondet(2);
+  b = 0;
+  cc:
+  b = nondet(2);
+  b = 0;
+  goto hub;
+}
+)esm");
+  for (bool collapse : {true, false}) {
+    check::CheckedSystem system;
+    system.AddModule(comp->FindModule("Up"), "Up");
+    check::CheckerOptions options;
+    options.check_deadlock = false;
+    options.check_livelock = true;
+    options.collapse = collapse;
+    ExpectTrace(system.Check(options), check::ViolationKind::kNonProgressCycle,
+                {"Up: nondet -> 1", "Up: nondet -> 0", "Up: nondet -> 0"},
+                "collapse=" + std::to_string(collapse));
+  }
+}
+
+// The parallel engine's first violation depends on thread timing, so only
+// its shape is checked: found, with no empty trace line.
+TEST(CheckerTracePins, ParallelTracesHaveNoEmptyLines) {
+  auto forced = Compile(kForcedRunAssertEsm);
+  auto deadlock = Compile(kForcedRunDeadlockEsm);
+  auto pair = Compile(kAmplePairEsm);
+  auto bystander = Compile(kBystanderEsm);
+  for (int threads : {2, 4}) {
+    std::vector<std::pair<std::string, std::unique_ptr<check::CheckedSystem>>> systems;
+    for (const ir::Compilation* comp : {forced.get(), deadlock.get(), pair.get()}) {
+      auto system = std::make_unique<check::CheckedSystem>();
+      int up = system->AddModule(comp->FindModule("Up"), "Up");
+      int down = system->AddModule(comp->FindModule("Down"), "Down");
+      system->ConnectByChannel(up, down, comp->system().FindChannel("Up", "Down"));
+      if (comp == pair.get()) {
+        system->AddModule(bystander->FindModule("Up"), "Bystander");
+      }
+      systems.emplace_back(comp == deadlock.get() ? "deadlock" : "assert", std::move(system));
+    }
+    for (auto& [name, system] : systems) {
+      check::CheckerOptions options;
+      options.num_threads = threads;
+      check::CheckResult result = system->Check(options);
+      std::string context = name + " threads=" + std::to_string(threads);
+      ASSERT_FALSE(result.ok) << context;
+      ASSERT_TRUE(result.violation.has_value()) << context;
+      EXPECT_FALSE(result.violation->trace.empty()) << context;
+      for (const std::string& line : result.violation->trace) {
+        EXPECT_FALSE(line.empty()) << context;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -76,7 +76,43 @@ TEST(FleetReportUnits, FailedOperationCountsAsAnEvent) {
   EXPECT_EQ(report.events_processed, report.ops_completed + 1);
 }
 
+// Stack reports merge in stack-id order whatever the sharding: failures are
+// listed by id, and the worst stack is the lowest id among those with the
+// most soft resets. The soak slices have no failure and no tie for worst, so
+// this fleet has two of each: identical failing stacks at ids 1 and 3.
+TEST(FleetReportUnits, MergeRunsInStackIdOrder) {
+  StackConfig failing;
+  failing.fault_rate = 0.1;
+  failing.max_faults = 1000;
+  StackConfig clean;
+  clean.fault_rate = 0;
+  const std::vector<StackConfig> configs = {clean, failing, clean, failing};
+  int expected_worst = -1;
+  uint64_t most_resets = 0;
+  for (int id = 0; id < static_cast<int>(configs.size()); ++id) {
+    uint64_t resets = RunStackStandalone(id, configs[static_cast<size_t>(id)]).recovery.soft_resets;
+    if (expected_worst < 0 || resets > most_resets) {
+      expected_worst = id;
+      most_resets = resets;
+    }
+  }
+  for (int threads : {1, 2}) {
+    FleetOptions options;
+    options.num_threads = threads;
+    Fleet fleet(options);
+    for (const StackConfig& config : configs) {
+      fleet.AddStack(config);
+    }
+    FleetReport report = fleet.Run();
+    ASSERT_EQ(report.failures.size(), 2u) << report.Format();
+    EXPECT_EQ(report.failures[0].rfind("stack 1 ", 0), 0u) << report.failures[0];
+    EXPECT_EQ(report.failures[1].rfind("stack 3 ", 0), 0u) << report.failures[1];
+    EXPECT_EQ(report.worst.id, expected_worst) << "threads " << threads;
+  }
+}
+
 // ---------------------------------------------------------------------------
+// Determinism invariants// ---------------------------------------------------------------------------
 // Determinism invariants
 // ---------------------------------------------------------------------------
 

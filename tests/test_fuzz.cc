@@ -366,7 +366,10 @@ class EsmcExitCodes : public ::testing::Test {
   }
 
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/esmc_exit_codes";
+    // One directory per test: ctest runs these tests as concurrent processes,
+    // and a shared directory let one test's SetUp rewrite another's inputs.
+    dir_ = ::testing::TempDir() + "/esmc_exit_codes_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::system(("mkdir -p " + dir_).c_str());
     WriteText(dir_ + "/ok.esi",
               "layer Env;\n"

@@ -20,9 +20,11 @@
 #include <vector>
 
 #include "src/check/checker.h"
+#include "src/check/parallel.h"
 #include "src/i2c/verify.h"
 #include "src/ir/compile.h"
 #include "src/spi/verify.h"
+#include "src/support/hash.h"
 
 namespace efeu {
 namespace {
@@ -282,6 +284,98 @@ TEST(PorCollapseEquivalence, SpiVerifiersAgreeAcrossAllCombos) {
   }
 }
 
+// The sequential engine's counterexamples on the shipped violating configs,
+// pinned by length and by a digest of every line: a forced-run chain dropped,
+// reordered or misattributed anywhere along the (hundreds of lines long)
+// trace changes the digest. Recorded before the checker's flat-table
+// rewrite; COLLAPSE must not change the trace at all.
+TEST(PorCollapseEquivalence, ShippedViolationTracesArePinned) {
+  struct Pin {
+    const char* name;
+    bool por;
+    size_t lines;
+    uint64_t digest;
+  };
+  const std::vector<I2cCase> cases = I2cCases();
+  const Pin pins[] = {
+      {"symbol/no-stretch-quirk", true, 93, 7104006490573590277ull},
+      {"symbol/no-stretch-quirk", false, 93, 13141292801084757749ull},
+      {"byte/ks0127-deadlock", true, 142, 15565270176192793425ull},
+      {"byte/ks0127-deadlock", false, 142, 213896147086745505ull},
+  };
+  for (const Pin& pin : pins) {
+    const I2cCase* entry = nullptr;
+    for (const I2cCase& c : cases) {
+      if (std::string(c.name) == pin.name) {
+        entry = &c;
+      }
+    }
+    ASSERT_NE(entry, nullptr) << pin.name;
+    for (bool collapse : {true, false}) {
+      DiagnosticEngine diag;
+      i2c::VerifyRunResult r = i2c::RunVerification(entry->config, diag, Combo(pin.por, collapse));
+      std::string context = std::string(pin.name) + " por=" + (pin.por ? "1" : "0") +
+                            " collapse=" + (collapse ? "1" : "0");
+      ASSERT_TRUE(r.safety.violation.has_value()) << context;
+      std::string joined;
+      for (const std::string& line : r.safety.violation->trace) {
+        joined += line;
+        joined += '\n';
+      }
+      EXPECT_EQ(r.safety.violation->trace.size(), pin.lines) << context;
+      EXPECT_EQ(HashBytes(joined.data(), joined.size()), pin.digest) << context;
+    }
+  }
+}
+
+// Exact search counts of the sequential engine on shipped configs, safety
+// and liveness pass, reductions on. Verdict tests cannot see work that is
+// skipped or repeated without changing a verdict: a forced walk stopping at a
+// state an earlier walk saw, or a reduction that the dynamic progress
+// backstop undoes after the fact. These counts can. Recorded before the
+// checker's flat-table rewrite; COLLAPSE must not change them.
+TEST(PorCollapseEquivalence, ShippedCountsArePinned) {
+  struct Counts {
+    uint64_t states;
+    uint64_t transitions;
+    uint64_t reduced;
+  };
+  struct Pin {
+    const char* name;
+    Counts safety;
+    Counts liveness;
+  };
+  const std::vector<I2cCase> cases = I2cCases();
+  const Pin pins[] = {
+      {"symbol/full", {179, 441, 315}, {430, 441, 64}},
+      {"byte/full", {1426, 3693, 2933}, {3660, 3693, 699}},
+      {"eep/txn/faults2", {4270, 9392, 4656}, {8663, 9129, 0}},
+      {"eep/txn/resets1", {1482, 5157, 3437}, {3353, 3591, 0}},
+  };
+  auto expect = [](const check::CheckResult& r, const Counts& pin, const std::string& context) {
+    EXPECT_EQ(r.states_stored, pin.states) << context;
+    EXPECT_EQ(r.transitions, pin.transitions) << context;
+    EXPECT_EQ(r.por_reduced_states, pin.reduced) << context;
+  };
+  for (const Pin& pin : pins) {
+    const I2cCase* entry = nullptr;
+    for (const I2cCase& c : cases) {
+      if (std::string(c.name) == pin.name) {
+        entry = &c;
+      }
+    }
+    ASSERT_NE(entry, nullptr) << pin.name;
+    for (bool collapse : {true, false}) {
+      DiagnosticEngine diag;
+      i2c::VerifyRunResult r = i2c::RunVerification(entry->config, diag, Combo(true, collapse));
+      std::string context = std::string(pin.name) + " collapse=" + (collapse ? "1" : "0");
+      ASSERT_TRUE(r.ok) << context;
+      expect(r.safety, pin.safety, context + " safety");
+      expect(r.liveness, pin.liveness, context + " liveness");
+    }
+  }
+}
+
 // COLLAPSE memory claim on the fault-injection configuration the benches
 // record: component-id tuples plus the component pool must come in at least
 // 3x below the uncompressed state vectors.
@@ -373,6 +467,52 @@ void Up() {
     EXPECT_EQ(result.violation->kind, check::ViolationKind::kAssertionFailed)
         << "por=" << por;
     EXPECT_FALSE(result.violation->trace.empty()) << "por=" << por;
+  }
+}
+
+// The parallel engine's proviso: with no global DFS stack, it falls back to
+// full expansion whenever the ample successor is already claimed. A minimal
+// seed prefix (2 states for 2 workers) leaves the bystander's second choice
+// to the workers, whose reduced search would otherwise orbit the pair's
+// exclusive rendezvous and never expand the bystander.
+TEST(PorRegression, ParallelCycleProvisoRecoversHiddenViolation) {
+  auto pair = Compile(R"esm(
+void Up() {
+  DownToUp r;
+  spin:
+  r = UpTalkDown(1);
+  goto spin;
+}
+void Down() {
+  UpToDown q;
+  end_init:
+  q = DownReadUp();
+  end_reply:
+  q = DownTalkUp(2);
+  goto end_reply;
+}
+)esm");
+  auto bystander = Compile(R"esm(
+void Up() {
+  int x;
+  int y;
+  x = nondet(2);
+  y = nondet(2);
+  assert(!(x == 1 && y == 1));
+}
+)esm");
+  for (int run = 0; run < 5; ++run) {
+    check::CheckedSystem system;
+    int up = system.AddModule(pair->FindModule("Up"), "Up");
+    int down = system.AddModule(pair->FindModule("Down"), "Down");
+    system.AddModule(bystander->FindModule("Up"), "Bystander");
+    Wire(system, *pair, up, down);
+    check::ParallelCheckerOptions options;
+    options.num_threads = 2;
+    options.seed_factor = 1;
+    check::CheckResult result = check::CheckParallel(system, options);
+    ASSERT_FALSE(result.ok) << "run " << run;
+    EXPECT_EQ(result.violation->kind, check::ViolationKind::kAssertionFailed) << "run " << run;
   }
 }
 
@@ -495,6 +635,51 @@ void Up() {
     options.check_livelock = true;
     EXPECT_TRUE(system.Check(options).ok) << "por=" << por;
   }
+}
+
+// Progress visibility on the sending side: Up passes a progress label right
+// after each post, so the livelock search must never reduce its transfer.
+// The dynamic backstop would still rescue the verdict of a search that did
+// (it re-expands a frame whose ample step passed progress), but only after
+// applying the ample edge twice; the static lookahead avoids that, so here
+// the reduced livelock search explores exactly what the unreduced one does.
+TEST(PorRegression, SenderProgressLabelBlocksReduction) {
+  auto pair = Compile(R"esm(
+void Up() {
+  spin:
+  UpPostDown(1);
+  progress_sent:
+  goto spin;
+}
+void Down() {
+  UpToDown q;
+  end_wait:
+  q = DownReadUp();
+  goto end_wait;
+}
+)esm");
+  auto bystander = Compile(R"esm(
+void Up() {
+  int x;
+  x = nondet(3);
+}
+)esm");
+  check::CheckResult results[2];
+  for (bool por : {false, true}) {
+    check::CheckedSystem system;
+    int up = system.AddModule(pair->FindModule("Up"), "Up");
+    int down = system.AddModule(pair->FindModule("Down"), "Down");
+    system.AddModule(bystander->FindModule("Up"), "Bystander");
+    system.ConnectByChannel(up, down, pair->system().FindChannel("Up", "Down"));
+    check::CheckerOptions options = Combo(por, true);
+    options.check_deadlock = false;
+    options.check_livelock = true;
+    results[por] = system.Check(options);
+    EXPECT_TRUE(results[por].ok) << "por=" << por;
+  }
+  EXPECT_EQ(results[1].por_reduced_states, 0u);
+  EXPECT_EQ(results[1].states_stored, results[0].states_stored);
+  EXPECT_EQ(results[1].transitions, results[0].transitions);
 }
 
 // Forced-run chain compression must actually bite on the serialized

@@ -1,5 +1,7 @@
 // Unit tests for the support utilities: text handling, line counting,
-// diagnostics rendering, hashing, reserved words.
+// diagnostics rendering, hashing, reserved words, and the model checker's
+// flat visited-state table (growth, forced fingerprint collisions, progress
+// re-admission, clearing, contended claims).
 
 #include <gtest/gtest.h>
 
@@ -226,6 +228,191 @@ TEST(StateTable, ConcurrentClaimsAdmitEachStateOnce) {
   // exactly one of them.
   EXPECT_EQ(admitted.load(), kStates);
   EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
+}
+
+std::vector<int32_t> TestState(int32_t i) { return {i, i * 7 + 1, ~i, i >> 3}; }
+
+// 20000 states take the slot array from 16 slots through eleven doublings;
+// every state claimed before a doubling must still be found after it.
+TEST(StateTable, GrowthKeepsEveryStateFindable) {
+  ShardedStateTable table;
+  constexpr int32_t kStates = 20000;
+  for (int32_t i = 0; i < kStates; ++i) {
+    ASSERT_TRUE(table.Claim(TestState(i))) << i;
+    if ((i & (i + 1)) == 0) {  // After each power of two: recheck everything.
+      for (int32_t j = 0; j <= i; ++j) {
+        ASSERT_FALSE(table.WouldClaim(TestState(j))) << j << " after " << i;
+      }
+    }
+  }
+  for (int32_t i = 0; i < kStates; ++i) {
+    EXPECT_FALSE(table.Claim(TestState(i))) << i;
+  }
+  EXPECT_TRUE(table.WouldClaim(TestState(kStates)));
+  EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
+  EXPECT_EQ(table.payload_bytes(), static_cast<uint64_t>(kStates) * 4 * sizeof(int32_t));
+}
+
+// Equal fingerprints do not mean membership: distinct states claimed under
+// one forced fingerprint are all admitted, and each is found again, across
+// growth of the slot array.
+TEST(StateTable, ForcedFingerprintCollisionsStayExact) {
+  for (uint64_t fingerprint : {uint64_t{0}, uint64_t{42}, ~uint64_t{0}}) {
+    ShardedStateTable table;
+    constexpr int32_t kStates = 100;
+    for (int32_t i = 0; i < kStates; ++i) {
+      EXPECT_TRUE(table.WouldClaimHashed(fingerprint, TestState(i)));
+      EXPECT_TRUE(table.ClaimHashed(fingerprint, TestState(i))) << i;
+    }
+    for (int32_t i = 0; i < kStates; ++i) {
+      EXPECT_FALSE(table.ClaimHashed(fingerprint, TestState(i))) << i;
+      EXPECT_FALSE(table.WouldClaimHashed(fingerprint, TestState(i))) << i;
+    }
+    EXPECT_TRUE(table.WouldClaimHashed(fingerprint, TestState(kStates)));
+    EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
+  }
+}
+
+// Fingerprint-only mode really does merge a forced collision (the documented
+// hash-compaction trade), unlike exact mode above.
+TEST(StateTable, FingerprintOnlyMergesForcedCollisions) {
+  StateTableOptions options;
+  options.fingerprint_only = true;
+  ShardedStateTable table(options);
+  EXPECT_TRUE(table.ClaimHashed(7, TestState(1)));
+  EXPECT_FALSE(table.ClaimHashed(7, TestState(2)));
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(StateTable, TrackProgressReadmitsAfterGrowth) {
+  StateTableOptions options;
+  options.track_progress = true;
+  ShardedStateTable table(options);
+  constexpr int32_t kStates = 5000;
+  for (int32_t i = 0; i < kStates; ++i) {
+    ASSERT_TRUE(table.Claim(TestState(i), 10 + static_cast<uint64_t>(i % 3)));
+  }
+  for (int32_t i = 0; i < kStates; ++i) {
+    uint64_t credit = 10 + static_cast<uint64_t>(i % 3);
+    EXPECT_FALSE(table.Claim(TestState(i), credit)) << i;      // Same credit.
+    EXPECT_FALSE(table.Claim(TestState(i), credit + 1)) << i;  // Higher.
+    EXPECT_TRUE(table.WouldClaim(TestState(i), credit - 1)) << i;
+    EXPECT_TRUE(table.Claim(TestState(i), credit - 1)) << i;   // Lower: re-admitted.
+    EXPECT_FALSE(table.Claim(TestState(i), credit - 1)) << i;  // Minimum lowered.
+  }
+  EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
+  // 4 key words plus the 8-byte credit per state.
+  EXPECT_EQ(table.payload_bytes(), static_cast<uint64_t>(kStates) * (16 + 8));
+}
+
+TEST(StateTable, FingerprintOnlyPayloadAndClearReuse) {
+  for (bool track_progress : {false, true}) {
+    StateTableOptions options;
+    options.fingerprint_only = true;
+    options.track_progress = track_progress;
+    ShardedStateTable table(options);
+    for (int32_t i = 0; i < 300; ++i) {
+      EXPECT_TRUE(table.Claim(TestState(i)));
+    }
+    EXPECT_EQ(table.payload_bytes(), 300u * (track_progress ? 16u : 8u));
+    table.Clear();
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_EQ(table.payload_bytes(), 0u);
+    // Reused after Clear, with another key width: nothing from before counts.
+    std::vector<int32_t> wide(64, 3);
+    EXPECT_TRUE(table.Claim(wide));
+    EXPECT_FALSE(table.Claim(wide));
+    EXPECT_EQ(table.size(), 1u);
+    EXPECT_EQ(table.payload_bytes(), track_progress ? 16u : 8u);
+  }
+  // Exact mode: Clear empties the arena too, and repeated clears keep
+  // working (the forced walk clears its set once per walk).
+  ShardedStateTable exact;
+  for (int round = 0; round < 50; ++round) {
+    for (int32_t i = 0; i < 40; ++i) {
+      ASSERT_TRUE(exact.Claim(TestState(i + round))) << round << " " << i;
+    }
+    ASSERT_FALSE(exact.Claim(TestState(round)));
+    ASSERT_EQ(exact.payload_bytes(), 40u * 16u);
+    exact.Clear();
+  }
+  // Reused with a wider key, across several arena chunks.
+  for (int32_t i = 0; i < 3000; ++i) {
+    ASSERT_TRUE(exact.Claim(std::vector<int32_t>(64, i))) << i;
+  }
+  for (int32_t i = 0; i < 3000; ++i) {
+    ASSERT_FALSE(exact.WouldClaim(std::vector<int32_t>(64, i))) << i;
+  }
+  EXPECT_EQ(exact.payload_bytes(), 3000u * 64u * 4u);
+}
+
+// One shard, so every claim contends on one lock and one slot array, and the
+// array doubles many times while 8 threads race on overlapping states.
+TEST(StateTable, OneShardClaimStormAcrossGrowth) {
+  ShardedStateTable table;
+  constexpr int kThreads = 8;
+  constexpr int32_t kStates = 6000;
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&table, &admitted, t] {
+      // Each thread walks the states from its own offset, so claims of one
+      // state arrive from different threads at different times.
+      for (int32_t k = 0; k < kStates; ++k) {
+        int32_t i = (k + t * (kStates / kThreads)) % kStates;
+        if (table.Claim(TestState(i))) {
+          admitted.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(admitted.load(), kStates);
+  EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
+  for (int32_t i = 0; i < kStates; ++i) {
+    EXPECT_FALSE(table.WouldClaim(TestState(i))) << i;
+  }
+}
+
+// Erase keeps every other entry reachable: entries sharing a probe run (one
+// forced fingerprint, and neighbours that wrap into it) are removed in an
+// order that exercises the backward shift.
+TEST(FingerprintIndex, EraseKeepsProbeRunsReachable) {
+  FingerprintIndex index;
+  auto any = [](uint32_t) { return true; };
+  constexpr uint32_t kEntries = 60;
+  for (uint32_t v = 0; v < kEntries; ++v) {
+    index.Insert(v % 3 == 0 ? 5 : v, v);
+  }
+  ASSERT_EQ(index.size(), kEntries);
+  for (uint32_t v = 0; v < kEntries; v += 2) {
+    index.Erase(v % 3 == 0 ? 5 : v, v);
+  }
+  index.Erase(999, 1234);  // Absent: no effect.
+  EXPECT_EQ(index.size(), kEntries / 2);
+  // A lookup only considers slots carrying its own fingerprint.
+  for (uint64_t fingerprint = 1000; fingerprint < 1064; ++fingerprint) {
+    EXPECT_EQ(index.Find(fingerprint, any), nullptr) << fingerprint;
+  }
+  for (uint32_t v = 0; v < kEntries; ++v) {
+    uint64_t fingerprint = v % 3 == 0 ? 5 : v;
+    uint32_t* found = index.Find(fingerprint, [v](uint32_t stored) { return stored == v; });
+    if (v % 2 == 0) {
+      EXPECT_EQ(found, nullptr) << v;
+    } else {
+      ASSERT_NE(found, nullptr) << v;
+      EXPECT_EQ(*found, v);
+    }
+  }
+  index.Clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.Find(5, any), nullptr);
+  auto [value, inserted] = index.FindOrInsert(5, 77, any);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(*value, 77u);
+  EXPECT_FALSE(index.FindOrInsert(5, 78, any).second);
 }
 
 TEST(ReservedWords, PromelaKeywords) {
