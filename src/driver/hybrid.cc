@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
+#include <optional>
 #include <span>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -66,10 +66,8 @@ uint64_t TimerBias() {
   return bias;
 }
 
-// Controller layers, top to bottom.
-const char* kLayers[] = {"CEepDriver", "CTransaction", "CByte", "CSymbol"};
-
-// Index of the topmost hardware layer in kLayers; 4 = none (Electrical).
+// Index of the topmost hardware layer in kControllerLayers; 4 = none
+// (Electrical).
 int FirstHardwareLayer(SplitPoint split) {
   switch (split) {
     case SplitPoint::kEepDriver:
@@ -104,29 +102,9 @@ const char* SplitPointName(SplitPoint split) {
   return "?";
 }
 
-std::string FormatExecCounters(const DriverMetrics& metrics) {
-  std::string out;
-  auto field = [&out](const char* name, uint64_t value) {
-    if (!out.empty()) {
-      out += ' ';
-    }
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-  };
-  field("instr_retired", metrics.instructions_retired);
-  field("mmio_bursts", metrics.mmio_bursts);
-  field("irqs_coalesced", metrics.irqs_coalesced);
-  field("irqs", metrics.irq_count);
-  field("rtl_ticked", metrics.rtl_cycles_ticked);
-  char host[48];
-  std::snprintf(host, sizeof(host), " vm_host_ms=%.3f", metrics.vm_host_seconds * 1e3);
-  out += host;
-  return out;
-}
-
 HybridDriver::HybridDriver(const HybridConfig& config)
-    : config_(config), rtl_(config.timing.clock_ns) {
+    : DriverCore(config.timing, config.fault_plan, config.recovery, config.capture_waveform),
+      config_(config) {
   if (config_.shared_compilation != nullptr) {
     compilation_ = config_.shared_compilation;
   } else {
@@ -137,7 +115,7 @@ HybridDriver::HybridDriver(const HybridConfig& config)
   const esi::SystemInfo& info = compilation_->system();
 
   // ---- Bus, topology, devices, adapter --------------------------------
-  adapter_ = std::make_unique<sim::BusAdapter>(&bus_, config_.timing.half_cycle_ticks,
+  adapter_ = std::make_unique<sim::BusAdapter>(&bus_, timing_.half_cycle_ticks,
                                                !config_.ablate_fixed_hold_adapter);
   rtl_.AddComponent(adapter_.get());
   // Devices hang off the controller's bus directly, or off one mux channel
@@ -156,17 +134,14 @@ HybridDriver::HybridDriver(const HybridConfig& config)
   }
   if (config_.enable_second_master) {
     sim::SecondMasterConfig master_config = config_.second_master;
-    master_config.clock_ns = config_.timing.clock_ns;
+    master_config.clock_ns = timing_.clock_ns;
     second_master_ = std::make_unique<sim::SecondMaster>(&bus_, master_config);
     rtl_.AddComponent(second_master_.get());
   }
-  sim::EepromConfig eeprom_config = config_.eeprom;
-  eeprom_config.clock_ns = config_.timing.clock_ns;
-  eeprom_ = std::make_unique<sim::Eeprom24aa512>(device_bus, eeprom_config);
-  rtl_.AddComponent(eeprom_.get());
+  AddEeprom(device_bus, config_.eeprom);
   for (const sim::EepromConfig& extra : config_.extra_eeproms) {
     sim::EepromConfig cfg = extra;
-    cfg.clock_ns = config_.timing.clock_ns;
+    cfg.clock_ns = timing_.clock_ns;
     extra_eeproms_.push_back(std::make_unique<sim::Eeprom24aa512>(device_bus, cfg));
     rtl_.AddComponent(extra_eeproms_.back().get());
   }
@@ -174,18 +149,12 @@ HybridDriver::HybridDriver(const HybridConfig& config)
     mfds_.push_back(std::make_unique<sim::MfdRegFileDevice>(device_bus, mfd_config));
     rtl_.AddComponent(mfds_.back().get());
   }
-  if (config_.capture_waveform) {
-    bus_.EnableCapture(true);
-    rtl_.SetPostTickHook([this](double now) { bus_.Capture(now); });
-  }
   // Fault injection: the driver owns the live plan; the adapter injects the
   // electrical faults, the primary EEPROM the device-side ones, the topology
   // components the fabric ones. The recovery driver releases both lines
   // until a bus-recovery sequence runs, so an inactive plan leaves the bus
   // byte-identical to the ideal one.
-  fault_plan_ = config_.fault_plan;
   adapter_->SetFaultPlan(&fault_plan_);
-  eeprom_->SetFaultPlan(&fault_plan_);
   if (mux_ != nullptr) {
     mux_->SetFaultPlan(&fault_plan_);
   }
@@ -196,13 +165,11 @@ HybridDriver::HybridDriver(const HybridConfig& config)
     mfd->SetFaultPlan(&fault_plan_);
   }
   recovery_driver_id_ = bus_.AddDriver();
-  last_status_ = i2c::kCeResOk;
 
   // ---- Boundary channels -------------------------------------------------
   int first_hw = FirstHardwareLayer(config_.split);
-  std::string upper = first_hw == 0 ? "CWorld" : kLayers[first_hw - 1];
-  std::string lower = first_hw == 4 ? "Electrical" : kLayers[first_hw];
-  std::string hw_top = first_hw == 4 ? "" : kLayers[first_hw];
+  std::string upper = first_hw == 0 ? "CWorld" : kControllerLayers[first_hw - 1];
+  std::string lower = first_hw == 4 ? "Electrical" : kControllerLayers[first_hw];
   const esi::ChannelInfo* down_channel =
       first_hw == 4 ? info.FindChannel("CSymbol", "Electrical") : info.FindChannel(upper, lower);
   const esi::ChannelInfo* up_channel =
@@ -226,9 +193,9 @@ HybridDriver::HybridDriver(const HybridConfig& config)
     adapter_->BindUp(up_wire);
   } else {
     for (int i = first_hw; i < 4; ++i) {
-      const ir::Module* module = compilation_->FindModule(kLayers[i]);
+      const ir::Module* module = compilation_->FindModule(kControllerLayers[i]);
       assert(module != nullptr);
-      hw_modules_.push_back(std::make_unique<rtl::RtlModule>(module, kLayers[i]));
+      hw_modules_.push_back(std::make_unique<rtl::RtlModule>(module, kControllerLayers[i]));
       rtl_.AddComponent(hw_modules_.back().get());
     }
     // Top hardware module <- register file.
@@ -265,7 +232,6 @@ HybridDriver::HybridDriver(const HybridConfig& config)
   // ---- Runtime monitors --------------------------------------------------
   if (config_.enable_monitors) {
     monitor_spec_ = monitor::MonitorSpec::FromSystem(info, down_channel, up_channel);
-    shadow_ = std::make_unique<monitor::ShadowChecker>(&monitor_spec_);
     monitor::BusWatcherOptions watcher_options = config_.watcher;
     if (config_.split == SplitPoint::kElectrical) {
       // At the Electrical split every half cycle crosses the MMIO boundary,
@@ -275,32 +241,13 @@ HybridDriver::HybridDriver(const HybridConfig& config)
       watcher_options.stuck_low_limit *= 64;
       watcher_options.handshake_limit *= 4;
     }
-    watcher_ = std::make_unique<monitor::BusWatcher>(&bus_, regfile_.get(), watcher_options);
-    // Added after every active component: the watcher observes the cycle's
-    // committed state and drives nothing.
-    rtl_.AddComponent(watcher_.get());
+    AttachMonitors(&monitor_spec_, regfile_.get(), watcher_options);
   }
 
   // ---- Software side ------------------------------------------------------
   sw_empty_ = first_hw == 0;
   if (!sw_empty_) {
-    std::vector<int> procs;
-    for (int i = 0; i < first_hw; ++i) {
-      const ir::Module* module = compilation_->FindModule(kLayers[i]);
-      assert(module != nullptr);
-      procs.push_back(sw_.AddProcess(module, kLayers[i]));
-    }
-    for (size_t i = 0; i + 1 < procs.size(); ++i) {
-      const esi::ChannelInfo* d = info.FindChannel(kLayers[i], kLayers[i + 1]);
-      const esi::ChannelInfo* u = info.FindChannel(kLayers[i + 1], kLayers[i]);
-      sw_.Connect(sw_.FindPort(procs[i], d, true), sw_.FindPort(procs[i + 1], d, false));
-      sw_.Connect(sw_.FindPort(procs[i + 1], u, true), sw_.FindPort(procs[i], u, false));
-    }
-    const esi::ChannelInfo* world_in = info.FindChannel("CWorld", "CEepDriver");
-    const esi::ChannelInfo* world_out = info.FindChannel("CEepDriver", "CWorld");
-    top_in_ = sw_.FindPort(procs.front(), world_in, /*is_send=*/false);
-    top_out_ = sw_.FindPort(procs.front(), world_out, /*is_send=*/true);
-    int bottom = procs.back();
+    const int bottom = WireSoftwareStack(first_hw);
     boundary_down_ = sw_.FindPort(bottom, down_channel, /*is_send=*/true);
     boundary_up_ = sw_.FindPort(bottom, up_channel, /*is_send=*/false);
     sw_.SetExecMode(config_.exec_mode);
@@ -309,6 +256,7 @@ HybridDriver::HybridDriver(const HybridConfig& config)
     RunSw();
     last_sw_steps_ = sw_.TotalSteps();
   }
+  up_words_read_.resize(static_cast<size_t>(up_words_));
   // Let the hardware reach its initial handshakes.
   rtl_.Advance(32);
 }
@@ -331,38 +279,20 @@ double HybridDriver::vm_host_seconds() const {
   return static_cast<double>(vm_host_ticks_) / TicksPerSecond();
 }
 
-double HybridDriver::now_ns() const { return std::max(sw_time_ns_, rtl_.time_ns()); }
-
-void HybridDriver::SyncRtl() { rtl_.TickUntil(sw_time_ns_); }
-
-void HybridDriver::Busy(double ns) {
-  sw_time_ns_ += ns;
-  cpu_busy_ns_ += ns;
-}
-
 double HybridDriver::BurstCost(double first_ns, int words) const {
-  return first_ns + config_.timing.mmio_burst_word_ns * static_cast<double>(std::max(0, words - 1));
-}
-
-void HybridDriver::Idle(double ns) {
-  sw_time_ns_ += ns;
-  SyncRtl();
-}
-
-void HybridDriver::ShadowBusy(size_t words) {
-  Busy(config_.timing.sw_instr_ns * static_cast<double>(4 + 3 * words));
+  return first_ns + timing_.mmio_burst_word_ns * static_cast<double>(std::max(0, words - 1));
 }
 
 bool HybridDriver::WaitUpMessage() {
   // A realistic driver timeout, relative to when this wait started.
-  const double deadline = now_ns() + config_.recovery.wait_timeout_ns;
+  const double deadline = now_ns() + recovery_.wait_timeout_ns;
   if (!config_.interrupt_driven) {
     // Boundary fault: a corrupted STATUS read makes the poll loop see "not
     // ready" for `corrupt` polls even after the message landed.
     int corrupt = fault_plan_.Consult(sim::FaultKind::kCorruptedMmioRead);
     // Polling: spin on the UP_VALID register.
     while (true) {
-      Busy(config_.timing.mmio_read_ns);
+      Busy(timing_.mmio_read_ns);
       SyncRtl();
       if (regfile_->UpFull()) {
         if (corrupt == 0) {
@@ -387,7 +317,7 @@ bool HybridDriver::WaitUpMessage() {
   if (config_.irq_coalesce_window_ns > 0 && now_ns() <= irq_drain_deadline_ns_) {
     int corrupt = fault_plan_.Consult(sim::FaultKind::kCorruptedMmioRead);
     while (now_ns() <= irq_drain_deadline_ns_) {
-      Busy(config_.timing.mmio_read_ns);
+      Busy(timing_.mmio_read_ns);
       SyncRtl();
       if (regfile_->UpFull()) {
         if (corrupt == 0) {
@@ -404,13 +334,13 @@ bool HybridDriver::WaitUpMessage() {
   // Boundary fault: a spurious IRQ edge wakes the driver with nothing in the
   // register file; it pays the full interrupt path and goes back to sleep.
   if (fault_plan_.Consult(sim::FaultKind::kSpuriousInterrupt) > 0) {
-    double spurious_busy = config_.timing.irq_overhead_ns * config_.timing.irq_busy_fraction;
-    sw_time_ns_ += config_.timing.irq_overhead_ns - spurious_busy;
+    double spurious_busy = timing_.irq_overhead_ns * timing_.irq_busy_fraction;
+    sw_time_ns_ += timing_.irq_overhead_ns - spurious_busy;
     Busy(spurious_busy);
     ++irq_count_;
-    Busy(config_.timing.mmio_read_ns);  // status read: nothing pending
+    Busy(timing_.mmio_read_ns);  // status read: nothing pending
     SyncRtl();
-    Busy(config_.timing.irq_exit_ns);
+    Busy(timing_.irq_exit_ns);
     if (shadow_) {
       ShadowBusy(0);
       shadow_->OnSpuriousWakeup();
@@ -435,14 +365,14 @@ bool HybridDriver::WaitUpMessage() {
   sw_time_ns_ = std::max(sw_time_ns_, rtl_.time_ns());
   // Part of the interrupt path is scheduler latency (core idle/available);
   // the rest is busy kernel+userspace work.
-  double busy_part = config_.timing.irq_overhead_ns * config_.timing.irq_busy_fraction;
-  sw_time_ns_ += config_.timing.irq_overhead_ns - busy_part;
+  double busy_part = timing_.irq_overhead_ns * timing_.irq_busy_fraction;
+  sw_time_ns_ += timing_.irq_overhead_ns - busy_part;
   Busy(busy_part);
   ++irq_count_;
   // Read the status/valid register once after wakeup.
-  Busy(config_.timing.mmio_read_ns);
+  Busy(timing_.mmio_read_ns);
   SyncRtl();
-  Busy(config_.timing.irq_exit_ns);
+  Busy(timing_.irq_exit_ns);
   // Boundary fault: the post-wakeup status read is garbage; the driver
   // cannot trust the message and reports the wait as failed.
   if (fault_plan_.Consult(sim::FaultKind::kCorruptedMmioRead) > 0) {
@@ -459,14 +389,63 @@ bool HybridDriver::WaitUpMessage() {
   return false;
 }
 
+void HybridDriver::WriteDownMessage(std::span<const int32_t> message) {
+  // In the talk protocol the previous send was necessarily consumed before
+  // its reply arrived, so no valid-flag readback is needed.
+  assert(config_.ablate_no_auto_reset || !regfile_->DownPending());
+  if (config_.mmio_bursts && down_words_ > 1) {
+    Busy(BurstCost(timing_.mmio_write_ns, down_words_));
+    SyncRtl();
+    regfile_->WriteDown(message);
+    ++mmio_bursts_;
+  } else {
+    for (int i = 0; i < down_words_; ++i) {
+      Busy(timing_.mmio_write_ns);
+      SyncRtl();
+      regfile_->WriteDownWord(i, message[i]);
+    }
+  }
+  // The DOWN_VALID doorbell write.
+  Busy(timing_.mmio_write_ns);
+  SyncRtl();
+}
+
+bool HybridDriver::ReceiveUpMessage(std::span<const int32_t>* message) {
+  Busy(timing_.mmio_write_ns);
+  SyncRtl();
+  // Boundary fault: the UP_READY write is lost, so the up ready/valid
+  // handshake never completes and the message never lands.
+  if (fault_plan_.Consult(sim::FaultKind::kStalledUpMessage) == 0) {
+    regfile_->ArmUp();
+  }
+  if (!WaitUpMessage()) {
+    return false;
+  }
+  // With bursts the span aliases the latch registers straight through
+  // shadow checking and channel delivery (no intermediate copy); the latch
+  // cannot be overwritten before the next ArmUp().
+  if (config_.mmio_bursts && up_words_ > 1) {
+    Busy(BurstCost(timing_.mmio_read_ns, up_words_));
+    *message = regfile_->ReadUp();
+    ++mmio_bursts_;
+  } else {
+    for (int i = 0; i < up_words_; ++i) {
+      Busy(timing_.mmio_read_ns);
+      up_words_read_[static_cast<size_t>(i)] = regfile_->ReadUpWord(i);
+    }
+    *message = up_words_read_;
+  }
+  SyncRtl();
+  regfile_->ConsumeUp();
+  return true;
+}
+
 bool HybridDriver::PumpOnce() {
   if (!sw_empty_) {
     vm::SystemState state = RunSw();
     assert(state != vm::SystemState::kFailed);
     (void)state;
-    uint64_t steps = sw_.TotalSteps();
-    Busy(static_cast<double>(steps - last_sw_steps_) * config_.timing.sw_instr_ns);
-    last_sw_steps_ = steps;
+    BillSoftwareSteps();
 
     if (sw_.WantsToSend(top_out_)) {
       return true;  // Result available; consumed by RunOperation.
@@ -478,23 +457,7 @@ bool HybridDriver::PumpOnce() {
         ShadowBusy(msg->size());
         shadow_->OnDownMessage(*msg);
       }
-      // In the talk protocol the previous send was necessarily consumed
-      // before its reply arrived, so no valid-flag readback is needed.
-      assert(config_.ablate_no_auto_reset || !regfile_->DownPending());
-      if (config_.mmio_bursts && down_words_ > 1) {
-        Busy(BurstCost(config_.timing.mmio_write_ns, down_words_));
-        SyncRtl();
-        regfile_->WriteDown(*msg);
-        ++mmio_bursts_;
-      } else {
-        for (int i = 0; i < down_words_; ++i) {
-          Busy(config_.timing.mmio_write_ns);
-          SyncRtl();
-          regfile_->WriteDownWord(i, (*msg)[i]);
-        }
-      }
-      Busy(config_.timing.mmio_write_ns);
-      SyncRtl();
+      WriteDownMessage(*msg);
       // Boundary fault: the DOWN_VALID doorbell write is silently dropped on
       // the interconnect; hardware never learns about the message.
       if (fault_plan_.Consult(sim::FaultKind::kLostDoorbell) == 0) {
@@ -503,38 +466,13 @@ bool HybridDriver::PumpOnce() {
       return false;
     }
     if (sw_.WantsToRecv(boundary_up_)) {
-      Busy(config_.timing.mmio_write_ns);
-      SyncRtl();
-      // Boundary fault: the UP_READY write is lost, so the up ready/valid
-      // handshake never completes and the message never lands.
-      if (fault_plan_.Consult(sim::FaultKind::kStalledUpMessage) == 0) {
-        regfile_->ArmUp();
-      }
-      if (!WaitUpMessage()) {
+      std::span<const int32_t> msg;
+      if (!ReceiveUpMessage(&msg)) {
         // The hardware missed its deadline with the software stack blocked
         // mid-protocol: surface a terminal failure instead of hanging.
         pump_dead_ = true;
         return true;
       }
-      // With bursts the span aliases the latch registers straight through
-      // shadow checking and channel delivery (no intermediate copy); the
-      // latch cannot be overwritten before the next ArmUp().
-      std::span<const int32_t> msg;
-      std::vector<int32_t> copy;
-      if (config_.mmio_bursts && up_words_ > 1) {
-        Busy(BurstCost(config_.timing.mmio_read_ns, up_words_));
-        msg = regfile_->ReadUp();
-        ++mmio_bursts_;
-      } else {
-        copy.resize(up_words_);
-        for (int i = 0; i < up_words_; ++i) {
-          Busy(config_.timing.mmio_read_ns);
-          copy[i] = regfile_->ReadUpWord(i);
-        }
-        msg = copy;
-      }
-      SyncRtl();
-      regfile_->ConsumeUp();
       if (shadow_) {
         ShadowBusy(msg.size());
         shadow_->OnUpMessage(msg);
@@ -550,26 +488,12 @@ bool HybridDriver::PumpOnce() {
   return true;
 }
 
-bool HybridDriver::RunOperation(const std::vector<int32_t>& request,
-                                std::vector<int32_t>* reply) {
+bool HybridDriver::RunOperation(std::span<const int32_t> request, std::vector<int32_t>* reply) {
   if (sw_empty_) {
     // Whole stack in hardware: the application performs the MMIO itself.
-    Busy(config_.timing.op_setup_ns);
-    assert(config_.ablate_no_auto_reset || !regfile_->DownPending());
-    if (config_.mmio_bursts && down_words_ > 1) {
-      Busy(BurstCost(config_.timing.mmio_write_ns, down_words_));
-      SyncRtl();
-      regfile_->WriteDown(request);
-      ++mmio_bursts_;
-    } else {
-      for (int i = 0; i < down_words_; ++i) {
-        Busy(config_.timing.mmio_write_ns);
-        SyncRtl();
-        regfile_->WriteDownWord(i, request[i]);
-      }
-    }
-    Busy(config_.timing.mmio_write_ns);
-    SyncRtl();
+    // The shadow checker bills between the doorbell write and DOWN_VALID.
+    Busy(timing_.op_setup_ns);
+    WriteDownMessage(request);
     if (shadow_) {
       ShadowBusy(request.size());
       shadow_->OnDownMessage(request);
@@ -577,33 +501,16 @@ bool HybridDriver::RunOperation(const std::vector<int32_t>& request,
     if (fault_plan_.Consult(sim::FaultKind::kLostDoorbell) == 0) {
       regfile_->SetDownValid();
     }
-    Busy(config_.timing.mmio_write_ns);
-    SyncRtl();
-    if (fault_plan_.Consult(sim::FaultKind::kStalledUpMessage) == 0) {
-      regfile_->ArmUp();
-    }
-    if (!WaitUpMessage()) {
+    std::span<const int32_t> up;
+    if (!ReceiveUpMessage(&up)) {
       return false;
     }
-    reply->resize(up_words_);
-    if (config_.mmio_bursts && up_words_ > 1) {
-      Busy(BurstCost(config_.timing.mmio_read_ns, up_words_));
-      std::span<const int32_t> up = regfile_->ReadUp();
-      std::copy(up.begin(), up.end(), reply->begin());
-      ++mmio_bursts_;
-    } else {
-      for (int i = 0; i < up_words_; ++i) {
-        Busy(config_.timing.mmio_read_ns);
-        (*reply)[i] = regfile_->ReadUpWord(i);
-      }
-    }
-    SyncRtl();
-    regfile_->ConsumeUp();
+    reply->assign(up.begin(), up.end());
     if (shadow_) {
       ShadowBusy(reply->size());
       shadow_->OnUpMessage(*reply);
     }
-    Busy(config_.timing.op_setup_ns);
+    Busy(timing_.op_setup_ns);
     return true;
   }
 
@@ -613,8 +520,7 @@ bool HybridDriver::RunOperation(const std::vector<int32_t>& request,
   assert(delivered && "stack not ready for a new operation");
   (void)delivered;
   constexpr int kMaxPumps = 1 << 22;
-  const double op_deadline =
-      config_.recovery.enabled ? now_ns() + config_.recovery.op_deadline_ns : 0;
+  const double op_deadline = recovery_.enabled ? now_ns() + recovery_.op_deadline_ns : 0;
   for (int i = 0; i < kMaxPumps; ++i) {
     if (PumpOnce()) {
       if (pump_dead_) {
@@ -626,68 +532,44 @@ bool HybridDriver::RunOperation(const std::vector<int32_t>& request,
       *reply = std::move(*result);
       return true;
     }
-    if (config_.recovery.enabled && now_ns() > op_deadline) {
+    if (recovery_.enabled && now_ns() > op_deadline) {
       return false;
     }
   }
   return false;
 }
 
-bool HybridDriver::Transact(const std::vector<int32_t>& request,
-                            std::vector<int32_t>* reply) {
-  const RecoveryPolicy& policy = config_.recovery;
-  if (wedged_) {
-    last_status_ = i2c::kCeResFail;
-    return false;
-  }
-  double backoff = policy.initial_backoff_ns;
-  const double deadline = now_ns() + policy.op_deadline_ns;
-  for (int attempt = 1;; ++attempt) {
-    ++recovery_counters_.attempts;
-    if (!RunOperation(request, reply)) {
-      // The stack itself stopped responding (stuck bus, dead hardware): the
-      // software layers are blocked mid-protocol, so this is terminal.
-      ++recovery_counters_.timeouts;
-      wedged_ = true;
-      last_status_ = i2c::kCeResFail;
-      if (policy.enabled && policy.bus_recovery) {
+bool HybridDriver::Transact(std::span<const int32_t> request, std::vector<int32_t>* reply) {
+  return DriverCore::Transact(
+      [&]() -> std::optional<int32_t> {
+        if (!RunOperation(request, reply)) {
+          return std::nullopt;
+        }
+        return (*reply)[0];
+      },
+      [this](bool timed_out) {
         // A bus owned by a competing master is busy, not stuck: nine pulses
         // would fight the owner mid-byte. The supervisor's WaitBusFree rung
         // handles that case; the pulses stay for genuinely stuck lines.
-        if (second_master_ == nullptr || !second_master_->holding()) {
-          RecoverBus();
+        if (timed_out && second_master_ != nullptr && second_master_->holding()) {
+          return;
         }
-      }
-      return false;
-    }
-    last_status_ = (*reply)[0];
-    if (last_status_ == i2c::kCeResOk) {
-      return true;
-    }
-    if (last_status_ == i2c::kCeResNack) {
-      ++recovery_counters_.nacks;
-    } else {
-      ++recovery_counters_.failures;
-      if (policy.enabled && policy.bus_recovery) {
-        RecoverBus();
-      }
-    }
-    if (!policy.enabled || attempt >= policy.max_attempts) {
-      return false;
-    }
-    if (now_ns() + backoff > deadline) {
-      ++recovery_counters_.deadline_hits;
-      return false;
-    }
-    ++recovery_counters_.retries;
-    recovery_counters_.backoff_ns += backoff;
-    Idle(backoff);
-    backoff = std::min(backoff * policy.backoff_multiplier, policy.max_backoff_ns);
+        const double half_ns = timing_.half_cycle_ticks * timing_.clock_ns;
+        RecoverBus(recovery_driver_id_, [&] { Idle(half_ns); });
+      },
+      [this] { return now_ns(); });
+}
+
+bool HybridDriver::TransactOnDevice(const Request& request, std::vector<int32_t>* reply) {
+  if (!EnsureMuxSelected()) {
+    last_status_ = i2c::kCeResFail;
+    return false;
   }
+  return Transact(request, reply);
 }
 
 void HybridDriver::SoftReset() {
-  ++recovery_counters_.soft_resets;
+  ResetBookkeeping();
   // Hardware side: every layer FSM, the adapter and the register file back
   // to their initial state. Component resets publish deasserted handshake
   // flags at their next Commit at the earliest, so clear the wires directly
@@ -697,12 +579,6 @@ void HybridDriver::SoftReset() {
   }
   adapter_->Reset();
   regfile_->SoftReset();
-  if (watcher_) {
-    watcher_->Reset();
-  }
-  if (shadow_) {
-    shadow_->Reset();
-  }
   rtl_.ResetWires();
   bus_.SetDriver(recovery_driver_id_, /*scl=*/true, /*sda=*/true);
   // Software side: coroutine reinit, then run every layer back to its
@@ -712,66 +588,35 @@ void HybridDriver::SoftReset() {
     RunSw();
     last_sw_steps_ = sw_.TotalSteps();
   }
-  wedged_ = false;
   pump_dead_ = false;
   irq_drain_deadline_ns_ = 0;
   // The reset may have been provoked by a mux that silently lost (or never
   // took) its routing; drop the cached select so the next operation re-
   // programs and re-verifies it.
   mux_selected_ = false;
-  last_status_ = i2c::kCeResOk;
   // One SOFT_RESET register write, then let the hardware settle into its
   // initial handshakes again.
-  Busy(config_.timing.mmio_write_ns);
+  Busy(timing_.mmio_write_ns);
   SyncRtl();
   rtl_.Advance(32);
   sw_time_ns_ = std::max(sw_time_ns_, rtl_.time_ns());
 }
 
 bool HybridDriver::Probe() {
-  ++recovery_counters_.reprobes;
   // Behind a mux the device is unreachable until the select is re-verified
   // (the preceding SoftReset dropped the cache).
-  if (!EnsureMuxSelected()) {
-    return false;
-  }
-  // A single-byte read from offset 0, bypassing the retry ladder: one
-  // attempt, straight answer.
-  std::vector<int32_t> request(20, 0);
-  request[0] = i2c::kCeActRead;
-  request[1] = config_.eeprom.address;
-  request[2] = 0;
-  request[3] = 1;
-  std::vector<int32_t> reply;
-  if (!RunOperation(request, &reply)) {
-    return false;
-  }
-  return reply[0] == i2c::kCeResOk && reply[1] == 1;
-}
-
-void HybridDriver::RecoverBus() {
-  ++recovery_counters_.bus_recoveries;
-  const double half_ns = config_.timing.half_cycle_ticks * config_.timing.clock_ns;
-  // Nine clock pulses: a responder left mid-read releases SDA within nine
-  // clocks; the manufactured STOP then returns every device FSM to idle.
-  for (int i = 0; i < 9; ++i) {
-    bus_.SetDriver(recovery_driver_id_, /*scl=*/false, /*sda=*/true);
-    Idle(half_ns);
-    bus_.SetDriver(recovery_driver_id_, /*scl=*/true, /*sda=*/true);
-    Idle(half_ns);
-  }
-  bus_.SetDriver(recovery_driver_id_, /*scl=*/true, /*sda=*/false);
-  Idle(half_ns);
-  bus_.SetDriver(recovery_driver_id_, /*scl=*/true, /*sda=*/true);
-  Idle(half_ns);
+  return ProbeDevice(config_.eeprom.address,
+                     [this](std::span<const int32_t> request, std::vector<int32_t>* reply) {
+                       return EnsureMuxSelected() && RunOperation(request, reply);
+                     });
 }
 
 bool HybridDriver::WaitBusFree() {
   if (second_master_ == nullptr) {
     return true;  // single-master bus: nothing to wait for, no time spent
   }
-  const double deadline = now_ns() + config_.recovery.bus_free_timeout_ns;
-  const double poll_ns = config_.timing.half_cycle_ticks * config_.timing.clock_ns;
+  const double deadline = now_ns() + recovery_.bus_free_timeout_ns;
+  const double poll_ns = timing_.half_cycle_ticks * timing_.clock_ns;
   bool found_owned = false;
   int idle_polls = 0;
   // Two consecutive idle samples a half cycle apart: a single high read
@@ -796,23 +641,17 @@ bool HybridDriver::WaitBusFree() {
 }
 
 bool HybridDriver::SelectMuxOnce(int mask) {
-  std::vector<int32_t> request(20, 0);
-  request[0] = i2c::kCeActWrite;
-  request[1] = config_.mux_topology.mux.address;
-  request[2] = 0;
-  request[3] = 1;
-  request[4] = mask;
+  const int address = config_.mux_topology.mux.address;
+  const uint8_t select[] = {static_cast<uint8_t>(mask)};
   std::vector<int32_t> reply;
-  if (!Transact(request, &reply)) {
+  if (!Transact(WriteRequest(address, 0, select), &reply)) {
     return false;
   }
   // The mux ACKs a select even when its latch is stuck; only the read-back
   // proves the control register took the mask. (A misrouted latch passes
   // this check by design -- that one surfaces as NACKs on the device and is
   // healed by the re-select after the supervisor's reset rung.)
-  request[0] = i2c::kCeActRead;
-  request[4] = 0;
-  if (!Transact(request, &reply)) {
+  if (!Transact(ReadRequest(address, 0, 1), &reply)) {
     return false;
   }
   return reply[0] == i2c::kCeResOk && reply[1] == 1 && (reply[2] & 0xFF) == mask;
@@ -823,7 +662,7 @@ bool HybridDriver::EnsureMuxSelected() {
     return true;
   }
   const int mask = 1 << config_.mux_topology.device_channel;
-  const int attempts = config_.recovery.enabled ? config_.recovery.max_attempts : 1;
+  const int attempts = recovery_.enabled ? recovery_.max_attempts : 1;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     ++recovery_counters_.mux_selects;
     if (SelectMuxOnce(mask)) {
@@ -847,89 +686,24 @@ bool HybridDriver::Write(int offset, const std::vector<uint8_t>& data) {
 
 bool HybridDriver::ReadFrom(int bus_address, int offset, int length,
                             std::vector<uint8_t>* out) {
-  assert(length >= 1 && length <= 14);
-  if (!EnsureMuxSelected()) {
-    last_status_ = i2c::kCeResFail;
-    return false;
-  }
-  std::vector<int32_t> request(20, 0);
-  request[0] = i2c::kCeActRead;
-  request[1] = bus_address;
-  request[2] = offset;
-  request[3] = length;
   std::vector<int32_t> reply;
-  if (!Transact(request, &reply)) {
-    return false;
-  }
-  if (reply[1] != length) {
-    return false;
-  }
-  if (out != nullptr) {
-    out->clear();
-    for (int i = 0; i < length; ++i) {
-      out->push_back(static_cast<uint8_t>(reply[2 + i]));
-    }
-  }
-  return true;
+  return TransactOnDevice(ReadRequest(bus_address, offset, length), &reply) &&
+         DecodeRead(reply, length, out);
 }
 
 bool HybridDriver::WriteTo(int bus_address, int offset, const std::vector<uint8_t>& data) {
-  assert(!data.empty() && data.size() <= 14);
-  if (!EnsureMuxSelected()) {
-    last_status_ = i2c::kCeResFail;
-    return false;
-  }
-  std::vector<int32_t> request(20, 0);
-  request[0] = i2c::kCeActWrite;
-  request[1] = bus_address;
-  request[2] = offset;
-  request[3] = static_cast<int32_t>(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    request[4 + i] = data[i];
-  }
   std::vector<int32_t> reply;
-  return Transact(request, &reply);
+  return TransactOnDevice(WriteRequest(bus_address, offset, data), &reply);
 }
 
 DriverMetrics HybridDriver::MeasureReads(int ops, int length) {
-  DriverMetrics metrics;
-  // Warm-up read so the measurement covers steady state.
-  std::vector<uint8_t> data;
-  if (!Read(0, length, &data)) {
-    metrics.functional = false;
-    metrics.note = "warm-up read failed";
-    return metrics;
-  }
-  bus_.ClearSamples();
-  double start_busy = cpu_busy_ns_;
-  double start_time = now_ns();
-  uint64_t start_irqs = irq_count_;
-  uint64_t start_steps = sw_.TotalSteps();
-  uint64_t start_bursts = mmio_bursts_;
-  uint64_t start_coalesced = irqs_coalesced_;
-  const uint64_t start_vm_host_ticks = vm_host_ticks_;
-  const uint64_t start_ticked = rtl_.cycles_ticked();
-  for (int i = 0; i < ops; ++i) {
-    if (!Read(0, length, &data)) {
-      metrics.functional = false;
-      metrics.note = "read failed";
-      return metrics;
-    }
-  }
-  metrics.elapsed_ns = now_ns() - start_time;
-  metrics.rtl_cycles_ticked = rtl_.cycles_ticked() - start_ticked;
-  metrics.cpu_usage = (cpu_busy_ns_ - start_busy) / metrics.elapsed_ns;
-  metrics.irq_count = irq_count_ - start_irqs;
-  metrics.instructions_retired = sw_.TotalSteps() - start_steps;
-  metrics.mmio_bursts = mmio_bursts_ - start_bursts;
-  metrics.irqs_coalesced = irqs_coalesced_ - start_coalesced;
-  metrics.vm_host_seconds =
-      static_cast<double>(vm_host_ticks_ - start_vm_host_ticks) / TicksPerSecond();
-  metrics.frequency = sim::AnalyzeSclFrequency(bus_.samples());
-  metrics.recovery = recovery_counters_;
-  metrics.faults_injected = fault_plan_.faults_injected();
-  metrics.monitor = MonitorCounters();
-  if (config_.split == SplitPoint::kElectrical && config_.interrupt_driven) {
+  DriverMetrics metrics = DriverCore::MeasureReads(
+      ops, [&](std::vector<uint8_t>* data) { return Read(0, length, data); },
+      [this] {
+        return ExecCounters{sw_.TotalSteps(), mmio_bursts_, irqs_coalesced_, vm_host_seconds()};
+      });
+  if (metrics.functional && config_.split == SplitPoint::kElectrical &&
+      config_.interrupt_driven) {
     // Platform constraint reproduced from the paper (section 5.2): the
     // interrupt-driven Electrical driver does not function correctly due to
     // excessive interrupts — one per bus half cycle exceeds what the Linux
@@ -938,24 +712,6 @@ DriverMetrics HybridDriver::MeasureReads(int ops, int length) {
     metrics.note = "does not function: excessive interrupts (one per half cycle)";
   }
   return metrics;
-}
-
-monitor::TripCounters HybridDriver::MonitorCounters() const {
-  monitor::TripCounters merged;
-  if (shadow_) {
-    merged.Merge(shadow_->counters());
-  }
-  if (watcher_) {
-    merged.Merge(watcher_->counters());
-  }
-  return merged;
-}
-
-uint64_t HybridDriver::ConsumeMonitorTrips() {
-  const uint64_t total = MonitorCounters().total;
-  const uint64_t fresh = total - consumed_monitor_trips_;
-  consumed_monitor_trips_ = total;
-  return fresh;
 }
 
 std::vector<const ir::Module*> HybridDriver::HardwareModules() const {

@@ -11,18 +11,17 @@
 #define SRC_DRIVER_HYBRID_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/driver/core.h"
 #include "src/driver/recovery.h"
 #include "src/driver/timing.h"
 #include "src/ir/compile.h"
 #include "src/monitor/bus_watcher.h"
-#include "src/monitor/monitor_spec.h"
-#include "src/monitor/shadow_checker.h"
 #include "src/rtl/regfile.h"
 #include "src/rtl/rtl_module.h"
-#include "src/rtl/system.h"
 #include "src/sim/bus_adapter.h"
 #include "src/sim/eeprom.h"
 #include "src/sim/fault_plan.h"
@@ -30,7 +29,6 @@
 #include "src/sim/mux.h"
 #include "src/sim/regfile_device.h"
 #include "src/sim/second_master.h"
-#include "src/sim/waveform.h"
 #include "src/vm/system.h"
 
 namespace efeu::driver {
@@ -116,44 +114,10 @@ struct HybridConfig {
   monitor::BusWatcherOptions watcher;
 };
 
-struct DriverMetrics {
-  bool functional = true;
-  std::string note;
-  sim::FrequencyStats frequency;
-  double cpu_usage = 0;  // busy fraction of one core (0..1)
-  double elapsed_ns = 0;
-  // RTL clock edges actually evaluated during the measurement; the rest of
-  // the elapsed_ns / clock_ns edges were skipped as idle. Host cost only:
-  // no modeled output depends on it.
-  uint64_t rtl_cycles_ticked = 0;
-  uint64_t irq_count = 0;
-  // Execution-path counters (DESIGN.md "Execution modes").
-  uint64_t instructions_retired = 0;  // software-VM IR instructions executed
-  uint64_t mmio_bursts = 0;           // word loops replaced by one AXI burst
-  uint64_t irqs_coalesced = 0;        // up-messages drained without a new IRQ
-  // Host wall-clock spent inside the software VM (the part the execution
-  // tier accelerates; everything else — RTL sim, bus model — is shared).
-  // Instruction throughput = instructions_retired / vm_host_seconds.
-  double vm_host_seconds = 0;
-  // Recovery cost of the whole driver lifetime so far.
-  RecoveryCounters recovery;
-  uint64_t faults_injected = 0;
-  // Runtime-monitor outcome (bus watcher + shadow checker merged); all
-  // zeros when monitors are disabled.
-  monitor::TripCounters monitor;
-};
-
-// One-line execution-path counter summary ("instr_retired=... mmio_bursts=..."
-// style, like FormatRecoveryCounters) for bench output and soak reports.
-std::string FormatExecCounters(const DriverMetrics& metrics);
-
-class HybridDriver {
+class HybridDriver : public DriverCore {
  public:
   explicit HybridDriver(const HybridConfig& config);
   ~HybridDriver();
-
-  HybridDriver(const HybridDriver&) = delete;
-  HybridDriver& operator=(const HybridDriver&) = delete;
 
   // EEPROM operations through the full generated stack. Lengths up to 14
   // bytes (two offset bytes share the 16-byte transaction payload).
@@ -188,21 +152,12 @@ class HybridDriver {
   // the next SoftReset; a no-op returning true without a mux.
   bool EnsureMuxSelected();
 
-  sim::I2cBus& bus() { return bus_; }
-  sim::Eeprom24aa512& eeprom() { return *eeprom_; }
   sim::Eeprom24aa512& extra_eeprom(int index) { return *extra_eeproms_[index]; }
   // Topology components; null/empty unless configured.
   sim::I2cMux* mux() { return mux_.get(); }
   sim::SecondMaster* second_master() { return second_master_.get(); }
   sim::MfdRegFileDevice& mfd(int index) { return *mfds_[index]; }
   sim::I2cBus& downstream_bus(int channel) { return *downstream_buses_[channel]; }
-  double now_ns() const;
-  // Modeled RTL clock edges so far, and how many of them were evaluated
-  // rather than skipped as idle (rtl::RtlSystem::cycles_ticked).
-  uint64_t rtl_cycles() const { return rtl_.cycles(); }
-  uint64_t rtl_cycles_ticked() const { return rtl_.cycles_ticked(); }
-  double cpu_busy_ns() const { return cpu_busy_ns_; }
-  uint64_t irq_count() const { return irq_count_; }
   uint64_t mmio_bursts() const { return mmio_bursts_; }
   uint64_t irqs_coalesced() const { return irqs_coalesced_; }
   // Cumulative IR instructions executed by the software layers.
@@ -212,25 +167,6 @@ class HybridDriver {
   vm::ExecMode exec_mode() const { return sw_.exec_mode(); }
   // Cumulative host wall-clock spent inside the software VM.
   double vm_host_seconds() const;
-  // The live fault plan (the driver's own copy of config.fault_plan; its
-  // trace grows as faults fire).
-  sim::FaultPlan& fault_plan() { return fault_plan_; }
-  const RecoveryCounters& recovery_counters() const { return recovery_counters_; }
-  // CE_RES_* code of the last completed operation attempt.
-  int32_t last_status() const { return last_status_; }
-  // True once the stack missed a hardware deadline mid-protocol; every
-  // further operation fails fast instead of hanging.
-  bool wedged() const { return wedged_; }
-
-  // -- Runtime monitors ---------------------------------------------------
-  bool monitors_enabled() const { return shadow_ != nullptr; }
-  // Bus watcher + shadow checker trips, merged.
-  monitor::TripCounters MonitorCounters() const;
-  // Trips observed since the last call (the supervisor's escalation input;
-  // see Supervisor::PollMonitors). Always 0 with monitors disabled.
-  uint64_t ConsumeMonitorTrips();
-  const monitor::ShadowChecker* shadow_checker() const { return shadow_.get(); }
-  const monitor::BusWatcher* bus_watcher() const { return watcher_.get(); }
 
   // The software stack's VM, exposed for instrumentation (trace recording,
   // observers). Mutating its processes mid-operation voids the warranty.
@@ -250,20 +186,19 @@ class HybridDriver {
   // pump is tens of nanoseconds, so a steady_clock pair would be a
   // measurable fraction of the quantity under measurement.
   vm::SystemState RunSw();
-  // Advances the RTL domain to the software timeline.
-  void SyncRtl();
-  // Adds busy CPU time (also advances the software clock).
-  void Busy(double ns);
   // Modeled cost of an AXI burst of `words` beats whose first beat costs
   // `first_ns` (single-access cost) and later beats pipeline.
   double BurstCost(double first_ns, int words) const;
-  // Advances wall time without CPU work (sleeping between retries); the
-  // hardware — including a device write cycle — keeps running.
-  void Idle(double ns);
-  // Bills the shadow checker's per-event cost (a bounds compare per message
-  // word plus loop overhead) against the modeled CPU — the checker is driver
-  // software and pays for its instructions like any other code path.
-  void ShadowBusy(size_t words);
+  // The boundary transfers both the software pump and the all-hardware
+  // path run. WriteDownMessage writes the data words (one burst or one
+  // write per word), then the DOWN_VALID doorbell's MMIO write; the caller
+  // decides whether the doorbell lands (lost-doorbell fault), so each path
+  // bills its shadow check where it always has. ReceiveUpMessage arms
+  // UP_READY, waits, reads the data words and acknowledges the message;
+  // false when the wait failed. `message` aliases the latch or a driver
+  // buffer and stays valid until the next receive.
+  void WriteDownMessage(std::span<const int32_t> message);
+  bool ReceiveUpMessage(std::span<const int32_t>* message);
   // One step of the host event loop; returns true when the top-level result
   // message became available (stored in result_) or the hardware missed its
   // deadline (pump_dead_).
@@ -272,23 +207,19 @@ class HybridDriver {
   bool WaitUpMessage();
   // Runs a full operation: sends `request` into the top of the stack and
   // returns the stack's reply.
-  bool RunOperation(const std::vector<int32_t>& request, std::vector<int32_t>* reply);
-  // RunOperation wrapped in the configured retry/backoff/deadline policy.
-  bool Transact(const std::vector<int32_t>& request, std::vector<int32_t>* reply);
+  bool RunOperation(std::span<const int32_t> request, std::vector<int32_t>* reply);
+  // RunOperation under the core's retry ladder; bus recovery holds each
+  // level for one bus half cycle on the driver-owned recovery bus driver.
+  bool Transact(std::span<const int32_t> request, std::vector<int32_t>* reply);
+  // Transact on the device segment: selects the mux first, if there is one.
+  bool TransactOnDevice(const Request& request, std::vector<int32_t>* reply);
   // One mux select + read-back verification round trip.
   bool SelectMuxOnce(int mask);
-  // The 9-clock-pulse + STOP bus-recovery sequence, driven over the
-  // driver-owned bus driver (i2c_recover_bus style).
-  void RecoverBus();
 
   HybridConfig config_;
-  std::shared_ptr<const ir::Compilation> compilation_;
 
   // RTL side.
-  rtl::RtlSystem rtl_;
-  sim::I2cBus bus_;
   std::unique_ptr<sim::BusAdapter> adapter_;
-  std::unique_ptr<sim::Eeprom24aa512> eeprom_;
   std::vector<std::unique_ptr<sim::Eeprom24aa512>> extra_eeproms_;
   // Topology (all empty/null on a point-to-point bus).
   std::vector<std::unique_ptr<sim::I2cBus>> downstream_buses_;
@@ -300,18 +231,13 @@ class HybridDriver {
   std::vector<std::unique_ptr<rtl::RtlModule>> hw_modules_;
 
   // Software side.
-  vm::System sw_;
   bool sw_empty_ = false;       // whole stack in hardware
-  vm::PortRef top_in_;          // CWorld -> CEepDriver injection point
-  vm::PortRef top_out_;         // CEepDriver -> CWorld result point
   vm::PortRef boundary_down_;   // software layer's send into hardware
   vm::PortRef boundary_up_;     // software layer's receive from hardware
-  uint64_t last_sw_steps_ = 0;
+  // Per-word up-reads land here (bursts alias the latch instead).
+  std::vector<int32_t> up_words_read_;
 
-  double sw_time_ns_ = 0;
-  double cpu_busy_ns_ = 0;
   uint64_t vm_host_ticks_ = 0;
-  uint64_t irq_count_ = 0;
   uint64_t mmio_bursts_ = 0;
   uint64_t irqs_coalesced_ = 0;
   // End of the post-IRQ polled drain window (interrupt coalescing).
@@ -319,18 +245,7 @@ class HybridDriver {
   int down_words_ = 0;
   int up_words_ = 0;
 
-  // Runtime monitors (null unless config.enable_monitors).
-  monitor::MonitorSpec monitor_spec_;
-  std::unique_ptr<monitor::ShadowChecker> shadow_;
-  std::unique_ptr<monitor::BusWatcher> watcher_;
-  uint64_t consumed_monitor_trips_ = 0;
-
-  // Fault injection and recovery.
-  sim::FaultPlan fault_plan_;
-  RecoveryCounters recovery_counters_;
   int recovery_driver_id_ = -1;
-  int32_t last_status_ = 0;
-  bool wedged_ = false;
   bool pump_dead_ = false;
 };
 

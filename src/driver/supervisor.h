@@ -11,7 +11,8 @@
 //   does the supervisor declare the pair wedged; wedged is terminal.
 //
 // Duck-typed over the driver: needs Read/Write/SoftReset/Probe plus the
-// recovery_counters()/last_status()/wedged() surface all three drivers share.
+// recovery_counters()/last_status()/wedged() surface all three drivers
+// inherit from DriverCore (src/driver/core.h).
 
 #ifndef SRC_DRIVER_SUPERVISOR_H_
 #define SRC_DRIVER_SUPERVISOR_H_
