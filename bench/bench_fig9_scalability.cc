@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "src/i2c/verify.h"
@@ -60,13 +59,12 @@ void Run() {
       "variable payload.\n");
 }
 
-// Multi-core scaling of the same verifier: the safety pass of the heaviest
-// 2-EEPROM point above, run with 1/2/4/8 checker threads, in the full-state
-// and fingerprint-only (hash compaction) table modes.
-void RunThreadScaling() {
+// Hash compaction on the heaviest 2-EEPROM point above: its safety pass with
+// the full-state table and with the fingerprint-only table.
+void RunHashCompaction() {
   bench::PrintHeader(
-      "Checker thread scaling: EepDriver verifier (Transaction spec below,\n"
-      "2 EEPROMs, len=4, 3 ops), safety pass, threads = {1, 2, 4, 8}.");
+      "Hash compaction: EepDriver verifier (Transaction spec below, 2 EEPROMs,\n"
+      "len=4, 3 ops), safety pass, full-state vs fingerprint-only table.");
 
   i2c::VerifyConfig config;
   config.level = i2c::VerifyLevel::kEepDriver;
@@ -75,50 +73,39 @@ void RunThreadScaling() {
   config.max_len = 4;
   config.num_ops = 3;
 
-  bench::Table table({10, 12, 10, 12, 13, 12});
-  table.Row({"threads", "seconds", "speedup", "states", "bytes/state", "table"});
+  bench::Table table({12, 12, 12, 13});
+  table.Row({"table", "seconds", "states", "bytes/state"});
   bench::PrintRule();
 
-  double base_seconds = 0;
   for (bool fingerprint_only : {false, true}) {
-    for (int threads : {1, 2, 4, 8}) {
-      DiagnosticEngine diag;
-      auto vs = i2c::BuildVerifier(config, diag);
-      if (vs == nullptr) {
-        std::printf("verifier build FAILED\n%s", diag.RenderAll().c_str());
-        return;
-      }
-      check::CheckerOptions options;
-      options.check_deadlock = true;
-      options.num_threads = threads;
-      options.fingerprint_only = fingerprint_only;
-      // Unreduced search, like bench_table2's scaling section: keeps state
-      // counts identical across thread counts and the full-vs-fingerprint
-      // payload contrast meaningful. The fault ablation below owns the
-      // por/collapse story.
-      options.por = false;
-      options.collapse = false;
-      check::CheckResult r = vs->system().Check(options);
-      if (!r.ok) {
-        std::printf("safety pass FAILED at %d threads\n", threads);
-        return;
-      }
-      if (!fingerprint_only && threads == 1) {
-        base_seconds = r.seconds;
-      }
-      double per_state =
-          r.states_stored > 0 ? static_cast<double>(r.state_bytes) / r.states_stored : 0.0;
-      table.Row({std::to_string(threads), bench::Fmt(r.seconds, 3),
-                 r.seconds > 0 ? bench::Fmt(base_seconds / r.seconds, 2) + "x" : "",
-                 std::to_string(r.states_stored), bench::Fmt(per_state, 1),
-                 fingerprint_only ? "fingerprint" : "full"});
+    DiagnosticEngine diag;
+    auto vs = i2c::BuildVerifier(config, diag);
+    if (vs == nullptr) {
+      std::printf("verifier build FAILED\n%s", diag.RenderAll().c_str());
+      return;
     }
+    check::CheckerOptions options;
+    options.check_deadlock = true;
+    options.fingerprint_only = fingerprint_only;
+    // Unreduced search, like bench_table2's hash-compaction section: the
+    // full rows store the whole snapshot vector, so the payload contrast is
+    // the fingerprint's alone. The fault ablation below owns the
+    // por/collapse story.
+    options.por = false;
+    options.collapse = false;
+    check::CheckResult r = vs->system().Check(options);
+    if (!r.ok) {
+      std::printf("safety pass FAILED (%s table)\n", fingerprint_only ? "fingerprint" : "full");
+      return;
+    }
+    double per_state =
+        r.states_stored > 0 ? static_cast<double>(r.state_bytes) / r.states_stored : 0.0;
+    table.Row({fingerprint_only ? "fingerprint" : "full", bench::Fmt(r.seconds, 3),
+               std::to_string(r.states_stored), bench::Fmt(per_state, 1)});
   }
   std::printf(
-      "\nHardware threads on this host: %u. speedup is relative to the 1-thread\n"
-      "full-table run. Fingerprint mode stores 8 bytes/state regardless of the\n"
-      "snapshot size.\n",
-      std::thread::hardware_concurrency());
+      "\nExpected shape: equal state counts; fingerprint mode stores 8 bytes/state\n"
+      "regardless of the snapshot size.\n");
 }
 
 // Reduction ablation over the EEPROM fault-injection configurations: the
@@ -247,7 +234,7 @@ int main(int argc, char** argv) {
   efeu::bench::JsonReport json("fig9_scalability");
   if (!quick) {
     efeu::Run();
-    efeu::RunThreadScaling();
+    efeu::RunHashCompaction();
   }
   bool sound = efeu::RunFaultAblation(json_path.empty() ? nullptr : &json);
   if (!json_path.empty() && !json.WriteTo(json_path)) {

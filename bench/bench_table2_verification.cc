@@ -11,7 +11,6 @@
 #include <cstring>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "bench/bench_util.h"
 #include "src/i2c/verify.h"
@@ -106,70 +105,54 @@ void Run() {
       "order of magnitude per abstraction level. All verifiers pass.\n");
 }
 
-// Parallel checker scaling on the heaviest single safety pass reproduced
-// above: the Byte-layer verifier over the full stack. The liveness pass
-// stays sequential (like SPIN's multi-core mode), so only the safety pass is
-// timed here. The final rows show hash compaction (fingerprint_only): same
-// state count, 8 bytes per state instead of the full vector.
-void RunParallelScaling() {
+// Hash compaction on the heaviest single safety pass reproduced above: the
+// Byte-layer verifier over the full stack, with the full-state table and
+// with the fingerprint-only table (same state count, 8 bytes per state
+// instead of the full vector).
+void RunHashCompaction() {
   bench::PrintHeader(
-      "Parallel safety checking: Byte-layer verifier, full stack (3 ops),\n"
-      "threads = {1, 2, 4, 8}. bytes/state is the visited-set payload.");
+      "Hash compaction: Byte-layer verifier, full stack (3 ops), safety pass.\n"
+      "bytes/state is the visited-set payload.");
 
   i2c::VerifyConfig config;
   config.level = i2c::VerifyLevel::kByte;
   config.abstraction = i2c::VerifyAbstraction::kNone;
   config.num_ops = 3;
 
-  bench::Table table({10, 12, 10, 12, 13, 12});
-  table.Row({"threads", "seconds", "speedup", "states", "bytes/state", "table"});
+  bench::Table table({12, 12, 12, 13});
+  table.Row({"table", "seconds", "states", "bytes/state"});
   bench::PrintRule();
 
-  auto run_pass = [&](int threads, bool fingerprint_only, double base_seconds) {
+  for (bool fingerprint_only : {false, true}) {
     DiagnosticEngine diag;
     auto vs = i2c::BuildVerifier(config, diag);
     if (vs == nullptr) {
       std::printf("verifier build FAILED\n%s", diag.RenderAll().c_str());
-      return 0.0;
+      return;
     }
     check::CheckerOptions options;
     options.check_deadlock = true;
-    options.num_threads = threads;
     options.fingerprint_only = fingerprint_only;
-    // Unreduced search: this section's invariant is exact state-count
-    // equality across thread counts (the engines use different POR
-    // provisos) and the full-vector vs 8-byte-fingerprint payload contrast
-    // (COLLAPSE would shrink the "full" rows). The reduction ablation
-    // section below owns the por/collapse story.
+    // Unreduced search: the full-vector vs 8-byte-fingerprint payload
+    // contrast (COLLAPSE would shrink the "full" row). The reduction
+    // ablation section below owns the por/collapse story.
     options.por = false;
     options.collapse = false;
     check::CheckResult r = vs->system().Check(options);
     if (!r.ok) {
-      std::printf("safety pass FAILED at %d threads\n", threads);
-      return 0.0;
+      std::printf("safety pass FAILED (%s table)\n", fingerprint_only ? "fingerprint" : "full");
+      return;
     }
     double per_state =
         r.states_stored > 0 ? static_cast<double>(r.state_bytes) / r.states_stored : 0.0;
-    table.Row({std::to_string(threads), bench::Fmt(r.seconds, 3),
-               base_seconds > 0 ? bench::Fmt(base_seconds / r.seconds, 2) + "x" : "1.00x",
-               std::to_string(r.states_stored), bench::Fmt(per_state, 1),
-               fingerprint_only ? "fingerprint" : "full"});
-    return r.seconds;
-  };
-
-  double base_seconds = run_pass(1, /*fingerprint_only=*/false, 0);
-  for (int threads : {2, 4, 8}) {
-    run_pass(threads, /*fingerprint_only=*/false, base_seconds);
+    table.Row({fingerprint_only ? "fingerprint" : "full", bench::Fmt(r.seconds, 3),
+               std::to_string(r.states_stored), bench::Fmt(per_state, 1)});
   }
-  double fp_base = run_pass(1, /*fingerprint_only=*/true, base_seconds);
-  run_pass(4, /*fingerprint_only=*/true, fp_base);
 
   std::printf(
-      "\nHardware threads on this host: %u. Expected shape: near-linear\n"
-      "speedup up to the core count, then flat; fingerprint mode stores a\n"
-      "fixed 8 bytes/state (>= 4x below the full vector) at a false-negative\n"
-      "probability of ~states^2 / 2^65.\n",
-      std::thread::hardware_concurrency());
+      "\nExpected shape: equal state counts; fingerprint mode stores a fixed\n"
+      "8 bytes/state (>= 4x below the full vector) at a false-negative\n"
+      "probability of ~states^2 / 2^65.\n");
 }
 
 // The whole supported layer x abstraction grid dispatched as one suite on a
@@ -345,7 +328,7 @@ int main(int argc, char** argv) {
   efeu::bench::JsonReport json("table2_verification");
   if (!quick) {
     efeu::Run();
-    efeu::RunParallelScaling();
+    efeu::RunHashCompaction();
     efeu::RunSuitePool(pool_threads);
   }
   bool sound =

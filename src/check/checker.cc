@@ -9,8 +9,8 @@
 #include "src/support/check.h"
 
 #include "src/check/ir_process.h"
-#include "src/check/parallel.h"
 #include "src/check/state_codec.h"
+#include "src/ir/compile.h"
 #include "src/support/hash.h"
 #include "src/support/state_table.h"
 
@@ -43,6 +43,13 @@ int CheckedSystem::AddProcess(std::unique_ptr<Process> process) {
 
 int CheckedSystem::AddModule(const ir::Module* module, std::string instance_name) {
   return AddProcess(std::make_unique<IrProcess>(module, std::move(instance_name)));
+}
+
+int CheckedSystem::AddLayer(const ir::Compilation& comp, std::string_view layer,
+                            std::string instance_name) {
+  const ir::Module* module = comp.FindModule(layer);
+  EFEU_CHECK(module != nullptr, "AddLayer: layer not defined in this compilation");
+  return AddModule(module, std::move(instance_name));
 }
 
 void CheckedSystem::Connect(vm::PortRef sender, vm::PortRef receiver) {
@@ -87,20 +94,33 @@ void CheckedSystem::ConnectByChannel(int from_process, int to_process,
   Connect(vm::PortRef{from_process, send_port}, vm::PortRef{to_process, recv_port});
 }
 
+void CheckedSystem::WireAdjacent(const esi::SystemInfo& info, int upper_process,
+                                 std::string_view upper, int lower_process,
+                                 std::string_view lower) {
+  auto has_port = [&](int process, const esi::ChannelInfo* channel, bool is_send) {
+    for (const PortDecl& decl : entries_[process].process->ports()) {
+      if (decl.channel == channel && decl.is_send == is_send) {
+        return true;
+      }
+    }
+    return false;
+  };
+  if (const esi::ChannelInfo* down = info.FindChannel(upper, lower)) {
+    if (has_port(upper_process, down, true) && has_port(lower_process, down, false)) {
+      ConnectByChannel(upper_process, lower_process, down);
+    }
+  }
+  if (const esi::ChannelInfo* up = info.FindChannel(lower, upper)) {
+    if (has_port(lower_process, up, true) && has_port(upper_process, up, false)) {
+      ConnectByChannel(lower_process, upper_process, up);
+    }
+  }
+}
+
 void CheckedSystem::ResetAll() {
   for (Entry& entry : entries_) {
     entry.process->Reset();
   }
-}
-
-std::unique_ptr<CheckedSystem> CheckedSystem::Clone() const {
-  auto clone = std::make_unique<CheckedSystem>();
-  for (const Entry& entry : entries_) {
-    clone->AddProcess(entry.process->Clone());
-    // Links are (process id, port id) pairs; ids are identical in the clone.
-    clone->entries_.back().links = entry.links;
-  }
-  return clone;
 }
 
 std::vector<int> CheckedSystem::SnapshotSizes() const {
@@ -300,18 +320,6 @@ std::string CheckedSystem::DescribeBlockedProcesses() const {
 }
 
 CheckResult CheckedSystem::Check(const CheckerOptions& options) {
-  // Safety checking with dedup parallelizes; non-progress-cycle detection
-  // needs the DFS stack and stays sequential (same restriction as SPIN's
-  // multi-core mode), as does the dedup-disabled tree search.
-  if (options.num_threads > 1 && !options.check_livelock && !options.disable_state_dedup) {
-    ParallelCheckerOptions parallel;
-    parallel.num_threads = options.num_threads;
-    parallel.fingerprint_only = options.fingerprint_only;
-    parallel.base = options;
-    parallel.base.num_threads = 1;
-    return CheckParallel(*this, parallel);
-  }
-
   auto start_time = std::chrono::steady_clock::now();
   CheckResult result;
 
@@ -394,10 +402,9 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
   // edge below. Credits only shrink toward zero, so the re-exploration
   // terminates.
   StateTableOptions table_options;
-  table_options.num_shards = 1;
   table_options.fingerprint_only = options.fingerprint_only;
   table_options.track_progress = options.check_livelock;
-  ShardedStateTable visited(table_options);
+  StateTable visited(table_options);
   // Key hash -> index of the stack frame holding that key. A frame's entry is
   // erased when it pops. The dedup-free tree search can push a key that is
   // already on the stack; the newer frame then takes the entry over.
@@ -407,7 +414,7 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
   };
   // The forced walk's unsampled states (exact, whatever fingerprint_only
   // says), emptied per walk.
-  ShardedStateTable walk_seen;
+  StateTable walk_seen;
 
   {
     Frame& initial = stack[0];

@@ -11,10 +11,11 @@
 // transfer on some channel, or one nondet() choice — the same granularity
 // SPIN sees for the generated model.
 //
-// Safety checking also has a multi-threaded engine (src/check/parallel.h),
-// reached by setting CheckerOptions::num_threads > 1; and a hash-compaction
-// mode (fingerprint_only) that stores 8 bytes per visited state instead of
-// the full vector, trading a small false-negative probability for memory.
+// One search serves every check, single-threaded; independent verifier
+// configs run in parallel on i2c::RunVerificationSuite's pool instead. A
+// hash-compaction mode (fingerprint_only) stores 8 bytes per visited state
+// instead of the full vector, trading a small false-negative probability for
+// memory.
 
 #ifndef SRC_CHECK_CHECKER_H_
 #define SRC_CHECK_CHECKER_H_
@@ -23,11 +24,16 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/check/process.h"
 #include "src/ir/ir.h"
 #include "src/vm/system.h"
+
+namespace efeu::ir {
+class Compilation;
+}  // namespace efeu::ir
 
 namespace efeu::check {
 
@@ -51,17 +57,12 @@ struct CheckerOptions {
   // prunes an unexplored state, so `ok` carries a small false-negative
   // probability (~states^2 / 2^65); see DESIGN.md.
   bool fingerprint_only = false;
-  // Worker threads for the exploration. 1 = the sequential DFS below; > 1
-  // dispatches safety checking to the parallel engine (src/check/parallel.h).
-  // Non-progress-cycle checking always runs sequentially.
-  int num_threads = 1;
   // Ample-set partial-order reduction: when one process's sole enabled
   // transition is a rendezvous on a channel with exactly one connected
   // sender/receiver pair, and the rendezvous is invisible to the checked
-  // properties, explore only that transition. A DFS-stack cycle proviso (the
-  // parallel engine uses an already-visited proviso) falls back to the full
-  // expansion, so verdicts match the unreduced search. Off switch kept for
-  // ablation.
+  // properties, explore only that transition. A DFS-stack cycle proviso falls
+  // back to the full expansion, so verdicts match the unreduced search. Off
+  // switch kept for ablation.
   bool por = true;
   // COLLAPSE-style compressed state storage: visited states become tuples of
   // per-process component ids (see src/check/state_codec.h), with
@@ -114,10 +115,10 @@ struct CheckResult {
   uint64_t por_reduced_states = 0;
 };
 
-// Forced-run ("chain") compression, applied by both engines when `por` is on
-// in a safety search with state dedup: a state with exactly one enabled
-// transition is trivially fully expanded, so it needs no DFS frame, and only
-// a sparse sample of run states goes into the visited table — just enough
+// Forced-run ("chain") compression, applied when `por` is on in a safety
+// search with state dedup: a state with exactly one enabled transition is
+// trivially fully expanded, so it needs no DFS frame, and only a sparse
+// sample of run states goes into the visited table — just enough
 // that a later path re-entering the run terminates against a stored state.
 // A run state is stored iff the hash of its FULL state vector
 // (StateCodec::FullStateHash; deliberately not the hash of the COLLAPSE key,
@@ -134,6 +135,8 @@ class CheckedSystem {
   int AddProcess(std::unique_ptr<Process> process);
   // Convenience: wraps `module` in an IrProcess.
   int AddModule(const ir::Module* module, std::string instance_name);
+  // Same, for the module `comp` compiled for `layer`, which must exist.
+  int AddLayer(const ir::Compilation& comp, std::string_view layer, std::string instance_name);
 
   // Connects a send port to the matching receive port (same channel).
   void Connect(vm::PortRef sender, vm::PortRef receiver);
@@ -143,6 +146,12 @@ class CheckedSystem {
   // several same-channel ports).
   void ConnectByChannel(int from_process, int to_process, const esi::ChannelInfo* channel);
 
+  // Connects each channel of the interface between layers `upper` and
+  // `lower` (both directions) for which both processes expose a matching
+  // port, through ConnectByChannel.
+  void WireAdjacent(const esi::SystemInfo& info, int upper_process, std::string_view upper,
+                    int lower_process, std::string_view lower);
+
   Process& process(int id) { return *entries_[id].process; }
   const Process& process(int id) const { return *entries_[id].process; }
   int process_count() const { return static_cast<int>(entries_.size()); }
@@ -150,16 +159,11 @@ class CheckedSystem {
   // full state vector RestoreAll takes and the collapse codec keeps).
   std::vector<int> SnapshotSizes() const;
 
-  // Structural deep copy: every process cloned in its reset state, all
-  // connections preserved. Parallel-checker workers each own a clone so they
-  // can snapshot/restore independently of the other threads.
-  std::unique_ptr<CheckedSystem> Clone() const;
-
   CheckResult Check(const CheckerOptions& options = {});
 
   // -- Low-level exploration interface ---------------------------------------
-  // Used by the parallel engine (src/check/parallel.cc) and tests; everything
-  // below operates on the live process states.
+  // Used by the search, the state codec and tests; everything below operates
+  // on the live process states.
 
   struct Transition {
     enum class Kind { kTransfer, kChoice } kind = Kind::kTransfer;
@@ -169,8 +173,8 @@ class CheckedSystem {
     std::string Describe(const CheckedSystem& system) const;
   };
 
-  // One Describe line per transition: a counterexample trace. The engines
-  // record paths as transitions and render them only for a violation.
+  // One Describe line per transition: a counterexample trace. The search
+  // records paths as transitions and renders them only for a violation.
   std::vector<std::string> DescribePath(std::span<const Transition> path) const;
 
   // Resets every process to its initial state.
@@ -199,8 +203,7 @@ class CheckedSystem {
   // participants might pass a progress label before blocking again are
   // skipped (progress visibility). Callers still owe the cycle proviso: the
   // reduction must be abandoned when the ample edge would close a cycle of
-  // reduced states (DFS stack hit sequentially, already-claimed successor in
-  // the parallel engine).
+  // reduced states (its successor is on the DFS stack).
   int PickAmple(const std::vector<Transition>& transitions, bool livelock_sensitive) const;
 
  private:

@@ -3,8 +3,6 @@
 #ifndef SRC_CHECK_IR_PROCESS_H_
 #define SRC_CHECK_IR_PROCESS_H_
 
-#include <memory>
-
 #include "src/analysis/cfg.h"
 #include "src/check/process.h"
 #include "src/ir/ir.h"
@@ -37,9 +35,6 @@ class IrProcess : public Process {
   int SnapshotSize() const override { return executor_.SnapshotSize(); }
   void Snapshot(std::span<int32_t> out) const override { executor_.Snapshot(out); }
   void Restore(std::span<const int32_t> in) override { executor_.Restore(in); }
-  std::unique_ptr<Process> Clone() const override {
-    return std::make_unique<IrProcess>(&executor_.module(), name_);
-  }
 
   vm::IrExecutor& executor() { return executor_; }
 

@@ -8,7 +8,6 @@
 #ifndef SRC_CHECK_PROCESS_H_
 #define SRC_CHECK_PROCESS_H_
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -115,11 +114,6 @@ class Process {
   virtual int SnapshotSize() const = 0;
   virtual void Snapshot(std::span<int32_t> out) const = 0;
   virtual void Restore(std::span<const int32_t> in) = 0;
-
-  // Structural copy in the reset state: same module/FSM, same ports, fresh
-  // run state. Parallel-checker workers clone the whole system so each
-  // thread owns an independent snapshot/restore target.
-  virtual std::unique_ptr<Process> Clone() const = 0;
 };
 
 }  // namespace efeu::check

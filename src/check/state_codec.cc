@@ -2,65 +2,47 @@
 
 #include <algorithm>
 
-#include "src/support/check.h"
 #include "src/support/hash.h"
 
 namespace efeu::check {
 
-CollapseTable::CollapseTable(std::vector<int> sizes) {
-  per_process_.reserve(sizes.size());
-  for (int size : sizes) {
-    auto pp = std::make_unique<PerProcess>();
-    pp->size = size;
-    per_process_.push_back(std::move(pp));
+CollapseTable::CollapseTable(std::vector<int> sizes) : per_process_(sizes.size()) {
+  for (size_t p = 0; p < sizes.size(); ++p) {
+    per_process_[p].size = sizes[p];
   }
 }
 
 int32_t CollapseTable::Intern(int process, std::span<const int32_t> snapshot) {
-  PerProcess& pp = *per_process_[process];
-  uint64_t fingerprint = HashWords(snapshot);
-  std::lock_guard<std::mutex> lock(pp.mu);
-  int32_t id = pp.count.load(std::memory_order_relaxed);
-  auto [stored_id, inserted] =
-      pp.index.FindOrInsert(fingerprint, static_cast<uint32_t>(id), [&](uint32_t candidate) {
+  PerProcess& pp = per_process_[static_cast<size_t>(process)];
+  const int32_t id = pp.count;
+  auto [stored_id, inserted] = pp.index.FindOrInsert(
+      HashWords(snapshot), static_cast<uint32_t>(id), [&](uint32_t candidate) {
         return std::equal(snapshot.begin(), snapshot.end(),
                           Slot(pp, static_cast<int32_t>(candidate)));
       });
   if (!inserted) {
     return static_cast<int32_t>(*stored_id);
   }
-  EFEU_CHECK(id < PerProcess::kChunkSize * PerProcess::kMaxChunks,
-             "CollapseTable: per-process component table overflow");
-  size_t chunk_index = static_cast<size_t>(id) >> PerProcess::kChunkShift;
-  int32_t* chunk = pp.chunks[chunk_index].load(std::memory_order_relaxed);
-  if (chunk == nullptr) {
-    auto owned = std::make_unique<int32_t[]>(static_cast<size_t>(PerProcess::kChunkSize) *
-                                             static_cast<size_t>(pp.size));
-    chunk = owned.get();
-    pp.owned.push_back(std::move(owned));
-    pp.chunks[chunk_index].store(chunk, std::memory_order_release);
+  size_t chunk = static_cast<size_t>(id) >> kChunkShift;
+  if (chunk == pp.chunks.size()) {
+    pp.chunks.emplace_back().reserve(kChunkSize * static_cast<size_t>(pp.size));
   }
-  int32_t* slot = chunk + (static_cast<size_t>(id) & (PerProcess::kChunkSize - 1)) *
-                              static_cast<size_t>(pp.size);
-  std::copy(snapshot.begin(), snapshot.end(), slot);
-  // Publish after the payload is in place; readers that learned `id` through
-  // a synchronized handoff see the filled slot.
-  pp.count.store(id + 1, std::memory_order_release);
-  payload_bytes_.fetch_add(static_cast<uint64_t>(pp.size) * sizeof(int32_t) + sizeof(int32_t),
-                           std::memory_order_relaxed);
+  pp.chunks[chunk].insert(pp.chunks[chunk].end(), snapshot.begin(), snapshot.end());
+  pp.count = id + 1;
+  payload_bytes_ += static_cast<uint64_t>(pp.size) * sizeof(int32_t) + sizeof(int32_t);
   return id;
 }
 
 void CollapseTable::Expand(int process, int32_t id, std::span<int32_t> out) const {
-  const PerProcess& pp = *per_process_[process];
+  const PerProcess& pp = per_process_[static_cast<size_t>(process)];
   const int32_t* stored = Slot(pp, id);
   std::copy(stored, stored + pp.size, out.begin());
 }
 
 uint64_t CollapseTable::components() const {
   uint64_t total = 0;
-  for (const auto& pp : per_process_) {
-    total += static_cast<uint64_t>(pp->count.load(std::memory_order_relaxed));
+  for (const PerProcess& pp : per_process_) {
+    total += static_cast<uint64_t>(pp.count);
   }
   return total;
 }

@@ -6,16 +6,15 @@
 // visited-set bytes/state by roughly the process count (the distinct
 // component count per process is far smaller than the distinct global state
 // count — that product structure is exactly why the full state space
-// explodes). The table is shared by all parallel workers: interning is
-// content-addressed, so every worker maps identical snapshots to identical
-// ids and the compressed keys stay comparable across threads.
+// explodes). Interning is content-addressed: identical snapshots always get
+// identical ids, so compressed keys compare like the full vectors.
 //
 // Each process's index is a flat FingerprintIndex of {fingerprint, id} slots
-// (src/support/state_table.h) over a chunked payload store, so interning is
-// one probe plus a word compare, and ids stay dense (0, 1, 2, ... per
-// process).
+// (src/support/state_table.h) over a chunked payload arena, so interning is
+// one probe plus a word compare, ids stay dense (0, 1, 2, ... per process),
+// and growth never copies a stored payload.
 //
-// StateCodec is the per-worker view: it tracks which component id each live
+// StateCodec is the search's view: it tracks which component id each live
 // process currently corresponds to, so a DFS step only re-snapshots the one
 // or two processes a transition moved (Apply + Closure can only wake the
 // transition's participants) and a restore only rewrites the processes whose
@@ -30,11 +29,7 @@
 #ifndef SRC_CHECK_STATE_CODEC_H_
 #define SRC_CHECK_STATE_CODEC_H_
 
-#include <atomic>
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -50,55 +45,44 @@ class CollapseTable {
   explicit CollapseTable(std::vector<int> sizes);
 
   // Interns `snapshot` for process `process`, returning its component id.
-  // Thread-safe; identical snapshots always get the same id.
+  // Identical snapshots always get the same id.
   int32_t Intern(int process, std::span<const int32_t> snapshot);
 
   // Copies the snapshot behind a component id into `out` (sizes[process]
-  // words). Safe concurrently with Intern on other threads for any id that
-  // reached the caller through a synchronizing handoff (the shared state
-  // table or the work queue) — component payloads are immutable once
-  // published.
+  // words).
   void Expand(int process, int32_t id, std::span<int32_t> out) const;
 
-  int snapshot_size(int process) const { return per_process_[process]->size; }
   // Total component payload bytes across all per-process tables — the
   // memory the compressed keys lean on, reported next to the visited-set
   // payload in CheckResult.
-  uint64_t payload_bytes() const { return payload_bytes_.load(std::memory_order_relaxed); }
+  uint64_t payload_bytes() const { return payload_bytes_; }
   uint64_t components() const;
 
  private:
-  struct PerProcess {
-    static constexpr int kChunkShift = 10;
-    static constexpr int kChunkSize = 1 << kChunkShift;
-    static constexpr int kMaxChunks = 1 << 12;  // 4M components per process.
+  static constexpr int kChunkShift = 10;
+  static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
 
-    std::mutex mu;
+  struct PerProcess {
     int size = 0;
-    // fingerprint -> component id; guarded by mu.
+    // fingerprint -> component id.
     FingerprintIndex index;
-    std::atomic<int32_t> count{0};
-    // Fixed-size top level so readers never race a reallocation; chunk
-    // payloads are written before the pointer is release-published.
-    std::array<std::atomic<int32_t*>, kMaxChunks> chunks{};
-    std::vector<std::unique_ptr<int32_t[]>> owned;  // Guarded by mu.
+    // Component id's payload at (id % kChunkSize) * size in
+    // chunks[id / kChunkSize]; each chunk is reserved once, so appends never
+    // move a stored payload.
+    std::vector<std::vector<int32_t>> chunks;
+    int32_t count = 0;
   };
 
   static const int32_t* Slot(const PerProcess& pp, int32_t id) {
-    const int32_t* chunk =
-        pp.chunks[static_cast<size_t>(id) >> PerProcess::kChunkShift].load(
-            std::memory_order_acquire);
-    return chunk + (static_cast<size_t>(id) & (PerProcess::kChunkSize - 1)) *
-                       static_cast<size_t>(pp.size);
+    return pp.chunks[static_cast<size_t>(id) >> kChunkShift].data() +
+           (static_cast<size_t>(id) & (kChunkSize - 1)) * static_cast<size_t>(pp.size);
   }
 
-  std::vector<std::unique_ptr<PerProcess>> per_process_;
-  std::atomic<uint64_t> payload_bytes_{0};
+  std::vector<PerProcess> per_process_;
+  uint64_t payload_bytes_ = 0;
 };
 
-// Encodes the live CheckedSystem state to/from the visited-set key. Exactly
-// one codec per exploration thread; the collapse table (when present) is the
-// shared part.
+// Encodes the live CheckedSystem state to/from the visited-set key.
 //
 // Usage per DFS step:
 //   codec.Restore(parent_key);    // delta-restores the live system

@@ -298,7 +298,8 @@ class DriverCore {
     }
     metrics.elapsed_ns = now_ns() - start_time;
     metrics.rtl_cycles_ticked = rtl_.cycles_ticked() - start_ticked;
-    metrics.cpu_usage = (cpu_busy_ns_ - start_busy) / metrics.elapsed_ns;
+    metrics.cpu_usage =
+        metrics.elapsed_ns > 0 ? (cpu_busy_ns_ - start_busy) / metrics.elapsed_ns : 0;
     metrics.irq_count = irq_count_ - start_irqs;
     const ExecCounters end_exec = exec();
     metrics.instructions_retired = end_exec.instructions_retired - start_exec.instructions_retired;

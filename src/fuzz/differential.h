@@ -75,9 +75,6 @@ struct DifferentialOptions {
   // replies, channel sequences, final variables). The compiled tier degrades
   // to the interpreter when no host C compiler is available.
   bool run_vm_tiers = true;
-  // Additionally run the full model checker with 1 and 2 threads and compare
-  // the verdicts (search-order independence of the parallel engine).
-  bool compare_checker_threads = false;
   // Run the symbolic executor (src/analysis/sym) over the spec with
   // unconstrained external words and cross-check its verdict against the
   // execution targets (see DifferentialResult::sym_consistent).
@@ -110,10 +107,6 @@ struct DifferentialResult {
   bool agree = true;
   // Human-readable description of the first disagreement found.
   std::string divergence;
-
-  // Results of the optional 1-vs-2-thread full model-check comparison.
-  bool checker_parallel_consistent = true;
-  std::string checker_parallel_error;
 
   // Symbolic-executor soundness cross-check (run_sym). The executor runs
   // with unconstrained external words (fuzz stimuli are raw int32), so its

@@ -57,10 +57,7 @@ FuzzStats RunFuzzCampaign(const FuzzOptions& options, std::ostream* log) {
            << "\n" << std::flush;
     }
 
-    DifferentialOptions diff = options.differential;
-    diff.compare_checker_threads =
-        options.checker_threads_every > 0 && i % options.checker_threads_every == 0;
-    DifferentialResult result = RunDifferential(model, diff);
+    DifferentialResult result = RunDifferential(model, options.differential);
     if (!result.accepted) {
       // Mutations may step outside the language (e.g. a schedule now too
       // short); generated specs must never be rejected — surface those.
@@ -94,10 +91,7 @@ FuzzStats RunFuzzCampaign(const FuzzOptions& options, std::ostream* log) {
       keep[spec_seed % kKeepCap] = model.CloneModel();
     }
 
-    std::string divergence = result.divergence;
-    if (result.agree && !result.checker_parallel_consistent) {
-      divergence = "checker: parallel engines disagree: " + result.checker_parallel_error;
-    }
+    const std::string& divergence = result.divergence;
     if (divergence.empty()) {
       continue;
     }
@@ -116,9 +110,7 @@ FuzzStats RunFuzzCampaign(const FuzzOptions& options, std::ostream* log) {
     SpecModel repro = model.CloneModel();
     if (options.minimize) {
       MinimizeOracle oracle = [&](const SpecModel& candidate) {
-        DifferentialOptions inner = options.differential;
-        inner.compare_checker_threads = false;
-        DifferentialResult r = RunDifferential(candidate, inner);
+        DifferentialResult r = RunDifferential(candidate, options.differential);
         if (!r.accepted) {
           return false;
         }

@@ -22,9 +22,6 @@ struct FuzzOptions {
   // Every Nth iteration mutates a previously accepted model instead of
   // generating a fresh one (0 = generate only).
   int mutate_every = 4;
-  // Every Nth iteration additionally runs the full model checker with 1 and 2
-  // threads and compares verdicts (0 = never). Expensive.
-  int checker_threads_every = 0;
   // Shrink each divergence before dumping it.
   bool minimize = true;
   // Directory for minimized repro .efz files ("" = don't write files).

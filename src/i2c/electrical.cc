@@ -4,19 +4,16 @@ namespace efeu::i2c {
 
 ElectricalProcess::ElectricalProcess(ElectricalEndpoint controller,
                                      std::vector<ElectricalEndpoint> responders)
-    : NativeProcess("Electrical"),
-      controller_(controller),
-      responders_(std::move(responders)),
-      num_responders_(static_cast<int>(responders_.size())) {
-  for (const ElectricalEndpoint& endpoint : responders_) {
+    : NativeProcess("Electrical"), num_responders_(static_cast<int>(responders.size())) {
+  for (const ElectricalEndpoint& endpoint : responders) {
     recv_resp_.push_back(AddPort(endpoint.from_symbol, /*is_send=*/false));
   }
-  recv_ctrl_ = AddPort(controller_.from_symbol, /*is_send=*/false);
-  send_ctrl_ = AddPort(controller_.to_symbol, /*is_send=*/true);
-  for (const ElectricalEndpoint& endpoint : responders_) {
+  recv_ctrl_ = AddPort(controller.from_symbol, /*is_send=*/false);
+  send_ctrl_ = AddPort(controller.to_symbol, /*is_send=*/true);
+  for (const ElectricalEndpoint& endpoint : responders) {
     send_resp_.push_back(AddPort(endpoint.to_symbol, /*is_send=*/true));
   }
-  ResizeState(1 + 2 * (1 + responders_.size()));
+  ResizeState(1 + 2 * (1 + responders.size()));
   Reset();
 }
 

@@ -9,7 +9,6 @@
 #ifndef SRC_I2C_ELECTRICAL_H_
 #define SRC_I2C_ELECTRICAL_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/check/native_process.h"
@@ -34,10 +33,6 @@ class ElectricalProcess : public check::NativeProcess {
 
   bool AtValidEndState() const override;
 
-  std::unique_ptr<check::Process> Clone() const override {
-    return std::make_unique<ElectricalProcess>(controller_, responders_);
-  }
-
  protected:
   void InitState(std::vector<int32_t>& state) override;
   PendingOp ComputePending(const std::vector<int32_t>& state) const override;
@@ -49,8 +44,6 @@ class ElectricalProcess : public check::NativeProcess {
   // State layout: [phase, c_scl, c_sda, r0_scl, r0_sda, r1_scl, ...].
   // Phases: 0..K-1 recv responder i; K recv controller; K+1 send controller;
   // K+2+i send responder i; wraps to 0.
-  ElectricalEndpoint controller_;
-  std::vector<ElectricalEndpoint> responders_;
   int num_responders_ = 0;
   // Port ids.
   std::vector<int> recv_resp_;

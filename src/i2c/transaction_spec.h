@@ -9,7 +9,6 @@
 #ifndef SRC_I2C_TRANSACTION_SPEC_H_
 #define SRC_I2C_TRANSACTION_SPEC_H_
 
-#include <memory>
 #include <vector>
 
 #include "src/check/native_process.h"
@@ -59,11 +58,6 @@ class TransactionSpecProcess : public check::NativeProcess {
   // payload word is 0 or latched verbatim from the command's data words
   // (bounded by command words 3..18). Seeds the symbolic checker fast path.
   std::vector<check::DeclaredFact> DeclaredSendFacts() const override;
-
-  std::unique_ptr<check::Process> Clone() const override {
-    return std::make_unique<TransactionSpecProcess>(cmd_channel_, reply_channel_, devices_,
-                                                    max_faults_, max_resets_);
-  }
 
  protected:
   void InitState(std::vector<int32_t>& state) override;

@@ -14,38 +14,6 @@ namespace efeu::i2c {
 
 namespace {
 
-// Connects every channel of the interface between `upper` and `lower` for
-// which both processes expose a (still unconnected) port.
-void WireAdjacent(check::CheckedSystem& system, const esi::SystemInfo& info, int upper_proc,
-                  const std::string& upper, int lower_proc, const std::string& lower) {
-  auto has_port = [&](int proc, const esi::ChannelInfo* channel, bool is_send) {
-    for (const check::PortDecl& decl : system.process(proc).ports()) {
-      if (decl.channel == channel && decl.is_send == is_send) {
-        return true;
-      }
-    }
-    return false;
-  };
-  if (const esi::ChannelInfo* down = info.FindChannel(upper, lower)) {
-    if (has_port(upper_proc, down, true) && has_port(lower_proc, down, false)) {
-      system.ConnectByChannel(upper_proc, lower_proc, down);
-    }
-  }
-  if (const esi::ChannelInfo* up = info.FindChannel(lower, upper)) {
-    if (has_port(lower_proc, up, true) && has_port(upper_proc, up, false)) {
-      system.ConnectByChannel(lower_proc, upper_proc, up);
-    }
-  }
-}
-
-// Adds an IrProcess for `layer` from `comp`, asserting the module exists.
-int AddLayer(check::CheckedSystem& system, const ir::Compilation& comp,
-             const std::string& layer, const std::string& instance_name) {
-  const ir::Module* module = comp.FindModule(layer);
-  assert(module != nullptr && "layer not defined in this compilation");
-  return system.AddModule(module, instance_name);
-}
-
 ElectricalEndpoint SymbolEndpoint(const esi::SystemInfo& info, const std::string& symbol_layer) {
   ElectricalEndpoint endpoint;
   endpoint.from_symbol = info.FindChannel(symbol_layer, "Electrical");
@@ -118,16 +86,16 @@ std::unique_ptr<VerifierSystem> BuildSymbolVerifier(const VerifyConfig& config,
   const esi::SystemInfo& info = comp->system();
   check::CheckedSystem& sys = vs->system_;
 
-  int glue_c = AddLayer(sys, *comp, "CByte", "input.CByte");
-  int glue_r = AddLayer(sys, *comp, "RByte", "observer.RByte");
-  int csym = AddLayer(sys, *comp, "CSymbol", "CSymbol");
-  int rsym = AddLayer(sys, *comp, "RSymbol", "RSymbol");
+  int glue_c = sys.AddLayer(*comp, "CByte", "input.CByte");
+  int glue_r = sys.AddLayer(*comp, "RByte", "observer.RByte");
+  int csym = sys.AddLayer(*comp, "CSymbol", "CSymbol");
+  int rsym = sys.AddLayer(*comp, "RSymbol", "RSymbol");
   int elec = sys.AddProcess(std::make_unique<ElectricalProcess>(
       SymbolEndpoint(info, "CSymbol"), std::vector<ElectricalEndpoint>{
                                            SymbolEndpoint(info, "RSymbol")}));
 
-  WireAdjacent(sys, info, glue_c, "CByte", csym, "CSymbol");
-  WireAdjacent(sys, info, glue_r, "RByte", rsym, "RSymbol");
+  sys.WireAdjacent(info, glue_c, "CByte", csym, "CSymbol");
+  sys.WireAdjacent(info, glue_r, "RByte", rsym, "RSymbol");
   WireElectrical(sys, csym, elec, SymbolEndpoint(info, "CSymbol"));
   WireElectrical(sys, rsym, elec, SymbolEndpoint(info, "RSymbol"));
   // Oracle.
@@ -164,28 +132,28 @@ std::unique_ptr<VerifierSystem> BuildByteVerifier(const VerifyConfig& config,
   const esi::SystemInfo& info = comp->system();
   check::CheckedSystem& sys = vs->system_;
 
-  int glue_c = AddLayer(sys, *comp, "CTransaction", "input.CTransaction");
-  int glue_r = AddLayer(sys, *comp, "RTransaction", "observer.RTransaction");
-  int cbyte = AddLayer(sys, *comp, "CByte", "CByte");
-  int rbyte = AddLayer(sys, *comp, "RByte", "RByte");
-  WireAdjacent(sys, info, glue_c, "CTransaction", cbyte, "CByte");
-  WireAdjacent(sys, info, glue_r, "RTransaction", rbyte, "RByte");
+  int glue_c = sys.AddLayer(*comp, "CTransaction", "input.CTransaction");
+  int glue_r = sys.AddLayer(*comp, "RTransaction", "observer.RTransaction");
+  int cbyte = sys.AddLayer(*comp, "CByte", "CByte");
+  int rbyte = sys.AddLayer(*comp, "RByte", "RByte");
+  sys.WireAdjacent(info, glue_c, "CTransaction", cbyte, "CByte");
+  sys.WireAdjacent(info, glue_r, "RTransaction", rbyte, "RByte");
   sys.ConnectByChannel(glue_c, glue_r, info.FindChannel("CTransaction", "RTransaction"));
 
   if (config.abstraction == VerifyAbstraction::kNone) {
-    int csym = AddLayer(sys, *comp, "CSymbol", "CSymbol");
-    int rsym = AddLayer(sys, *comp, "RSymbol", "RSymbol");
+    int csym = sys.AddLayer(*comp, "CSymbol", "CSymbol");
+    int rsym = sys.AddLayer(*comp, "RSymbol", "RSymbol");
     int elec = sys.AddProcess(std::make_unique<ElectricalProcess>(
         SymbolEndpoint(info, "CSymbol"), std::vector<ElectricalEndpoint>{
                                              SymbolEndpoint(info, "RSymbol")}));
-    WireAdjacent(sys, info, cbyte, "CByte", csym, "CSymbol");
-    WireAdjacent(sys, info, rbyte, "RByte", rsym, "RSymbol");
+    sys.WireAdjacent(info, cbyte, "CByte", csym, "CSymbol");
+    sys.WireAdjacent(info, rbyte, "RByte", rsym, "RSymbol");
     WireElectrical(sys, csym, elec, SymbolEndpoint(info, "CSymbol"));
     WireElectrical(sys, rsym, elec, SymbolEndpoint(info, "RSymbol"));
   } else {
-    int spec = AddLayer(sys, *comp, "Electrical", "spec.Symbol");
-    WireAdjacent(sys, info, cbyte, "CByte", spec, "CSymbol");
-    WireAdjacent(sys, info, rbyte, "RByte", spec, "RSymbol");
+    int spec = sys.AddLayer(*comp, "Electrical", "spec.Symbol");
+    sys.WireAdjacent(info, cbyte, "CByte", spec, "CSymbol");
+    sys.WireAdjacent(info, rbyte, "RByte", spec, "RSymbol");
   }
 
   vs->compilations_.push_back(std::move(comp));
@@ -231,37 +199,37 @@ std::unique_ptr<VerifierSystem> BuildTransactionVerifier(const VerifyConfig& con
   const esi::SystemInfo& info = comp->system();
   check::CheckedSystem& sys = vs->system_;
 
-  int glue_c = AddLayer(sys, *comp, "CEepDriver", "input.CEepDriver");
-  int glue_r = AddLayer(sys, *comp, "REep", "observer.REep");
-  int ctxn = AddLayer(sys, *comp, "CTransaction", "CTransaction");
-  int rtxn = AddLayer(sys, *comp, "RTransaction", "RTransaction");
-  WireAdjacent(sys, info, glue_c, "CEepDriver", ctxn, "CTransaction");
-  WireAdjacent(sys, info, rtxn, "RTransaction", glue_r, "REep");
+  int glue_c = sys.AddLayer(*comp, "CEepDriver", "input.CEepDriver");
+  int glue_r = sys.AddLayer(*comp, "REep", "observer.REep");
+  int ctxn = sys.AddLayer(*comp, "CTransaction", "CTransaction");
+  int rtxn = sys.AddLayer(*comp, "RTransaction", "RTransaction");
+  sys.WireAdjacent(info, glue_c, "CEepDriver", ctxn, "CTransaction");
+  sys.WireAdjacent(info, rtxn, "RTransaction", glue_r, "REep");
   sys.ConnectByChannel(glue_c, glue_r, info.FindChannel("CEepDriver", "REep"));
 
   if (config.abstraction == VerifyAbstraction::kByte) {
-    int spec = AddLayer(sys, *comp, "CByte", "spec.Byte");
-    WireAdjacent(sys, info, ctxn, "CTransaction", spec, "CByte");
-    WireAdjacent(sys, info, rtxn, "RTransaction", spec, "RByte");
+    int spec = sys.AddLayer(*comp, "CByte", "spec.Byte");
+    sys.WireAdjacent(info, ctxn, "CTransaction", spec, "CByte");
+    sys.WireAdjacent(info, rtxn, "RTransaction", spec, "RByte");
   } else {
-    int cbyte = AddLayer(sys, *comp, "CByte", "CByte");
-    int rbyte = AddLayer(sys, *comp, "RByte", "RByte");
-    WireAdjacent(sys, info, ctxn, "CTransaction", cbyte, "CByte");
-    WireAdjacent(sys, info, rtxn, "RTransaction", rbyte, "RByte");
+    int cbyte = sys.AddLayer(*comp, "CByte", "CByte");
+    int rbyte = sys.AddLayer(*comp, "RByte", "RByte");
+    sys.WireAdjacent(info, ctxn, "CTransaction", cbyte, "CByte");
+    sys.WireAdjacent(info, rtxn, "RTransaction", rbyte, "RByte");
     if (config.abstraction == VerifyAbstraction::kNone) {
-      int csym = AddLayer(sys, *comp, "CSymbol", "CSymbol");
-      int rsym = AddLayer(sys, *comp, "RSymbol", "RSymbol");
+      int csym = sys.AddLayer(*comp, "CSymbol", "CSymbol");
+      int rsym = sys.AddLayer(*comp, "RSymbol", "RSymbol");
       int elec = sys.AddProcess(std::make_unique<ElectricalProcess>(
           SymbolEndpoint(info, "CSymbol"), std::vector<ElectricalEndpoint>{
                                                SymbolEndpoint(info, "RSymbol")}));
-      WireAdjacent(sys, info, cbyte, "CByte", csym, "CSymbol");
-      WireAdjacent(sys, info, rbyte, "RByte", rsym, "RSymbol");
+      sys.WireAdjacent(info, cbyte, "CByte", csym, "CSymbol");
+      sys.WireAdjacent(info, rbyte, "RByte", rsym, "RSymbol");
       WireElectrical(sys, csym, elec, SymbolEndpoint(info, "CSymbol"));
       WireElectrical(sys, rsym, elec, SymbolEndpoint(info, "RSymbol"));
     } else {
-      int spec = AddLayer(sys, *comp, "Electrical", "spec.Symbol");
-      WireAdjacent(sys, info, cbyte, "CByte", spec, "CSymbol");
-      WireAdjacent(sys, info, rbyte, "RByte", spec, "RSymbol");
+      int spec = sys.AddLayer(*comp, "Electrical", "spec.Symbol");
+      sys.WireAdjacent(info, cbyte, "CByte", spec, "CSymbol");
+      sys.WireAdjacent(info, rbyte, "RByte", spec, "RSymbol");
     }
   }
 
@@ -289,14 +257,14 @@ std::unique_ptr<VerifierSystem> BuildEepVerifier(const VerifyConfig& config,
       return nullptr;
     }
     const esi::SystemInfo& info = comp->system();
-    int glue = AddLayer(sys, *comp, "CWorld", "input.CWorld");
-    int ced = AddLayer(sys, *comp, "CEepDriver", "CEepDriver");
-    WireAdjacent(sys, info, glue, "CWorld", ced, "CEepDriver");
+    int glue = sys.AddLayer(*comp, "CWorld", "input.CWorld");
+    int ced = sys.AddLayer(*comp, "CEepDriver", "CEepDriver");
+    sys.WireAdjacent(info, glue, "CWorld", ced, "CEepDriver");
 
     std::vector<TransactionSpecDevice> devices;
     std::vector<int> eeps;
     for (int k = 0; k < config.num_eeproms; ++k) {
-      eeps.push_back(AddLayer(sys, *comp, "REep", "REep." + std::to_string(k)));
+      eeps.push_back(sys.AddLayer(*comp, "REep", "REep." + std::to_string(k)));
       TransactionSpecDevice device;
       device.to_eep = info.FindChannel("RTransaction", "REep");
       device.from_eep = info.FindChannel("REep", "RTransaction");
@@ -307,7 +275,7 @@ std::unique_ptr<VerifierSystem> BuildEepVerifier(const VerifyConfig& config,
         info.FindChannel("CEepDriver", "CTransaction"),
         info.FindChannel("CTransaction", "CEepDriver"), devices, config.fault_events,
         config.reset_events));
-    WireAdjacent(sys, info, ced, "CEepDriver", spec, "CTransaction");
+    sys.WireAdjacent(info, ced, "CEepDriver", spec, "CTransaction");
     for (int k = 0; k < config.num_eeproms; ++k) {
       sys.ConnectByChannel(spec, eeps[k], info.FindChannel("RTransaction", "REep"));
       sys.ConnectByChannel(eeps[k], spec, info.FindChannel("REep", "RTransaction"));
@@ -343,26 +311,26 @@ std::unique_ptr<VerifierSystem> BuildEepVerifier(const VerifyConfig& config,
       return nullptr;
     }
     const esi::SystemInfo& info = comp->system();
-    int glue = AddLayer(sys, *comp, "CWorld", "input.CWorld");
-    int ced = AddLayer(sys, *comp, "CEepDriver", "CEepDriver");
-    int ctxn = AddLayer(sys, *comp, "CTransaction", "CTransaction");
-    int rtxn = AddLayer(sys, *comp, "RTransaction", "RTransaction");
-    int reep = AddLayer(sys, *comp, "REep", "REep");
-    WireAdjacent(sys, info, glue, "CWorld", ced, "CEepDriver");
-    WireAdjacent(sys, info, ced, "CEepDriver", ctxn, "CTransaction");
-    WireAdjacent(sys, info, rtxn, "RTransaction", reep, "REep");
+    int glue = sys.AddLayer(*comp, "CWorld", "input.CWorld");
+    int ced = sys.AddLayer(*comp, "CEepDriver", "CEepDriver");
+    int ctxn = sys.AddLayer(*comp, "CTransaction", "CTransaction");
+    int rtxn = sys.AddLayer(*comp, "RTransaction", "RTransaction");
+    int reep = sys.AddLayer(*comp, "REep", "REep");
+    sys.WireAdjacent(info, glue, "CWorld", ced, "CEepDriver");
+    sys.WireAdjacent(info, ced, "CEepDriver", ctxn, "CTransaction");
+    sys.WireAdjacent(info, rtxn, "RTransaction", reep, "REep");
     if (config.abstraction == VerifyAbstraction::kSymbol) {
-      int cbyte = AddLayer(sys, *comp, "CByte", "CByte");
-      int rbyte = AddLayer(sys, *comp, "RByte", "RByte");
-      int spec = AddLayer(sys, *comp, "Electrical", "spec.Symbol");
-      WireAdjacent(sys, info, ctxn, "CTransaction", cbyte, "CByte");
-      WireAdjacent(sys, info, rtxn, "RTransaction", rbyte, "RByte");
-      WireAdjacent(sys, info, cbyte, "CByte", spec, "CSymbol");
-      WireAdjacent(sys, info, rbyte, "RByte", spec, "RSymbol");
+      int cbyte = sys.AddLayer(*comp, "CByte", "CByte");
+      int rbyte = sys.AddLayer(*comp, "RByte", "RByte");
+      int spec = sys.AddLayer(*comp, "Electrical", "spec.Symbol");
+      sys.WireAdjacent(info, ctxn, "CTransaction", cbyte, "CByte");
+      sys.WireAdjacent(info, rtxn, "RTransaction", rbyte, "RByte");
+      sys.WireAdjacent(info, cbyte, "CByte", spec, "CSymbol");
+      sys.WireAdjacent(info, rbyte, "RByte", spec, "RSymbol");
     } else {
-      int spec = AddLayer(sys, *comp, "CByte", "spec.Byte");
-      WireAdjacent(sys, info, ctxn, "CTransaction", spec, "CByte");
-      WireAdjacent(sys, info, rtxn, "RTransaction", spec, "RByte");
+      int spec = sys.AddLayer(*comp, "CByte", "spec.Byte");
+      sys.WireAdjacent(info, ctxn, "CTransaction", spec, "CByte");
+      sys.WireAdjacent(info, rtxn, "RTransaction", spec, "RByte");
     }
     vs->compilations_.push_back(std::move(comp));
     return vs;
@@ -387,15 +355,15 @@ std::unique_ptr<VerifierSystem> BuildEepVerifier(const VerifyConfig& config,
     return nullptr;
   }
   const esi::SystemInfo& cinfo = ccomp->system();
-  int glue = AddLayer(sys, *ccomp, "CWorld", "input.CWorld");
-  int ced = AddLayer(sys, *ccomp, "CEepDriver", "CEepDriver");
-  int ctxn = AddLayer(sys, *ccomp, "CTransaction", "CTransaction");
-  int cbyte = AddLayer(sys, *ccomp, "CByte", "CByte");
-  int csym = AddLayer(sys, *ccomp, "CSymbol", "CSymbol");
-  WireAdjacent(sys, cinfo, glue, "CWorld", ced, "CEepDriver");
-  WireAdjacent(sys, cinfo, ced, "CEepDriver", ctxn, "CTransaction");
-  WireAdjacent(sys, cinfo, ctxn, "CTransaction", cbyte, "CByte");
-  WireAdjacent(sys, cinfo, cbyte, "CByte", csym, "CSymbol");
+  int glue = sys.AddLayer(*ccomp, "CWorld", "input.CWorld");
+  int ced = sys.AddLayer(*ccomp, "CEepDriver", "CEepDriver");
+  int ctxn = sys.AddLayer(*ccomp, "CTransaction", "CTransaction");
+  int cbyte = sys.AddLayer(*ccomp, "CByte", "CByte");
+  int csym = sys.AddLayer(*ccomp, "CSymbol", "CSymbol");
+  sys.WireAdjacent(cinfo, glue, "CWorld", ced, "CEepDriver");
+  sys.WireAdjacent(cinfo, ced, "CEepDriver", ctxn, "CTransaction");
+  sys.WireAdjacent(cinfo, ctxn, "CTransaction", cbyte, "CByte");
+  sys.WireAdjacent(cinfo, cbyte, "CByte", csym, "CSymbol");
 
   std::vector<ElectricalEndpoint> responder_endpoints;
   std::vector<int> rsyms;
@@ -410,13 +378,13 @@ std::unique_ptr<VerifierSystem> BuildEepVerifier(const VerifyConfig& config,
     }
     const esi::SystemInfo& rinfo = rcomp->system();
     std::string suffix = "." + std::to_string(k);
-    int rsym = AddLayer(sys, *rcomp, "RSymbol", "RSymbol" + suffix);
-    int rbyte = AddLayer(sys, *rcomp, "RByte", "RByte" + suffix);
-    int rtxn = AddLayer(sys, *rcomp, "RTransaction", "RTransaction" + suffix);
-    int reep = AddLayer(sys, *rcomp, "REep", "REep" + suffix);
-    WireAdjacent(sys, rinfo, rbyte, "RByte", rsym, "RSymbol");
-    WireAdjacent(sys, rinfo, rtxn, "RTransaction", rbyte, "RByte");
-    WireAdjacent(sys, rinfo, rtxn, "RTransaction", reep, "REep");
+    int rsym = sys.AddLayer(*rcomp, "RSymbol", "RSymbol" + suffix);
+    int rbyte = sys.AddLayer(*rcomp, "RByte", "RByte" + suffix);
+    int rtxn = sys.AddLayer(*rcomp, "RTransaction", "RTransaction" + suffix);
+    int reep = sys.AddLayer(*rcomp, "REep", "REep" + suffix);
+    sys.WireAdjacent(rinfo, rbyte, "RByte", rsym, "RSymbol");
+    sys.WireAdjacent(rinfo, rtxn, "RTransaction", rbyte, "RByte");
+    sys.WireAdjacent(rinfo, rtxn, "RTransaction", reep, "REep");
     responder_endpoints.push_back(SymbolEndpoint(rinfo, "RSymbol"));
     rsyms.push_back(rsym);
     vs->compilations_.push_back(std::move(rcomp));

@@ -111,9 +111,9 @@ std::unique_ptr<VerifierSystem> BuildVerifier(const VerifyConfig& config,
 // Runs the verification the way the paper runs SPIN (section 4.3): one pass
 // checking assertions + invalid end states, one pass checking non-progress
 // cycles, with the runtimes summed. Both passes derive their options from
-// `base_options`, so callers can set budgets, thread counts, hash
-// compaction, or toggle the state-space reductions (por/collapse, on by
-// default; see DESIGN.md "State-space reduction").
+// `base_options`, so callers can set budgets, hash compaction, or toggle
+// the state-space reductions (por/collapse, on by default; see DESIGN.md
+// "State-space reduction").
 // Outcome of the symbolic-discharge attempt a sym_discharge run performs
 // before touching the explicit checker.
 struct VerifySymStats {
@@ -157,9 +157,9 @@ struct VerifySuiteItem {
 
 // Runs every configuration through RunVerification on a pool of
 // `pool_threads` threads (0 = one per hardware thread). Each run gets its own
-// DiagnosticEngine and verifier system, so the combos are fully independent;
-// results come back in input order. Combine with base_options.num_threads > 1
-// to additionally parallelize inside each (safety) check.
+// DiagnosticEngine, verifier system and checker tables, so the combos share
+// nothing; results come back in input order. This pool is the checker's only
+// parallelism: each check runs single-threaded.
 std::vector<VerifySuiteItem> RunVerificationSuite(const std::vector<VerifyConfig>& configs,
                                                   const check::CheckerOptions& base_options = {},
                                                   int pool_threads = 0);

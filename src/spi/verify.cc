@@ -1,46 +1,9 @@
 #include "src/spi/verify.h"
 
-#include <cassert>
-
 #include "src/analysis/analysis.h"
 #include "src/spi/specs.h"
 
 namespace efeu::spi {
-
-namespace {
-
-// Connects every channel of the interface between `upper` and `lower` for
-// which both processes expose a free matching port.
-void WireAdjacent(check::CheckedSystem& system, const esi::SystemInfo& info, int upper_proc,
-                  const std::string& upper, int lower_proc, const std::string& lower) {
-  auto has_port = [&](int proc, const esi::ChannelInfo* channel, bool is_send) {
-    for (const check::PortDecl& decl : system.process(proc).ports()) {
-      if (decl.channel == channel && decl.is_send == is_send) {
-        return true;
-      }
-    }
-    return false;
-  };
-  if (const esi::ChannelInfo* down = info.FindChannel(upper, lower)) {
-    if (has_port(upper_proc, down, true) && has_port(lower_proc, down, false)) {
-      system.ConnectByChannel(upper_proc, lower_proc, down);
-    }
-  }
-  if (const esi::ChannelInfo* up = info.FindChannel(lower, upper)) {
-    if (has_port(lower_proc, up, true) && has_port(upper_proc, up, false)) {
-      system.ConnectByChannel(lower_proc, upper_proc, up);
-    }
-  }
-}
-
-int AddLayer(check::CheckedSystem& system, const ir::Compilation& comp,
-             const std::string& layer, const std::string& instance_name) {
-  const ir::Module* module = comp.FindModule(layer);
-  assert(module != nullptr && "SPI layer not defined in this compilation");
-  return system.AddModule(module, instance_name);
-}
-
-}  // namespace
 
 std::unique_ptr<SpiVerifierSystem> BuildSpiVerifier(const SpiVerifyConfig& config,
                                                     DiagnosticEngine& diag) {
@@ -84,30 +47,30 @@ std::unique_ptr<SpiVerifierSystem> BuildSpiVerifier(const SpiVerifyConfig& confi
   const esi::SystemInfo& info = comp.system();
   check::CheckedSystem& sys = vs->system_;
 
-  int sbyte = AddLayer(sys, comp, "SpByte", "SpByte");
-  int ssym = AddLayer(sys, comp, "SpSymbol", "SpSymbol");
-  int elec = AddLayer(sys, comp, "SpElectrical", "SpElectrical");
-  int rsym = AddLayer(sys, comp, "SpRSymbol", "SpRSymbol");
-  int rbyte = AddLayer(sys, comp, "SpRByte", "SpRByte");
+  int sbyte = sys.AddLayer(comp, "SpByte", "SpByte");
+  int ssym = sys.AddLayer(comp, "SpSymbol", "SpSymbol");
+  int elec = sys.AddLayer(comp, "SpElectrical", "SpElectrical");
+  int rsym = sys.AddLayer(comp, "SpRSymbol", "SpRSymbol");
+  int rbyte = sys.AddLayer(comp, "SpRByte", "SpRByte");
 
-  WireAdjacent(sys, info, sbyte, "SpByte", ssym, "SpSymbol");
-  WireAdjacent(sys, info, ssym, "SpSymbol", elec, "SpElectrical");
-  WireAdjacent(sys, info, rsym, "SpRSymbol", elec, "SpElectrical");
-  WireAdjacent(sys, info, rbyte, "SpRByte", rsym, "SpRSymbol");
+  sys.WireAdjacent(info, sbyte, "SpByte", ssym, "SpSymbol");
+  sys.WireAdjacent(info, ssym, "SpSymbol", elec, "SpElectrical");
+  sys.WireAdjacent(info, rsym, "SpRSymbol", elec, "SpElectrical");
+  sys.WireAdjacent(info, rbyte, "SpRByte", rsym, "SpRSymbol");
 
   if (config.level == SpiVerifyLevel::kByte) {
-    int glue_d = AddLayer(sys, comp, "SpDriver", "input.SpDriver");
-    int glue_r = AddLayer(sys, comp, "SpRegs", "observer.SpRegs");
-    WireAdjacent(sys, info, glue_d, "SpDriver", sbyte, "SpByte");
-    WireAdjacent(sys, info, glue_r, "SpRegs", rbyte, "SpRByte");
+    int glue_d = sys.AddLayer(comp, "SpDriver", "input.SpDriver");
+    int glue_r = sys.AddLayer(comp, "SpRegs", "observer.SpRegs");
+    sys.WireAdjacent(info, glue_d, "SpDriver", sbyte, "SpByte");
+    sys.WireAdjacent(info, glue_r, "SpRegs", rbyte, "SpRByte");
     sys.ConnectByChannel(glue_d, glue_r, info.FindChannel("SpDriver", "SpRegs"));
   } else {
-    int driver = AddLayer(sys, comp, "SpDriver", "SpDriver");
-    int regs = AddLayer(sys, comp, "SpRegs", "SpRegs");
-    int glue = AddLayer(sys, comp, "SpWorld", "input.SpWorld");
-    WireAdjacent(sys, info, glue, "SpWorld", driver, "SpDriver");
-    WireAdjacent(sys, info, driver, "SpDriver", sbyte, "SpByte");
-    WireAdjacent(sys, info, regs, "SpRegs", rbyte, "SpRByte");
+    int driver = sys.AddLayer(comp, "SpDriver", "SpDriver");
+    int regs = sys.AddLayer(comp, "SpRegs", "SpRegs");
+    int glue = sys.AddLayer(comp, "SpWorld", "input.SpWorld");
+    sys.WireAdjacent(info, glue, "SpWorld", driver, "SpDriver");
+    sys.WireAdjacent(info, driver, "SpDriver", sbyte, "SpByte");
+    sys.WireAdjacent(info, regs, "SpRegs", rbyte, "SpRByte");
   }
   return vs;
 }

@@ -51,9 +51,8 @@ struct SpiVerifyResult {
 
 // Runs a safety pass (assertions + invalid end states) and a liveness pass
 // (non-progress cycles), both derived from `base_options` — so callers can
-// set budgets, thread counts, hash compaction, or toggle the state-space
-// reductions (por/collapse, on by default) exactly like
-// i2c::RunVerification.
+// set budgets, hash compaction, or toggle the state-space reductions
+// (por/collapse, on by default) exactly like i2c::RunVerification.
 SpiVerifyResult RunSpiVerification(const SpiVerifyConfig& config, DiagnosticEngine& diag,
                                    const check::CheckerOptions& base_options = {});
 

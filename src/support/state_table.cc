@@ -66,110 +66,77 @@ void FingerprintIndex::Clear() {
   size_ = 0;
 }
 
-ShardedStateTable::ShardedStateTable(const StateTableOptions& options) : options_(options) {
-  int shards = options_.num_shards < 1 ? 1 : options_.num_shards;
-  shards_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-void ShardedStateTable::CheckKeyWidth(std::span<const int32_t> state) const {
-  int64_t width = key_width_.load(std::memory_order_relaxed);
-  if (width < 0 && key_width_.compare_exchange_strong(width, static_cast<int64_t>(state.size()),
-                                                      std::memory_order_relaxed)) {
-    width = static_cast<int64_t>(state.size());
-  }
-  EFEU_CHECK(static_cast<size_t>(width) == state.size(),
-             "ShardedStateTable: state width differs from the table's key width");
-}
-
-bool ShardedStateTable::SameKey(const Shard& shard, uint32_t entry,
-                                std::span<const int32_t> state) const {
+bool StateTable::SameKey(uint32_t entry, std::span<const int32_t> state) const {
   if (options_.fingerprint_only) {
     return true;
   }
-  const int32_t* stored = shard.key_chunks[entry >> kChunkShift].data() +
-                          (entry & (kChunkEntries - 1)) * state.size();
+  const int32_t* stored =
+      key_chunks_[entry >> kChunkShift].data() + (entry & (kChunkEntries - 1)) * state.size();
   return std::equal(state.begin(), state.end(), stored);
 }
 
-bool ShardedStateTable::ClaimHashed(uint64_t fingerprint, std::span<const int32_t> state,
-                                    uint64_t progress) {
-  CheckKeyWidth(state);
-  Shard& shard = shard_for(fingerprint);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const uint64_t entry = shard.count.load(std::memory_order_relaxed);
-  auto [stored, inserted] =
-      shard.index.FindOrInsert(fingerprint, static_cast<uint32_t>(entry),
-                               [&](uint32_t e) { return SameKey(shard, e, state); });
+bool StateTable::ClaimHashed(uint64_t fingerprint, std::span<const int32_t> state,
+                             uint64_t progress) {
+  EFEU_CHECK(HasKeyWidth(state), "StateTable: state width differs from the table's key width");
+  key_width_ = static_cast<int64_t>(state.size());
+  const uint32_t entry = count_;
+  auto [stored, inserted] = index_.FindOrInsert(
+      fingerprint, entry, [&](uint32_t e) { return SameKey(e, state); });
   if (inserted) {
     if (!options_.fingerprint_only) {
       size_t chunk = entry >> kChunkShift;
-      if (chunk == shard.key_chunks.size()) {
-        shard.key_chunks.emplace_back();
+      if (chunk == key_chunks_.size()) {
+        key_chunks_.emplace_back();
       }
-      std::vector<int32_t>& words = shard.key_chunks[chunk];
+      std::vector<int32_t>& words = key_chunks_[chunk];
       if (words.empty()) {
         words.reserve(kChunkEntries * state.size());
       }
       words.insert(words.end(), state.begin(), state.end());
     }
     if (options_.track_progress) {
-      shard.progress.push_back(progress);
+      progress_.push_back(progress);
     }
-    shard.count.store(entry + 1, std::memory_order_relaxed);
+    count_ = entry + 1;
     return true;
   }
-  if (options_.track_progress && progress < shard.progress[*stored]) {
-    shard.progress[*stored] = progress;
+  if (options_.track_progress && progress < progress_[*stored]) {
+    progress_[*stored] = progress;
     return true;
   }
   return false;
 }
 
-bool ShardedStateTable::WouldClaimHashed(uint64_t fingerprint, std::span<const int32_t> state,
-                                         uint64_t progress) const {
-  CheckKeyWidth(state);
-  Shard& shard = shard_for(fingerprint);
-  std::lock_guard<std::mutex> lock(shard.mu);
+bool StateTable::WouldClaimHashed(uint64_t fingerprint, std::span<const int32_t> state,
+                                  uint64_t progress) const {
+  EFEU_CHECK(HasKeyWidth(state), "StateTable: state width differs from the table's key width");
   const uint32_t* stored =
-      shard.index.Find(fingerprint, [&](uint32_t e) { return SameKey(shard, e, state); });
+      index_.Find(fingerprint, [&](uint32_t e) { return SameKey(e, state); });
   if (stored == nullptr) {
     return true;
   }
-  return options_.track_progress && progress < shard.progress[*stored];
+  return options_.track_progress && progress < progress_[*stored];
 }
 
-uint64_t ShardedStateTable::size() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-uint64_t ShardedStateTable::payload_bytes() const {
-  int64_t width = std::max<int64_t>(key_width_.load(std::memory_order_relaxed), 0);
-  uint64_t per_state =
-      options_.fingerprint_only ? sizeof(uint64_t) : static_cast<uint64_t>(width) * sizeof(int32_t);
+uint64_t StateTable::payload_bytes() const {
+  uint64_t per_state = options_.fingerprint_only
+                           ? sizeof(uint64_t)
+                           : static_cast<uint64_t>(std::max<int64_t>(key_width_, 0)) *
+                                 sizeof(int32_t);
   if (options_.track_progress) {
     per_state += sizeof(uint64_t);
   }
   return size() * per_state;
 }
 
-void ShardedStateTable::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->index.Clear();
-    for (std::vector<int32_t>& words : shard->key_chunks) {
-      words.clear();
-    }
-    shard->progress.clear();
-    shard->count.store(0, std::memory_order_relaxed);
+void StateTable::Clear() {
+  index_.Clear();
+  for (std::vector<int32_t>& words : key_chunks_) {
+    words.clear();
   }
-  key_width_.store(-1, std::memory_order_relaxed);
+  progress_.clear();
+  count_ = 0;
+  key_width_ = -1;
 }
 
 }  // namespace efeu

@@ -1,6 +1,5 @@
-// Concurrency-safe visited-state table for the model checker: N-way striped
-// shards keyed by the 64-bit state fingerprint, so worker threads contend
-// only when their states land in the same shard. Two storage modes:
+// Visited-state table for the model checker, keyed by the 64-bit state
+// fingerprint. Two storage modes:
 //
 //  - full (default): the complete state vector is stored and compared, so
 //    membership is exact;
@@ -10,33 +9,32 @@
 //    false-negative probability of roughly stored_states^2 / 2^65 in
 //    exchange for a fixed 8 bytes per state.
 //
-// Storage is SPIN's flat layout: each shard is a FingerprintIndex (an
-// open-addressing array of {fingerprint, entry} slots) over an append-only
-// arena of key words. The key width is fixed per table — the first claim sets
-// it (under COLLAPSE one component id per process, otherwise the full
-// snapshot) — so entry e's words sit at a computed place in the arena. The
-// arena grows in chunks of kChunkEntries keys, so an append never copies the
-// keys already stored (full snapshots can run to hundreds of words).
+// Storage is SPIN's flat layout: a FingerprintIndex (an open-addressing
+// array of {fingerprint, entry} slots) over an append-only arena of key
+// words. The key width is fixed per table — the first claim sets it (under
+// COLLAPSE one component id per process, otherwise the full snapshot) — so
+// entry e's words sit at a computed place in the arena. The arena grows in
+// chunks of kChunkEntries keys, so an append never copies the keys already
+// stored (full snapshots can run to hundreds of words).
 //
 // Each state vector is hashed exactly once: callers that already computed
 // HashWords (the checker DFS needs it anyway) pass it to the *Hashed entry
-// points, which use it for both shard selection and slot placement. Exact
-// mode compares key words whenever fingerprints match, so a colliding pair of
-// distinct states still occupies two entries and membership stays exact.
+// points, which use it for slot placement. Exact mode compares key words
+// whenever fingerprints match, so a colliding pair of distinct states still
+// occupies two entries and membership stays exact.
 //
 // With track_progress the table additionally remembers the minimum progress
 // credit each state was reached with, and Claim re-admits a state reached
-// with a strictly lower credit — the re-entry rule the sequential checker's
+// with a strictly lower credit — the re-entry rule the checker's
 // non-progress-cycle search needs to catch cycles entered through cross
 // edges (see checker.cc).
+//
+// Single-threaded: every search owns its tables.
 
 #ifndef SRC_SUPPORT_STATE_TABLE_H_
 #define SRC_SUPPORT_STATE_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
 #include <vector>
@@ -49,12 +47,11 @@ namespace efeu {
 // power-of-two slot array with linear probing, kept at most half full. What
 // a value means, and when two entries with one fingerprint are the same, is
 // the caller's business: lookups walk every slot carrying the fingerprint and
-// ask `same(value)`. Single-threaded; callers lock around it.
+// ask `same(value)`.
 //
 // A slot's place is taken from the high bits of fingerprint * phi, so it
-// depends on every fingerprint bit: callers that stripe by
-// `fingerprint % shards` still spread evenly within a shard. Clear() is O(1):
-// a slot counts as occupied only while its generation is the index's.
+// depends on every fingerprint bit. Clear() is O(1): a slot counts as
+// occupied only while its generation is the index's.
 class FingerprintIndex {
  public:
   FingerprintIndex() { Reset(kMinBits); }
@@ -62,9 +59,9 @@ class FingerprintIndex {
   // The value stored under `fingerprint` for which same(value) holds, or
   // nullptr. Among several such entries, the first in probe order.
   template <typename Same>
-  uint32_t* Find(uint64_t fingerprint, Same&& same) {
+  const uint32_t* Find(uint64_t fingerprint, Same&& same) const {
     for (size_t i = Home(fingerprint);; i = (i + 1) & mask_) {
-      Slot& slot = slots_[i];
+      const Slot& slot = slots_[i];
       if (slot.generation != generation_) {
         return nullptr;
       }
@@ -72,6 +69,10 @@ class FingerprintIndex {
         return &slot.value;
       }
     }
+  }
+  template <typename Same>
+  uint32_t* Find(uint64_t fingerprint, Same&& same) {
+    return const_cast<uint32_t*>(std::as_const(*this).Find(fingerprint, same));
   }
 
   // Find, inserting {fingerprint, value} when nothing matches. Returns the
@@ -129,9 +130,6 @@ class FingerprintIndex {
 };
 
 struct StateTableOptions {
-  // Number of independently locked stripes; 1 is fine for single-threaded
-  // callers, parallel workers want >= 4x the thread count.
-  int num_shards = 1;
   // Store 8-byte fingerprints instead of full state vectors.
   bool fingerprint_only = false;
   // Remember the minimum progress credit per state and re-admit claims with
@@ -139,9 +137,9 @@ struct StateTableOptions {
   bool track_progress = false;
 };
 
-class ShardedStateTable {
+class StateTable {
  public:
-  explicit ShardedStateTable(const StateTableOptions& options = {});
+  explicit StateTable(const StateTableOptions& options = {}) : options_(options) {}
 
   // Claims `state` for exploration. Returns true when the caller should
   // explore it: the state is new, or (with track_progress) it was reached
@@ -160,10 +158,10 @@ class ShardedStateTable {
                         uint64_t progress = 0) const;
 
   // Distinct states stored.
-  uint64_t size() const;
+  uint64_t size() const { return count_; }
   // Bytes of state payload held: per state its key words (or the 8-byte
   // fingerprint), plus 8 for the progress credit when tracked — the bench's
-  // bytes/state numerator. The slot arrays are not counted.
+  // bytes/state numerator. The slot array is not counted.
   uint64_t payload_bytes() const;
 
   // Empties the table, keeping its memory; the next claim sets a new key
@@ -174,32 +172,25 @@ class ShardedStateTable {
   static constexpr int kChunkShift = 10;
   static constexpr uint32_t kChunkEntries = 1u << kChunkShift;
 
-  struct Shard {
-    std::mutex mu;
-    // fingerprint -> entry number.
-    FingerprintIndex index;
-    // Exact mode only: entry e's key words at offset
-    // (e % kChunkEntries) * width of key_chunks[e / kChunkEntries]. Clear()
-    // empties the chunks and keeps their capacity.
-    std::vector<std::vector<int32_t>> key_chunks;
-    // Entry e's minimum progress credit; track_progress only.
-    std::vector<uint64_t> progress;
-    // Entries stored; written under mu, read lock-free by size().
-    std::atomic<uint64_t> count{0};
-  };
-
-  Shard& shard_for(uint64_t fingerprint) const {
-    return *shards_[fingerprint % shards_.size()];
+  // Whether `state` has the table's key width (any width while none is set).
+  bool HasKeyWidth(std::span<const int32_t> state) const {
+    return key_width_ < 0 || static_cast<size_t>(key_width_) == state.size();
   }
-  // Sets the table's key width on first use and checks `state` has it.
-  void CheckKeyWidth(std::span<const int32_t> state) const;
-  // Whether entry `entry` of `shard` is `state` (always, fingerprint-only).
-  // Caller holds shard.mu.
-  bool SameKey(const Shard& shard, uint32_t entry, std::span<const int32_t> state) const;
+  // Whether entry `entry` is `state` (always, fingerprint-only).
+  bool SameKey(uint32_t entry, std::span<const int32_t> state) const;
 
   StateTableOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<int64_t> key_width_{-1};
+  // fingerprint -> entry number.
+  FingerprintIndex index_;
+  // Exact mode only: entry e's key words at offset
+  // (e % kChunkEntries) * width of key_chunks_[e / kChunkEntries]. Clear()
+  // empties the chunks and keeps their capacity.
+  std::vector<std::vector<int32_t>> key_chunks_;
+  // Entry e's minimum progress credit; track_progress only.
+  std::vector<uint64_t> progress_;
+  uint32_t count_ = 0;
+  // Set by the first claim; -1 while the table is empty.
+  int64_t key_width_ = -1;
 };
 
 }  // namespace efeu

@@ -2,8 +2,7 @@
 // harness as a command-line tool. Three modes:
 //
 //   esmfuzz [--seed N] [--iterations N] [--repro-dir DIR] [--no-c]
-//           [--no-minimize] [--checker-threads-every N] [--max-divergences N]
-//           [--max-seconds S]
+//           [--no-minimize] [--max-divergences N] [--max-seconds S]
 //       Fuzz campaign: generate/mutate specs, run checker vs VM vs RTL vs
 //       generated C, minimize and dump divergences as .efz repro files.
 //
@@ -34,8 +33,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: esmfuzz [--seed N] [--iterations N] [--repro-dir DIR] [--no-c]\n"
-               "               [--no-minimize] [--checker-threads-every N]\n"
-               "               [--max-divergences N] [--max-seconds S]\n"
+               "               [--no-minimize] [--max-divergences N] [--max-seconds S]\n"
                "               [--max-layers N] [--max-steps N]\n"
                "       esmfuzz --replay DIR|FILE [--no-c]\n"
                "       esmfuzz --frontend N [--seed N]\n"
@@ -150,10 +148,6 @@ int main(int argc, char** argv) {
       options.differential.run_c = false;
     } else if (arg == "--no-minimize") {
       options.minimize = false;
-    } else if (arg == "--checker-threads-every") {
-      const char* v = value();
-      if (v == nullptr) return Usage();
-      options.checker_threads_every = std::atoi(v);
     } else if (arg == "--max-divergences") {
       const char* v = value();
       if (v == nullptr) return Usage();

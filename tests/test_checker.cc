@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "src/check/checker.h"
 #include "src/check/native_process.h"
 #include "src/check/state_codec.h"
@@ -279,7 +277,7 @@ void Up() {
 class DoublerProcess : public check::NativeProcess {
  public:
   DoublerProcess(const esi::ChannelInfo* in, const esi::ChannelInfo* out)
-      : NativeProcess("Doubler"), in_(in), out_(out) {
+      : NativeProcess("Doubler") {
     in_port_ = AddPort(in, /*is_send=*/false);
     out_port_ = AddPort(out, /*is_send=*/true);
     ResizeState(2);  // [phase, value]
@@ -287,10 +285,6 @@ class DoublerProcess : public check::NativeProcess {
   }
 
   bool AtValidEndState() const override { return current_state()[0] == 0; }
-
-  std::unique_ptr<check::Process> Clone() const override {
-    return std::make_unique<DoublerProcess>(in_, out_);
-  }
 
  protected:
   void InitState(std::vector<int32_t>& state) override { std::fill(state.begin(), state.end(), 0); }
@@ -317,8 +311,6 @@ class DoublerProcess : public check::NativeProcess {
   void OnSendComplete(int port, std::vector<int32_t>& state) override { state[0] = 0; }
 
  private:
-  const esi::ChannelInfo* in_ = nullptr;
-  const esi::ChannelInfo* out_ = nullptr;
   int in_port_ = -1;
   int out_port_ = -1;
 };
@@ -508,96 +500,6 @@ void Up() {
   EXPECT_GT(full.state_bytes, fp.state_bytes);
 }
 
-TEST(Checker, CloneExploresIdentically) {
-  auto comp = Compile(R"esm(
-void Up() {
-  DownToUp r;
-  r = UpTalkDown(21);
-  assert(r.r == 42);
-}
-)esm");
-  check::CheckedSystem system;
-  int up = system.AddModule(comp->FindModule("Up"), "Up");
-  const esi::ChannelInfo* to_down = comp->system().FindChannel("Up", "Down");
-  const esi::ChannelInfo* to_up = comp->system().FindChannel("Down", "Up");
-  int doubler = system.AddProcess(std::make_unique<DoublerProcess>(to_down, to_up));
-  system.ConnectByChannel(up, doubler, to_down);
-  system.ConnectByChannel(doubler, up, to_up);
-
-  std::unique_ptr<check::CheckedSystem> clone = system.Clone();
-  check::CheckResult original = system.Check();
-  check::CheckResult cloned = clone->Check();
-  EXPECT_EQ(original.ok, cloned.ok);
-  EXPECT_EQ(original.states_stored, cloned.states_stored);
-  EXPECT_EQ(original.transitions, cloned.transitions);
-}
-
-// With a full-state table the parallel engine claims every state exactly once
-// before expanding it, so the stored-state and applied-transition counts are
-// identical to the sequential search — not merely close.
-TEST(Checker, ParallelMatchesSequentialOnNondetSystem) {
-  const char* esm = R"esm(
-void Up() {
-  int a;
-  int b;
-  int c;
-  a = nondet(6);
-  b = nondet(6);
-  c = nondet(6);
-  a = a + b + c;
-}
-)esm";
-  auto comp = Compile(esm);
-  check::CheckedSystem seq_system;
-  seq_system.AddModule(comp->FindModule("Up"), "Up");
-  check::CheckResult seq = seq_system.Check();
-
-  check::CheckedSystem par_system;
-  par_system.AddModule(comp->FindModule("Up"), "Up");
-  check::CheckerOptions options;
-  options.num_threads = 4;
-  check::CheckResult par = par_system.Check(options);
-
-  EXPECT_EQ(seq.ok, par.ok);
-  EXPECT_EQ(seq.states_stored, par.states_stored);
-  EXPECT_EQ(seq.transitions, par.transitions);
-  EXPECT_FALSE(par.budget_exhausted);
-}
-
-TEST(Checker, ParallelFindsViolationWithValidTrace) {
-  auto comp = Compile(R"esm(
-void Up() {
-  int a;
-  int b;
-  a = nondet(5);
-  b = nondet(5);
-  assert(!(a == 3 && b == 4));
-}
-)esm");
-  check::CheckedSystem system;
-  system.AddModule(comp->FindModule("Up"), "Up");
-  check::CheckerOptions options;
-  options.num_threads = 4;
-  check::CheckResult result = system.Check(options);
-  ASSERT_FALSE(result.ok);
-  EXPECT_EQ(result.violation->kind, check::ViolationKind::kAssertionFailed);
-  ASSERT_FALSE(result.violation->trace.empty());
-  // The trace must contain both fatal choices, in order.
-  size_t first = std::string::npos;
-  size_t second = std::string::npos;
-  for (size_t i = 0; i < result.violation->trace.size(); ++i) {
-    if (result.violation->trace[i].find("nondet -> 3") != std::string::npos && first == std::string::npos) {
-      first = i;
-    }
-    if (result.violation->trace[i].find("nondet -> 4") != std::string::npos) {
-      second = i;
-    }
-  }
-  EXPECT_NE(first, std::string::npos);
-  EXPECT_NE(second, std::string::npos);
-  EXPECT_LT(first, second);
-}
-
 TEST(Checker, NativeProcessInterops) {
   auto comp = Compile(R"esm(
 void Up() {
@@ -623,7 +525,7 @@ void Up() {
 class FlakyDoublerProcess : public check::NativeProcess {
  public:
   FlakyDoublerProcess(const esi::ChannelInfo* in, const esi::ChannelInfo* out)
-      : NativeProcess("FlakyDoubler"), in_(in), out_(out) {
+      : NativeProcess("FlakyDoubler") {
     in_port_ = AddPort(in, /*is_send=*/false);
     out_port_ = AddPort(out, /*is_send=*/true);
     ResizeState(2);  // [phase, value]
@@ -631,10 +533,6 @@ class FlakyDoublerProcess : public check::NativeProcess {
   }
 
   bool AtValidEndState() const override { return current_state()[0] == 0; }
-
-  std::unique_ptr<check::Process> Clone() const override {
-    return std::make_unique<FlakyDoublerProcess>(in_, out_);
-  }
 
  protected:
   void InitState(std::vector<int32_t>& state) override { std::fill(state.begin(), state.end(), 0); }
@@ -669,8 +567,6 @@ class FlakyDoublerProcess : public check::NativeProcess {
   void OnSendComplete(int port, std::vector<int32_t>& state) override { state[0] = 0; }
 
  private:
-  const esi::ChannelInfo* in_ = nullptr;
-  const esi::ChannelInfo* out_ = nullptr;
   int in_port_ = -1;
   int out_port_ = -1;
 };
@@ -714,91 +610,38 @@ void Up() {
   EXPECT_EQ(strict_result.violation->kind, check::ViolationKind::kAssertionFailed);
 }
 
-// The parallel engine handles native nondet branches identically to the
-// sequential one.
-TEST(Checker, ParallelMatchesSequentialOnNativeNondet) {
-  auto comp = Compile(R"esm(
-void Up() {
-  DownToUp r;
-  int i;
-  i = 0;
-  while (i < 3) {
-    r = UpTalkDown(i + 7);
-    assert(r.r == 2 * (i + 7) || r.r == 0 - 1);
-    i = i + 1;
-  }
-}
-)esm");
-  const esi::ChannelInfo* to_down = comp->system().FindChannel("Up", "Down");
-  const esi::ChannelInfo* to_up = comp->system().FindChannel("Down", "Up");
-  auto build = [&](check::CheckedSystem& system) {
-    int up = system.AddModule(comp->FindModule("Up"), "Up");
-    int flaky = system.AddProcess(std::make_unique<FlakyDoublerProcess>(to_down, to_up));
-    system.ConnectByChannel(up, flaky, to_down);
-    system.ConnectByChannel(flaky, up, to_up);
-  };
-  check::CheckedSystem seq_system;
-  build(seq_system);
-  check::CheckResult seq = seq_system.Check();
-
-  check::CheckedSystem par_system;
-  build(par_system);
-  check::CheckerOptions options;
-  options.num_threads = 4;
-  check::CheckResult par = par_system.Check(options);
-
-  EXPECT_TRUE(seq.ok) << (seq.violation.has_value() ? seq.violation->message : "");
-  EXPECT_EQ(seq.ok, par.ok);
-  EXPECT_EQ(seq.states_stored, par.states_stored);
-  EXPECT_EQ(seq.transitions, par.transitions);
-}
-
 // -- COLLAPSE component pool ----------------------------------------------------
 
-// 8 threads intern overlapping snapshot sets into one pool, each from its own
-// starting point: every snapshot gets one id whichever thread got there
-// first, the ids are dense, and Expand returns the snapshot behind each id.
-TEST(CollapseTable, ConcurrentInternGivesIdenticalDenseIds) {
-  constexpr int kThreads = 8;
+// 3000 snapshots cross the pool's 1024-id chunk boundary twice. Interned in
+// two orders into two pools, each snapshot gets the next dense id the first
+// time it is seen and that same id on every repeat, and Expand returns the
+// snapshot behind each id.
+TEST(CollapseTable, DenseIdsAcrossChunksInTwoOrders) {
   constexpr int32_t kSnapshots = 3000;
   constexpr int kWidth = 5;
   auto snapshot = [](int32_t i) {
     return std::vector<int32_t>{i, -i, i * 31, i % 7, 12345};
   };
-  check::CollapseTable table({kWidth, 2});
-  std::vector<std::vector<int32_t>> ids(kThreads, std::vector<int32_t>(kSnapshots, -1));
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int32_t k = 0; k < kSnapshots; ++k) {
-        int32_t i = (k + t * 397) % kSnapshots;
-        ids[static_cast<size_t>(t)][static_cast<size_t>(i)] = table.Intern(0, snapshot(i));
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  std::vector<bool> seen(kSnapshots, false);
-  for (int32_t i = 0; i < kSnapshots; ++i) {
-    int32_t id = ids[0][static_cast<size_t>(i)];
-    for (int t = 1; t < kThreads; ++t) {
-      ASSERT_EQ(ids[static_cast<size_t>(t)][static_cast<size_t>(i)], id) << "snapshot " << i;
+  // In order, and with a stride coprime to kSnapshots (each snapshot once).
+  for (int32_t stride : {1, 397}) {
+    check::CollapseTable table({kWidth, 2});
+    for (int32_t k = 0; k < kSnapshots; ++k) {
+      ASSERT_EQ(table.Intern(0, snapshot(k * stride % kSnapshots)), k) << "stride " << stride;
     }
-    ASSERT_GE(id, 0);
-    ASSERT_LT(id, kSnapshots);
-    EXPECT_FALSE(seen[static_cast<size_t>(id)]) << "id " << id << " given twice";
-    seen[static_cast<size_t>(id)] = true;
-    std::vector<int32_t> expanded(kWidth);
-    table.Expand(0, id, expanded);
-    EXPECT_EQ(expanded, snapshot(i)) << "snapshot " << i;
+    for (int32_t k = kSnapshots - 1; k >= 0; --k) {
+      const int32_t i = k * stride % kSnapshots;
+      ASSERT_EQ(table.Intern(0, snapshot(i)), k) << "stride " << stride << " snapshot " << i;
+      std::vector<int32_t> expanded(kWidth);
+      table.Expand(0, k, expanded);
+      EXPECT_EQ(expanded, snapshot(i)) << "stride " << stride << " id " << k;
+    }
+    EXPECT_EQ(table.components(), static_cast<uint64_t>(kSnapshots));
+    EXPECT_EQ(table.payload_bytes(), static_cast<uint64_t>(kSnapshots) * (kWidth + 1) * 4);
+    // The other process's pool is separate: its ids start at 0 again.
+    EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 2}), 0);
+    EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 3}), 1);
+    EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 2}), 0);
   }
-  EXPECT_EQ(table.components(), static_cast<uint64_t>(kSnapshots));
-  EXPECT_EQ(table.payload_bytes(), static_cast<uint64_t>(kSnapshots) * (kWidth + 1) * 4);
-  // The other process's pool is separate: its ids start at 0 again.
-  EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 2}), 0);
-  EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 3}), 1);
-  EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 2}), 0);
 }
 
 // -- Counterexample trace pins -------------------------------------------------
@@ -972,40 +815,6 @@ void Up() {
     ExpectTrace(system.Check(options), check::ViolationKind::kNonProgressCycle,
                 {"Up: nondet -> 1", "Up: nondet -> 0", "Up: nondet -> 0"},
                 "collapse=" + std::to_string(collapse));
-  }
-}
-
-// The parallel engine's first violation depends on thread timing, so only
-// its shape is checked: found, with no empty trace line.
-TEST(CheckerTracePins, ParallelTracesHaveNoEmptyLines) {
-  auto forced = Compile(kForcedRunAssertEsm);
-  auto deadlock = Compile(kForcedRunDeadlockEsm);
-  auto pair = Compile(kAmplePairEsm);
-  auto bystander = Compile(kBystanderEsm);
-  for (int threads : {2, 4}) {
-    std::vector<std::pair<std::string, std::unique_ptr<check::CheckedSystem>>> systems;
-    for (const ir::Compilation* comp : {forced.get(), deadlock.get(), pair.get()}) {
-      auto system = std::make_unique<check::CheckedSystem>();
-      int up = system->AddModule(comp->FindModule("Up"), "Up");
-      int down = system->AddModule(comp->FindModule("Down"), "Down");
-      system->ConnectByChannel(up, down, comp->system().FindChannel("Up", "Down"));
-      if (comp == pair.get()) {
-        system->AddModule(bystander->FindModule("Up"), "Bystander");
-      }
-      systems.emplace_back(comp == deadlock.get() ? "deadlock" : "assert", std::move(system));
-    }
-    for (auto& [name, system] : systems) {
-      check::CheckerOptions options;
-      options.num_threads = threads;
-      check::CheckResult result = system->Check(options);
-      std::string context = name + " threads=" + std::to_string(threads);
-      ASSERT_FALSE(result.ok) << context;
-      ASSERT_TRUE(result.violation.has_value()) << context;
-      EXPECT_FALSE(result.violation->trace.empty()) << context;
-      for (const std::string& line : result.violation->trace) {
-        EXPECT_FALSE(line.empty()) << context;
-      }
-    }
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -282,11 +283,13 @@ TEST(IdleSkipping, BitBangBaselineMatchesPerEdgeClock) {
       std::string& out = results[full_tick];
       for (int round = 0; round < 3; ++round) {
         const std::vector<uint8_t> payload = {static_cast<uint8_t>(round), 0x22, 0x33};
-        out += std::to_string(driver.Write(0x40 + 8 * round, payload)) + " now=" +
-               Exact(driver.now_ns()) + "; ";
+        // Each call is its own statement: the transcript must read the clock
+        // and the bytes after the operation that moves them.
+        const bool written = driver.Write(0x40 + 8 * round, payload);
+        out += std::to_string(written) + " now=" + Exact(driver.now_ns()) + "; ";
         std::vector<uint8_t> data;
-        out += std::to_string(driver.Read(0x40 + 8 * round, 3, &data)) + " " + Bytes(data) +
-               " now=" + Exact(driver.now_ns()) + "; ";
+        const bool read = driver.Read(0x40 + 8 * round, 3, &data);
+        out += std::to_string(read) + " " + Bytes(data) + " now=" + Exact(driver.now_ns()) + "; ";
       }
       out += FormatRecoveryCounters(driver.recovery_counters()) + " " +
              monitor::FormatTripCounters(driver.MonitorCounters()) + " " +
@@ -355,6 +358,20 @@ TEST(DriverCorePins, Fig10Rows) {
     }
   }
   CompareOrUpdate("driver_core_fig10.txt", out);
+}
+
+// A measurement of zero reads covers no modeled time: it reports zero CPU
+// usage, not the NaN of 0 busy ns over 0 elapsed ns.
+TEST(DriverCoreMeasure, ZeroReadsReportNoNaN) {
+  HybridDriver driver(HybridConfig{});
+  const DriverMetrics metrics = driver.MeasureReads(0, 14);
+  EXPECT_TRUE(metrics.functional) << metrics.note;
+  EXPECT_EQ(metrics.elapsed_ns, 0);
+  EXPECT_EQ(metrics.cpu_usage, 0);
+  for (double field : {metrics.cpu_usage, metrics.elapsed_ns, metrics.frequency.mean_khz,
+                       metrics.frequency.stddev_khz, metrics.vm_host_seconds}) {
+    EXPECT_FALSE(std::isnan(field)) << MetricsLine(metrics);
+  }
 }
 
 // Supervised page writes and reads, a direct probe and a soft reset, then the

@@ -142,7 +142,7 @@ TEST(FuzzDifferential, GeneratedCAgreesOnFixedSeeds) {
   }
 }
 
-TEST(FuzzDifferential, VerdictIsDeterministicAcrossRunsAndCheckerThreads) {
+TEST(FuzzDifferential, VerdictIsDeterministicAcrossRuns) {
   DifferentialOptions options;
   options.run_c = false;
   options.run_vm_tiers = false;
@@ -155,14 +155,6 @@ TEST(FuzzDifferential, VerdictIsDeterministicAcrossRunsAndCheckerThreads) {
     EXPECT_EQ(first.vm.replies, second.vm.replies) << "seed " << seed;
     EXPECT_EQ(first.agree, second.agree) << "seed " << seed;
     EXPECT_EQ(first.divergence, second.divergence) << "seed " << seed;
-
-    // The parallel model-check engine must reach the same verdict with one
-    // and two worker threads.
-    DifferentialOptions with_threads = options;
-    with_threads.compare_checker_threads = true;
-    DifferentialResult threaded = RunDifferential(model, with_threads);
-    EXPECT_TRUE(threaded.checker_parallel_consistent)
-        << "seed " << seed << ": " << threaded.checker_parallel_error;
   }
 }
 

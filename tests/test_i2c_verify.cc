@@ -113,6 +113,7 @@ TEST(ByteVerifier, Ks0127WithStandardControllerDeadlocks) {
   EXPECT_FALSE(result.safety.ok);
   ASSERT_TRUE(result.safety.violation.has_value());
   EXPECT_EQ(result.safety.violation->kind, check::ViolationKind::kInvalidEndState);
+  EXPECT_FALSE(result.safety.violation->trace.empty());
 }
 
 TEST(ByteVerifier, Ks0127WithCompatControllerPasses) {
@@ -311,52 +312,8 @@ TEST(EepVerifier, ConvergesUnderMixedFaultAndResetSchedules) {
   EXPECT_TRUE(result.ok) << Describe(result);
 }
 
-// The parallel safety engine must agree with the sequential one on the full
-// Byte-layer stack: same verdict, same stored-state and transition counts
-// (claim-before-expand makes them exactly equal, not just close).
-TEST(ParallelVerify, ByteFullStackMatchesSequential) {
-  VerifyConfig config;
-  config.level = VerifyLevel::kByte;
-  config.num_ops = 2;
-  // POR off: the two engines use different cycle provisos, so only the
-  // unreduced searches store identical state sets (verdict equivalence with
-  // POR on is covered by the por/collapse equivalence suite).
-  check::CheckerOptions unreduced;
-  unreduced.por = false;
-  DiagnosticEngine diag_seq;
-  VerifyRunResult sequential = RunVerification(config, diag_seq, unreduced);
-  ASSERT_TRUE(sequential.ok) << Describe(sequential);
-
-  check::CheckerOptions base;
-  base.num_threads = 4;
-  base.por = false;
-  DiagnosticEngine diag;
-  VerifyRunResult parallel = RunVerification(config, diag, base);
-  ASSERT_TRUE(parallel.ok) << Describe(parallel);
-  EXPECT_EQ(parallel.safety.states_stored, sequential.safety.states_stored);
-  EXPECT_EQ(parallel.safety.transitions, sequential.safety.transitions);
-  // The liveness pass runs sequentially regardless of num_threads.
-  EXPECT_EQ(parallel.liveness.states_stored, sequential.liveness.states_stored);
-}
-
-// The KS0127 quirk deadlock must be found with the parallel engine too, with
-// the same violation kind as the sequential run.
-TEST(ParallelVerify, Ks0127DeadlockFoundInParallel) {
-  VerifyConfig config;
-  config.level = VerifyLevel::kByte;
-  config.num_ops = 1;
-  config.ks0127_responder = true;
-  check::CheckerOptions base;
-  base.num_threads = 4;
-  DiagnosticEngine diag;
-  VerifyRunResult result = RunVerification(config, diag, base);
-  EXPECT_FALSE(result.safety.ok);
-  ASSERT_TRUE(result.safety.violation.has_value());
-  EXPECT_EQ(result.safety.violation->kind, check::ViolationKind::kInvalidEndState);
-  EXPECT_FALSE(result.safety.violation->trace.empty());
-}
-
-TEST(ParallelVerify, FingerprintOnlyShrinksBytesPerState) {
+// Hash compaction on the full Byte stack: the same states in 8 bytes each.
+TEST(ByteVerifier, FingerprintOnlyShrinksBytesPerState) {
   VerifyConfig config;
   config.level = VerifyLevel::kByte;
   config.num_ops = 2;
@@ -380,10 +337,66 @@ TEST(ParallelVerify, FingerprintOnlyShrinksBytesPerState) {
   EXPECT_GE(full.safety.state_bytes, 4 * compact.safety.state_bytes);
 }
 
-// Determinism across worker counts on the EepDriver/Transaction verifier
-// (with fault branches, so native nondet is in the mix): 1 and 4 threads in
-// full-state mode must store the same states, take the same transitions and
-// reach the same verdict; fingerprint-only must agree on the verdict.
+// -- Parallel verification --------------------------------------------------
+// RunVerificationSuite is the checker's parallelism: every config gets its own
+// verifier system and checker tables, so what runs beside a config on the
+// pool cannot change its outcome.
+
+// Four copies of the full Byte-layer stack on four pool threads each store
+// exactly the states and take exactly the transitions of the sequential run.
+TEST(ParallelVerify, ByteFullStackMatchesSequential) {
+  VerifyConfig config;
+  config.level = VerifyLevel::kByte;
+  config.num_ops = 2;
+  VerifyRunResult sequential = RunConfig(config);
+  ASSERT_TRUE(sequential.ok) << Describe(sequential);
+
+  std::vector<VerifySuiteItem> items =
+      RunVerificationSuite(std::vector<VerifyConfig>(4, config), {}, /*pool_threads=*/4);
+  ASSERT_EQ(items.size(), 4u);
+  for (const VerifySuiteItem& item : items) {
+    ASSERT_TRUE(item.error.empty()) << item.error;
+    ASSERT_TRUE(item.result.ok) << Describe(item.result);
+    EXPECT_EQ(item.result.safety.states_stored, sequential.safety.states_stored);
+    EXPECT_EQ(item.result.safety.transitions, sequential.safety.transitions);
+    EXPECT_EQ(item.result.liveness.states_stored, sequential.liveness.states_stored);
+    EXPECT_EQ(item.result.liveness.transitions, sequential.liveness.transitions);
+  }
+}
+
+// The KS0127 quirk deadlock, run on the pool between passing configs, is
+// found with the sequential run's violation and counterexample.
+TEST(ParallelVerify, Ks0127DeadlockFoundInParallel) {
+  VerifyConfig quirk;
+  quirk.level = VerifyLevel::kByte;
+  quirk.num_ops = 1;
+  quirk.ks0127_responder = true;
+  VerifyRunResult sequential = RunConfig(quirk);
+  ASSERT_TRUE(sequential.safety.violation.has_value());
+  VerifyConfig plain = quirk;
+  plain.ks0127_responder = false;
+
+  std::vector<VerifySuiteItem> items =
+      RunVerificationSuite({plain, quirk, plain, quirk}, {}, /*pool_threads=*/4);
+  ASSERT_EQ(items.size(), 4u);
+  for (size_t i = 0; i < items.size(); ++i) {
+    ASSERT_TRUE(items[i].error.empty()) << items[i].error;
+    if (i % 2 == 0) {
+      EXPECT_TRUE(items[i].result.ok) << i << ": " << Describe(items[i].result);
+      continue;
+    }
+    const check::CheckResult& safety = items[i].result.safety;
+    EXPECT_FALSE(safety.ok) << i;
+    ASSERT_TRUE(safety.violation.has_value()) << i;
+    EXPECT_EQ(safety.violation->kind, check::ViolationKind::kInvalidEndState) << i;
+    EXPECT_EQ(safety.violation->trace, sequential.safety.violation->trace) << i;
+  }
+}
+
+// Determinism across pool thread counts on the EepDriver/Transaction verifier
+// (with fault branches, so native nondet is in the mix): 1 and 4 pool threads
+// store the same states, take the same transitions and reach the same
+// verdicts; the fingerprint-only table agrees with the full one.
 TEST(ParallelVerify, EepTransactionDeterministicAcrossThreadCounts) {
   VerifyConfig config;
   config.level = VerifyLevel::kEepDriver;
@@ -391,35 +404,31 @@ TEST(ParallelVerify, EepTransactionDeterministicAcrossThreadCounts) {
   config.num_ops = 2;
   config.max_len = 4;
   config.fault_events = 1;
+  VerifyConfig shorter = config;
+  shorter.max_len = 2;
+  const std::vector<VerifyConfig> configs = {config, shorter, config, shorter};
 
-  // POR off throughout: stored-state equality across thread counts is only
-  // guaranteed for the unreduced search (the engines' cycle provisos differ).
-  check::CheckerOptions one;
-  one.num_threads = 1;
-  one.por = false;
-  DiagnosticEngine diag1;
-  VerifyRunResult sequential = RunVerification(config, diag1, one);
-  ASSERT_FALSE(diag1.HasErrors()) << diag1.RenderAll();
-  ASSERT_TRUE(sequential.ok) << Describe(sequential);
-
-  check::CheckerOptions four;
-  four.num_threads = 4;
-  four.por = false;
-  DiagnosticEngine diag4;
-  VerifyRunResult parallel = RunVerification(config, diag4, four);
-  ASSERT_FALSE(diag4.HasErrors()) << diag4.RenderAll();
-  ASSERT_TRUE(parallel.ok) << Describe(parallel);
-  EXPECT_EQ(parallel.safety.states_stored, sequential.safety.states_stored);
-  EXPECT_EQ(parallel.safety.transitions, sequential.safety.transitions);
-  EXPECT_EQ(parallel.liveness.states_stored, sequential.liveness.states_stored);
-
-  check::CheckerOptions compact = four;
+  std::vector<VerifySuiteItem> one = RunVerificationSuite(configs, {}, /*pool_threads=*/1);
+  std::vector<VerifySuiteItem> four = RunVerificationSuite(configs, {}, /*pool_threads=*/4);
+  check::CheckerOptions compact;
   compact.fingerprint_only = true;
-  DiagnosticEngine diagc;
-  VerifyRunResult fingerprint = RunVerification(config, diagc, compact);
-  ASSERT_FALSE(diagc.HasErrors()) << diagc.RenderAll();
-  EXPECT_TRUE(fingerprint.ok) << Describe(fingerprint);
-  EXPECT_EQ(fingerprint.safety.states_stored, sequential.safety.states_stored);
+  std::vector<VerifySuiteItem> fingerprint =
+      RunVerificationSuite(configs, compact, /*pool_threads=*/4);
+  ASSERT_EQ(one.size(), configs.size());
+  ASSERT_EQ(four.size(), configs.size());
+  ASSERT_EQ(fingerprint.size(), configs.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    ASSERT_TRUE(one[i].error.empty()) << one[i].error;
+    ASSERT_TRUE(one[i].result.ok) << i << ": " << Describe(one[i].result);
+    EXPECT_TRUE(four[i].result.ok) << i << ": " << Describe(four[i].result);
+    EXPECT_EQ(four[i].result.safety.states_stored, one[i].result.safety.states_stored) << i;
+    EXPECT_EQ(four[i].result.safety.transitions, one[i].result.safety.transitions) << i;
+    EXPECT_EQ(four[i].result.liveness.states_stored, one[i].result.liveness.states_stored) << i;
+    EXPECT_EQ(four[i].result.liveness.transitions, one[i].result.liveness.transitions) << i;
+    EXPECT_TRUE(fingerprint[i].result.ok) << i << ": " << Describe(fingerprint[i].result);
+    EXPECT_EQ(fingerprint[i].result.safety.states_stored, one[i].result.safety.states_stored)
+        << i;
+  }
 }
 
 TEST(VerifySuite, PoolRunsCombosIndependently) {

@@ -4,9 +4,9 @@
 //
 // The equivalence suite runs every shipped i2c and spi verifier configuration
 // (passing, quirk-violating, and fault-injection) under all four
-// {por, collapse} x {on, off} combinations, sequentially and with
-// num_threads > 1, and requires identical verdicts. COLLAPSE additionally
-// must not change state or transition counts at all — it is pure storage.
+// {por, collapse} x {on, off} combinations and requires identical verdicts.
+// COLLAPSE additionally must not change state or transition counts at all —
+// it is pure storage.
 //
 // The targeted regressions pin the soundness obligations of the reduction on
 // synthetic systems: the cycle proviso (a naive ample set would orbit a
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/check/checker.h"
-#include "src/check/parallel.h"
 #include "src/i2c/verify.h"
 #include "src/ir/compile.h"
 #include "src/spi/verify.h"
@@ -191,19 +190,36 @@ TEST(PorCollapseEquivalence, I2cVerifiersAgreeAcrossAllCombos) {
   }
 }
 
+// Every shipped i2c config on the verification suite pool, four threads:
+// each keeps the verdict, counts and counterexample of its sequential run.
 TEST(PorCollapseEquivalence, I2cParallelVerdictsMatchSequential) {
-  for (const I2cCase& entry : I2cCases()) {
+  const std::vector<I2cCase> cases = I2cCases();
+  std::vector<i2c::VerifyConfig> configs;
+  for (const I2cCase& entry : cases) {
+    configs.push_back(entry.config);
+  }
+  std::vector<i2c::VerifySuiteItem> items =
+      i2c::RunVerificationSuite(configs, Combo(true, true), /*pool_threads=*/4);
+  ASSERT_EQ(items.size(), cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const char* name = cases[i].name;
     DiagnosticEngine diag;
     i2c::VerifyRunResult sequential =
-        i2c::RunVerification(entry.config, diag, Combo(true, true));
-    check::CheckerOptions parallel_options = Combo(true, true);
-    parallel_options.num_threads = 4;
-    DiagnosticEngine diag2;
-    i2c::VerifyRunResult parallel =
-        i2c::RunVerification(entry.config, diag2, parallel_options);
-    EXPECT_EQ(sequential.ok, parallel.ok) << entry.name;
-    EXPECT_EQ(sequential.safety.ok, parallel.safety.ok) << entry.name;
-    ExpectValidTrace(parallel.safety, std::string(entry.name) + " parallel");
+        i2c::RunVerification(cases[i].config, diag, Combo(true, true));
+    const i2c::VerifyRunResult& pooled = items[i].result;
+    EXPECT_TRUE(items[i].error.empty()) << name << ": " << items[i].error;
+    EXPECT_EQ(pooled.ok, sequential.ok) << name;
+    EXPECT_EQ(pooled.safety.ok, sequential.safety.ok) << name;
+    EXPECT_EQ(pooled.safety.states_stored, sequential.safety.states_stored) << name;
+    EXPECT_EQ(pooled.safety.transitions, sequential.safety.transitions) << name;
+    EXPECT_EQ(pooled.liveness.states_stored, sequential.liveness.states_stored) << name;
+    ASSERT_EQ(pooled.safety.violation.has_value(), sequential.safety.violation.has_value())
+        << name;
+    if (sequential.safety.violation.has_value()) {
+      EXPECT_EQ(pooled.safety.violation->kind, sequential.safety.violation->kind) << name;
+      EXPECT_EQ(pooled.safety.violation->trace, sequential.safety.violation->trace) << name;
+    }
+    ExpectValidTrace(pooled.safety, std::string(name) + " pool");
   }
 }
 
@@ -272,15 +288,6 @@ TEST(PorCollapseEquivalence, SpiVerifiersAgreeAcrossAllCombos) {
         EXPECT_LE(r.safety.states_stored, baseline.safety.states_stored) << context;
       }
     }
-
-    // Parallel engine, reductions on: same verdict as the sequential search.
-    check::CheckerOptions parallel_options = Combo(true, true);
-    parallel_options.num_threads = 4;
-    DiagnosticEngine diag2;
-    spi::SpiVerifyResult parallel =
-        spi::RunSpiVerification(entry.config, diag2, parallel_options);
-    EXPECT_EQ(parallel.ok, baseline.ok) << entry.name << " parallel";
-    EXPECT_EQ(parallel.safety.ok, baseline.safety.ok) << entry.name << " parallel";
   }
 }
 
@@ -467,52 +474,6 @@ void Up() {
     EXPECT_EQ(result.violation->kind, check::ViolationKind::kAssertionFailed)
         << "por=" << por;
     EXPECT_FALSE(result.violation->trace.empty()) << "por=" << por;
-  }
-}
-
-// The parallel engine's proviso: with no global DFS stack, it falls back to
-// full expansion whenever the ample successor is already claimed. A minimal
-// seed prefix (2 states for 2 workers) leaves the bystander's second choice
-// to the workers, whose reduced search would otherwise orbit the pair's
-// exclusive rendezvous and never expand the bystander.
-TEST(PorRegression, ParallelCycleProvisoRecoversHiddenViolation) {
-  auto pair = Compile(R"esm(
-void Up() {
-  DownToUp r;
-  spin:
-  r = UpTalkDown(1);
-  goto spin;
-}
-void Down() {
-  UpToDown q;
-  end_init:
-  q = DownReadUp();
-  end_reply:
-  q = DownTalkUp(2);
-  goto end_reply;
-}
-)esm");
-  auto bystander = Compile(R"esm(
-void Up() {
-  int x;
-  int y;
-  x = nondet(2);
-  y = nondet(2);
-  assert(!(x == 1 && y == 1));
-}
-)esm");
-  for (int run = 0; run < 5; ++run) {
-    check::CheckedSystem system;
-    int up = system.AddModule(pair->FindModule("Up"), "Up");
-    int down = system.AddModule(pair->FindModule("Down"), "Down");
-    system.AddModule(bystander->FindModule("Up"), "Bystander");
-    Wire(system, *pair, up, down);
-    check::ParallelCheckerOptions options;
-    options.num_threads = 2;
-    options.seed_factor = 1;
-    check::CheckResult result = check::CheckParallel(system, options);
-    ASSERT_FALSE(result.ok) << "run " << run;
-    EXPECT_EQ(result.violation->kind, check::ViolationKind::kAssertionFailed) << "run " << run;
   }
 }
 
@@ -709,16 +670,6 @@ TEST(PorCollapseEquivalence, FaultConfigsReportPorReduction) {
   ASSERT_TRUE(baseline.ok);
   EXPECT_LT(reduced.safety.states_stored, baseline.safety.states_stored)
       << "por=on should store strictly fewer states than por=off here";
-
-  // The parallel engine applies the same sampling rule and must agree on the
-  // stored set exactly.
-  check::CheckerOptions parallel_options = Combo(true, true);
-  parallel_options.num_threads = 4;
-  DiagnosticEngine diag3;
-  i2c::VerifyRunResult parallel =
-      i2c::RunVerification(config, diag3, parallel_options);
-  ASSERT_TRUE(parallel.ok);
-  EXPECT_EQ(parallel.safety.states_stored, reduced.safety.states_stored);
 }
 
 }  // namespace

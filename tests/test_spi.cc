@@ -86,37 +86,6 @@ TEST(SpiVerifier, BaseOptionsReachThePasses) {
   EXPECT_TRUE(result.liveness.budget_exhausted);
 }
 
-TEST(SpiVerifier, ParallelMatchesSequentialAcrossCphaQuirk) {
-  for (bool mode1 : {false, true}) {
-    SpiVerifyConfig config;
-    config.level = SpiVerifyLevel::kByte;
-    config.num_ops = 2;
-    config.mode1_controller = mode1;
-    // Count equality between the engines only holds for the unreduced
-    // search: the sequential DFS and the parallel engine use different cycle
-    // provisos, so POR may reduce them differently (verdict equivalence with
-    // POR on is covered by the por/collapse equivalence suite).
-    check::CheckerOptions unreduced;
-    unreduced.por = false;
-    DiagnosticEngine diag;
-    SpiVerifyResult sequential = RunSpiVerification(config, diag, unreduced);
-    check::CheckerOptions base;
-    base.num_threads = 4;
-    base.por = false;
-    DiagnosticEngine diag2;
-    SpiVerifyResult parallel = RunSpiVerification(config, diag2, base);
-    EXPECT_EQ(sequential.ok, parallel.ok) << "mode1=" << mode1;
-    EXPECT_EQ(sequential.safety.ok, parallel.safety.ok) << "mode1=" << mode1;
-    if (sequential.safety.ok) {
-      EXPECT_EQ(sequential.safety.states_stored, parallel.safety.states_stored);
-      EXPECT_EQ(sequential.safety.transitions, parallel.safety.transitions);
-    } else {
-      ASSERT_TRUE(parallel.safety.violation.has_value());
-      EXPECT_EQ(sequential.safety.violation->kind, parallel.safety.violation->kind);
-    }
-  }
-}
-
 TEST(SpiVerifier, DeterministicStateCounts) {
   SpiVerifyConfig config;
   config.level = SpiVerifyLevel::kByte;

@@ -1,13 +1,11 @@
 // Unit tests for the support utilities: text handling, line counting,
 // diagnostics rendering, hashing, reserved words, and the model checker's
 // flat visited-state table (growth, forced fingerprint collisions, progress
-// re-admission, clearing, contended claims).
+// re-admission, clearing).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
-#include <thread>
 
 #include "src/support/diagnostics.h"
 #include "src/support/hash.h"
@@ -161,7 +159,7 @@ TEST(Hash, LengthIsSignificant) {
 }
 
 TEST(StateTable, ClaimOnceThenDuplicate) {
-  ShardedStateTable table;
+  StateTable table;
   std::vector<int32_t> s1 = {1, 2, 3};
   std::vector<int32_t> s2 = {1, 2, 4};
   EXPECT_TRUE(table.WouldClaim(s1));
@@ -179,7 +177,7 @@ TEST(StateTable, ClaimOnceThenDuplicate) {
 TEST(StateTable, FingerprintOnlyStoresEightBytesPerState) {
   StateTableOptions options;
   options.fingerprint_only = true;
-  ShardedStateTable table(options);
+  StateTable table(options);
   std::vector<int32_t> s1(64, 7);
   std::vector<int32_t> s2(64, 8);
   EXPECT_TRUE(table.Claim(s1));
@@ -192,7 +190,7 @@ TEST(StateTable, FingerprintOnlyStoresEightBytesPerState) {
 TEST(StateTable, TrackProgressReadmitsLowerCredit) {
   StateTableOptions options;
   options.track_progress = true;
-  ShardedStateTable table(options);
+  StateTable table(options);
   std::vector<int32_t> s = {9, 9};
   EXPECT_TRUE(table.Claim(s, 5));
   EXPECT_FALSE(table.Claim(s, 5));   // Same credit: pruned.
@@ -203,39 +201,12 @@ TEST(StateTable, TrackProgressReadmitsLowerCredit) {
   EXPECT_EQ(table.size(), 1u);       // Still one distinct state.
 }
 
-TEST(StateTable, ConcurrentClaimsAdmitEachStateOnce) {
-  StateTableOptions options;
-  options.num_shards = 16;
-  ShardedStateTable table(options);
-  constexpr int kThreads = 8;
-  constexpr int32_t kStates = 2000;
-  std::atomic<int> admitted{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&table, &admitted] {
-      for (int32_t i = 0; i < kStates; ++i) {
-        std::vector<int32_t> state = {i, i * 3, i ^ 0x55};
-        if (table.Claim(state)) {
-          admitted.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  // All threads race on the same 2000 states; each must be admitted to
-  // exactly one of them.
-  EXPECT_EQ(admitted.load(), kStates);
-  EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
-}
-
 std::vector<int32_t> TestState(int32_t i) { return {i, i * 7 + 1, ~i, i >> 3}; }
 
 // 20000 states take the slot array from 16 slots through eleven doublings;
 // every state claimed before a doubling must still be found after it.
 TEST(StateTable, GrowthKeepsEveryStateFindable) {
-  ShardedStateTable table;
+  StateTable table;
   constexpr int32_t kStates = 20000;
   for (int32_t i = 0; i < kStates; ++i) {
     ASSERT_TRUE(table.Claim(TestState(i))) << i;
@@ -258,7 +229,7 @@ TEST(StateTable, GrowthKeepsEveryStateFindable) {
 // growth of the slot array.
 TEST(StateTable, ForcedFingerprintCollisionsStayExact) {
   for (uint64_t fingerprint : {uint64_t{0}, uint64_t{42}, ~uint64_t{0}}) {
-    ShardedStateTable table;
+    StateTable table;
     constexpr int32_t kStates = 100;
     for (int32_t i = 0; i < kStates; ++i) {
       EXPECT_TRUE(table.WouldClaimHashed(fingerprint, TestState(i)));
@@ -278,7 +249,7 @@ TEST(StateTable, ForcedFingerprintCollisionsStayExact) {
 TEST(StateTable, FingerprintOnlyMergesForcedCollisions) {
   StateTableOptions options;
   options.fingerprint_only = true;
-  ShardedStateTable table(options);
+  StateTable table(options);
   EXPECT_TRUE(table.ClaimHashed(7, TestState(1)));
   EXPECT_FALSE(table.ClaimHashed(7, TestState(2)));
   EXPECT_EQ(table.size(), 1u);
@@ -287,7 +258,7 @@ TEST(StateTable, FingerprintOnlyMergesForcedCollisions) {
 TEST(StateTable, TrackProgressReadmitsAfterGrowth) {
   StateTableOptions options;
   options.track_progress = true;
-  ShardedStateTable table(options);
+  StateTable table(options);
   constexpr int32_t kStates = 5000;
   for (int32_t i = 0; i < kStates; ++i) {
     ASSERT_TRUE(table.Claim(TestState(i), 10 + static_cast<uint64_t>(i % 3)));
@@ -310,7 +281,7 @@ TEST(StateTable, FingerprintOnlyPayloadAndClearReuse) {
     StateTableOptions options;
     options.fingerprint_only = true;
     options.track_progress = track_progress;
-    ShardedStateTable table(options);
+    StateTable table(options);
     for (int32_t i = 0; i < 300; ++i) {
       EXPECT_TRUE(table.Claim(TestState(i)));
     }
@@ -327,7 +298,7 @@ TEST(StateTable, FingerprintOnlyPayloadAndClearReuse) {
   }
   // Exact mode: Clear empties the arena too, and repeated clears keep
   // working (the forced walk clears its set once per walk).
-  ShardedStateTable exact;
+  StateTable exact;
   for (int round = 0; round < 50; ++round) {
     for (int32_t i = 0; i < 40; ++i) {
       ASSERT_TRUE(exact.Claim(TestState(i + round))) << round << " " << i;
@@ -344,36 +315,6 @@ TEST(StateTable, FingerprintOnlyPayloadAndClearReuse) {
     ASSERT_FALSE(exact.WouldClaim(std::vector<int32_t>(64, i))) << i;
   }
   EXPECT_EQ(exact.payload_bytes(), 3000u * 64u * 4u);
-}
-
-// One shard, so every claim contends on one lock and one slot array, and the
-// array doubles many times while 8 threads race on overlapping states.
-TEST(StateTable, OneShardClaimStormAcrossGrowth) {
-  ShardedStateTable table;
-  constexpr int kThreads = 8;
-  constexpr int32_t kStates = 6000;
-  std::atomic<int> admitted{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&table, &admitted, t] {
-      // Each thread walks the states from its own offset, so claims of one
-      // state arrive from different threads at different times.
-      for (int32_t k = 0; k < kStates; ++k) {
-        int32_t i = (k + t * (kStates / kThreads)) % kStates;
-        if (table.Claim(TestState(i))) {
-          admitted.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(admitted.load(), kStates);
-  EXPECT_EQ(table.size(), static_cast<uint64_t>(kStates));
-  for (int32_t i = 0; i < kStates; ++i) {
-    EXPECT_FALSE(table.WouldClaim(TestState(i))) << i;
-  }
 }
 
 // Erase keeps every other entry reachable: entries sharing a probe run (one
