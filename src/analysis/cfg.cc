@@ -84,11 +84,11 @@ namespace {
 class TarjanScc {
  public:
   explicit TarjanScc(const std::vector<std::vector<int>>& succs)
-      : succs_(succs),
+      : scc_id_(succs.size(), -1),
+        succs_(succs),
         index_(succs.size(), -1),
         lowlink_(succs.size(), 0),
-        on_stack_(succs.size(), 0),
-        scc_id_(succs.size(), -1) {}
+        on_stack_(succs.size(), 0) {}
 
   void Run() {
     for (size_t v = 0; v < succs_.size(); ++v) {

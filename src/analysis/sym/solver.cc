@@ -425,8 +425,9 @@ SolveResult Solver::Solve(const ExprPtr& e) {
     const Expr* rhs = strip(cond->b.get());
     const SymVal va = Eval(cond->a);
     const SymVal vb = Eval(cond->b);
-    auto hull = [](const SymVal& v) {
-      return v.HasSet() ? Interval::Of(v.values.front(), v.values.back()) : v.interval;
+    auto hull = [](const SymVal& side) {
+      return side.HasSet() ? Interval::Of(side.values.front(), side.values.back())
+                           : side.interval;
     };
     const Interval ia = hull(va);
     const Interval ib = hull(vb);

@@ -212,9 +212,11 @@ std::optional<int32_t> XilinxIpDriver::RunEngine(int payload_bytes) {
   // Driver setup: program the transaction into the TX FIFO.
   cpu_busy_ns_ += timing_.xilinx_setup_writes * timing_.mmio_write_ns;
   constexpr double kTimeoutNs = 2e9;
-  double deadline = rtl_.time_ns() + kTimeoutNs;
-  while (!engine_->done() && rtl_.time_ns() < deadline) {
-    rtl_.Tick();
+  // Steps over the engine's holds. The edge that finishes the transaction
+  // is never idle, so the wait stops right after it, as a per-edge loop does.
+  const uint64_t deadline = rtl_.CycleReaching(rtl_.time_ns() + kTimeoutNs);
+  while (!engine_->done() && rtl_.cycles() < deadline) {
+    rtl_.Step(deadline - rtl_.cycles());
   }
   if (!engine_->done()) {
     if (shadow_) {

@@ -47,7 +47,9 @@ class RtlComponent {
   virtual uint64_t IdleCycles() const { return 0; }
   // Applies `edges` such idle edges at once (1 <= edges <= IdleCycles()):
   // exactly what that many Evaluate/Commit pairs would do to the countdowns
-  // and per-edge counters.
+  // and per-edge counters. On a ticked edge RtlSystem::Step calls it with 1
+  // in place of Evaluate, before any Commit, so it sees the inputs Evaluate
+  // would see.
   virtual void AdvanceIdle(uint64_t edges) {}
 };
 

@@ -13,7 +13,6 @@ RtlModule::RtlModule(const ir::Module* module, std::string instance_name)
   for (size_t p = 0; p < ports_.size(); ++p) {
     int words = module->ports[p].channel->flat_size;
     ports_[p].out_data.assign(words, 0);
-    ports_[p].next_data.assign(words, 0);
   }
   Reset();
 }
@@ -26,33 +25,20 @@ void RtlModule::BindPort(int port, HsWire* wire) {
 
 void RtlModule::Reset() {
   frame_.assign(module_->frame_size, 0);
-  next_frame_ = frame_;
   segment_ = 0;
   in_recv_deassert_ = false;
-  next_segment_ = 0;
-  next_in_recv_deassert_ = false;
   halted_ = false;
   busy_cycles_ = 0;
   for (PortState& port : ports_) {
     port.out_valid = false;
     port.out_ready = false;
     std::fill(port.out_data.begin(), port.out_data.end(), 0);
-    port.next_valid = false;
-    port.next_ready = false;
-    std::fill(port.next_data.begin(), port.next_data.end(), 0);
   }
 }
 
+// Updates the frame, the FSM state and the registered outputs in place: no
+// peer reads them during the edge, only the wires Commit writes.
 void RtlModule::Evaluate() {
-  // Stage defaults: hold previous values.
-  next_frame_ = frame_;
-  next_segment_ = segment_;
-  next_in_recv_deassert_ = in_recv_deassert_;
-  for (PortState& port : ports_) {
-    port.next_valid = port.out_valid;
-    port.next_ready = port.out_ready;
-    port.next_data = port.out_data;
-  }
   if (halted_) {
     return;
   }
@@ -63,9 +49,9 @@ void RtlModule::Evaluate() {
   if (in_recv_deassert_) {
     // De-assert-ready state after a receive.
     const ir::Inst& inst = block.insts[segment.ender];
-    ports_[inst.port].next_ready = false;
-    next_in_recv_deassert_ = false;
-    next_segment_ = segment_ + 1;  // Blocking insts never end a block.
+    ports_[inst.port].out_ready = false;
+    in_recv_deassert_ = false;
+    ++segment_;  // Blocking insts never end a block.
     ++busy_cycles_;
     return;
   }
@@ -76,33 +62,32 @@ void RtlModule::Evaluate() {
   // the wait or completion cycles; re-running it every cycle repeats its
   // side effects (found by differential fuzzing: `v = v + 14;` before a
   // talk incremented once per wait cycle). Mirrors the generated Verilog.
-  auto& frame = next_frame_;
   auto run_body = [&]() {
     for (int i = segment.first; i < segment.last; ++i) {
       const ir::Inst& inst = block.insts[i];
       switch (inst.op) {
         case ir::Opcode::kConst:
-          frame[inst.dst] = inst.type.Truncate(inst.imm);
+          frame_[inst.dst] = inst.type.Truncate(inst.imm);
           break;
         case ir::Opcode::kCopy:
-          frame[inst.dst] = inst.type.Truncate(frame[inst.a]);
+          frame_[inst.dst] = inst.type.Truncate(frame_[inst.a]);
           break;
         case ir::Opcode::kUnOp:
-          frame[inst.dst] = ir::EvalUnOp(inst.unop, frame[inst.a]);
+          frame_[inst.dst] = ir::EvalUnOp(inst.unop, frame_[inst.a]);
           break;
         case ir::Opcode::kBinOp:
-          frame[inst.dst] = ir::EvalBinOpTotal(inst.binop, frame[inst.a], frame[inst.b]);
+          frame_[inst.dst] = ir::EvalBinOpTotal(inst.binop, frame_[inst.a], frame_[inst.b]);
           break;
         case ir::Opcode::kLoadIdx: {
-          int32_t index = frame[inst.b];
-          frame[inst.dst] =
-              (index >= 0 && index < inst.imm) ? inst.type.Truncate(frame[inst.a + index]) : 0;
+          int32_t index = frame_[inst.b];
+          frame_[inst.dst] =
+              (index >= 0 && index < inst.imm) ? inst.type.Truncate(frame_[inst.a + index]) : 0;
           break;
         }
         case ir::Opcode::kStoreIdx: {
-          int32_t index = frame[inst.b];
+          int32_t index = frame_[inst.b];
           if (index >= 0 && index < inst.imm) {
-            frame[inst.dst + index] = inst.type.Truncate(frame[inst.a]);
+            frame_[inst.dst + index] = inst.type.Truncate(frame_[inst.a]);
           }
           break;
         }
@@ -119,7 +104,7 @@ void RtlModule::Evaluate() {
 
   if (segment.ender < 0) {
     run_body();
-    next_segment_ = segment_ + 1;
+    ++segment_;
     ++busy_cycles_;
     return;
   }
@@ -131,16 +116,16 @@ void RtlModule::Evaluate() {
       assert(port.wire != nullptr);
       if (port.out_valid && port.wire->ready) {
         // Transfer edge: both registered flags were visible this cycle.
-        port.next_valid = false;
-        next_segment_ = segment_ + 1;
+        port.out_valid = false;
+        ++segment_;
         ++busy_cycles_;
       } else if (!port.out_valid) {
         // Entry cycle: run the body once, stage the data, raise valid.
         run_body();
         for (int w = 0; w < inst.count; ++w) {
-          port.next_data[w] = frame[inst.a + w];
+          port.out_data[w] = frame_[inst.a + w];
         }
-        port.next_valid = true;
+        port.out_valid = true;
       }
       break;
     }
@@ -149,26 +134,26 @@ void RtlModule::Evaluate() {
       assert(port.wire != nullptr);
       if (port.out_ready && port.wire->valid) {
         for (int w = 0; w < inst.count; ++w) {
-          frame[inst.dst + w] = port.wire->data[w];
+          frame_[inst.dst + w] = port.wire->data[w];
         }
-        next_in_recv_deassert_ = true;
+        in_recv_deassert_ = true;
         ++busy_cycles_;
       } else if (!port.out_ready) {
         // Entry cycle: body once, then raise ready and wait.
         run_body();
-        port.next_ready = true;
+        port.out_ready = true;
       }
       break;
     }
     case ir::Opcode::kJump:
       run_body();
-      next_segment_ = segmentation_.block_entry[inst.target];
+      segment_ = segmentation_.block_entry[inst.target];
       ++busy_cycles_;
       break;
     case ir::Opcode::kBranch:
       run_body();
-      next_segment_ = frame[inst.a] != 0 ? segmentation_.block_entry[inst.target]
-                                         : segmentation_.block_entry[inst.target2];
+      segment_ = frame_[inst.a] != 0 ? segmentation_.block_entry[inst.target]
+                                    : segmentation_.block_entry[inst.target2];
       ++busy_cycles_;
       break;
     case ir::Opcode::kHalt:
@@ -223,21 +208,12 @@ uint64_t RtlModule::IdleCycles() const {
 }
 
 void RtlModule::Commit() {
-  frame_ = next_frame_;
-  segment_ = next_segment_;
-  in_recv_deassert_ = next_in_recv_deassert_;
-  for (PortState& port : ports_) {
+  for (size_t p = 0; p < ports_.size(); ++p) {
+    const PortState& port = ports_[p];
     if (port.wire == nullptr) {
-      port.out_valid = port.next_valid;
-      port.out_ready = port.next_ready;
-      port.out_data = port.next_data;
       continue;
     }
-    bool is_send = module_->ports[&port - ports_.data()].is_send;
-    port.out_valid = port.next_valid;
-    port.out_ready = port.next_ready;
-    port.out_data = port.next_data;
-    if (is_send) {
+    if (module_->ports[p].is_send) {
       port.wire->valid = port.out_valid;
       port.wire->data = port.out_data;
     } else {

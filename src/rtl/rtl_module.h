@@ -35,8 +35,9 @@ class RtlModule : public RtlComponent {
   bool halted() const { return halted_; }
   // Cumulative clock cycles in which the FSM did useful (non-waiting) work.
   uint64_t busy_cycles() const { return busy_cycles_; }
-  // Committed frame contents (differential comparison against the VM/checker
-  // frames; layouts are identical because both execute the same ir::Module).
+  // Frame contents between edges (differential comparison against the
+  // VM/checker frames; layouts are identical because both execute the same
+  // ir::Module).
   std::span<const int32_t> frame() const { return frame_; }
 
   void Reset();
@@ -44,17 +45,12 @@ class RtlModule : public RtlComponent {
  private:
   struct PortState {
     HsWire* wire = nullptr;
-    // Registered outputs (what the peer currently sees).
+    // Registered outputs. Evaluate updates them in place and Commit
+    // publishes them to the wire, which is all a peer ever reads.
     bool out_valid = false;
     bool out_ready = false;
     std::vector<int32_t> out_data;
-    // Staged next values.
-    bool next_valid = false;
-    bool next_ready = false;
-    std::vector<int32_t> next_data;
   };
-
-  int32_t Read(int slot) const { return frame_[slot]; }
 
   const ir::Module* module_;
   std::string name_;
@@ -64,9 +60,6 @@ class RtlModule : public RtlComponent {
   int segment_ = 0;
   // True while in the extra de-assert-ready state after a receive.
   bool in_recv_deassert_ = false;
-  int next_segment_ = 0;
-  bool next_in_recv_deassert_ = false;
-  std::vector<int32_t> next_frame_;
   bool halted_ = false;
   uint64_t busy_cycles_ = 0;
 };

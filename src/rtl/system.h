@@ -1,7 +1,8 @@
 // The RTL clock domain: owns the handshake wires and ticks every component
 // with two-phase (evaluate, then commit) semantics at a fixed clock. Edges on
-// which no component changes state are skipped in one jump (see Step), which
-// moves host time only: every modeled output is the same as ticking them.
+// which no component changes state are skipped in one jump, and a ticked edge
+// evaluates only the busy components (see Step). Both move host time only:
+// every modeled output is the same as ticking every component on every edge.
 
 #ifndef SRC_RTL_SYSTEM_H_
 #define SRC_RTL_SYSTEM_H_
@@ -27,7 +28,10 @@ class RtlSystem {
   }
 
   // Non-owning; the caller keeps components alive.
-  void AddComponent(RtlComponent* component) { components_.push_back(component); }
+  void AddComponent(RtlComponent* component) {
+    components_.push_back(component);
+    evaluated_.reserve(components_.size());
+  }
 
   // Invoked after every clock edge (waveform capture etc.). An installed hook
   // sees every edge, so it turns idle-cycle skipping off.
@@ -48,22 +52,56 @@ class RtlSystem {
     }
   }
 
-  // Advances the clock by at least one and at most `max_edges` edges: jumps
-  // the idle span (the minimum of every component's IdleCycles(); 0 with a
-  // post-tick hook) in one step when there is one, otherwise ticks one edge.
-  // Every component stays idle across the jump because none of them moves
-  // an output another one reads. Returns the edges advanced.
+  // Advances the clock by at least one and at most `max_edges` edges. When
+  // every component is idle, jumps the idle span (the minimum of their
+  // IdleCycles()) in one step: every component stays idle across the jump
+  // because none of them moves an output another one reads. Otherwise ticks
+  // one edge on which only the busy components are evaluated and committed;
+  // the idle ones advance by one edge. With a post-tick hook every step is a
+  // full Tick(). Returns the edges advanced.
   uint64_t Step(uint64_t max_edges) {
-    const uint64_t span = std::min(IdleSpan(), max_edges);
-    if (span == 0) {
+    if (hook_) {
       Tick();
       return 1;
     }
-    for (RtlComponent* component : components_) {
-      component->AdvanceIdle(span);
+    uint64_t span = kIdleForever;
+    size_t busy = 0;
+    for (; busy < components_.size(); ++busy) {
+      const uint64_t idle = components_[busy]->IdleCycles();
+      if (idle == 0) {
+        break;
+      }
+      span = std::min(span, idle);
     }
-    cycles_ += span;
-    return span;
+    if (busy == components_.size() && max_edges > 0) {
+      span = std::min(span, max_edges);
+      for (RtlComponent* component : components_) {
+        component->AdvanceIdle(span);
+      }
+      cycles_ += span;
+      return span;
+    }
+    // Each component after the first busy one is judged where the full tick
+    // evaluates it, so it sees what the earlier Evaluate calls changed in the
+    // middle of the edge. The idle ones advance in the same pass, before any
+    // Commit moves the inputs an AdvanceIdle may read (DESIGN.md "Idle-cycle
+    // skipping").
+    evaluated_.clear();
+    for (size_t i = 0; i < components_.size(); ++i) {
+      RtlComponent* component = components_[i];
+      if (i < busy || (i > busy && component->IdleCycles() != 0)) {
+        component->AdvanceIdle(1);
+      } else {
+        component->Evaluate();
+        evaluated_.push_back(component);
+      }
+    }
+    for (RtlComponent* component : evaluated_) {
+      component->Commit();
+    }
+    ++cycles_;
+    ++cycles_ticked_;
+    return 1;
   }
 
   // Advances exactly `edges` edges, skipping idle ones.
@@ -100,28 +138,14 @@ class RtlSystem {
   }
 
   uint64_t cycles() const { return cycles_; }
-  // Edges actually evaluated by Tick(); cycles() - cycles_ticked() were
-  // skipped as idle.
+  // Edges ticked, by Tick() or by Step(); cycles() - cycles_ticked() were
+  // jumped as idle.
   uint64_t cycles_ticked() const { return cycles_ticked_; }
   double time_ns() const { return TimeAt(cycles_); }
   double clock_ns() const { return clock_ns_; }
 
  private:
   double TimeAt(uint64_t cycle) const { return static_cast<double>(cycle) * clock_ns_; }
-
-  uint64_t IdleSpan() const {
-    if (hook_) {
-      return 0;
-    }
-    uint64_t span = kIdleForever;
-    for (const RtlComponent* component : components_) {
-      span = std::min(span, component->IdleCycles());
-      if (span == 0) {
-        break;
-      }
-    }
-    return span;
-  }
 
   // First cycle count c >= cycles() with stop(TimeAt(c)), for a predicate
   // that stays true once it holds. `bound_ns` (where it starts to hold) only
@@ -150,6 +174,8 @@ class RtlSystem {
   uint64_t cycles_ticked_ = 0;
   std::deque<HsWire> wires_;
   std::vector<RtlComponent*> components_;
+  // The components Step evaluated on the edge it is ticking.
+  std::vector<RtlComponent*> evaluated_;
   std::function<void(double)> hook_;
 };
 

@@ -97,14 +97,14 @@ void XilinxIpEngine::SoftReset() {
   bit_accum_ = 0;
   bits_seen_ = 0;
   payload_bytes_ = 0;
-  next_drive_scl_ = true;
-  next_drive_sda_ = true;
+  drive_scl_ = true;
+  drive_sda_ = true;
   bus_->SetDriver(driver_id_, true, true);
 }
 
 void XilinxIpEngine::Evaluate() {
-  next_drive_scl_ = true;
-  next_drive_sda_ = true;
+  drive_scl_ = true;
+  drive_sda_ = true;
   if (done()) {
     return;
   }
@@ -112,8 +112,8 @@ void XilinxIpEngine::Evaluate() {
   if (hold_left_ == 0) {
     hold_left_ = half_cycle_ticks_ + step.extra_hold;
   }
-  next_drive_scl_ = step.scl;
-  next_drive_sda_ = step.sda;
+  drive_scl_ = step.scl;
+  drive_sda_ = step.sda;
   --hold_left_;
   if (hold_left_ == 0) {
     // End of the half cycle: sample if requested.
@@ -135,6 +135,21 @@ void XilinxIpEngine::Evaluate() {
   }
 }
 
-void XilinxIpEngine::Commit() { bus_->SetDriver(driver_id_, next_drive_scl_, next_drive_sda_); }
+uint64_t XilinxIpEngine::IdleCycles() const {
+  if (done()) {
+    return drive_scl_ && drive_sda_ ? rtl::kIdleForever : 0;
+  }
+  // A step's first edge loads the hold and drives the step's levels, and
+  // its last samples: the edges between only count down.
+  return hold_left_ > 1 ? static_cast<uint64_t>(hold_left_ - 1) : 0;
+}
+
+void XilinxIpEngine::AdvanceIdle(uint64_t edges) {
+  if (!done()) {
+    hold_left_ -= static_cast<int>(edges);
+  }
+}
+
+void XilinxIpEngine::Commit() { bus_->SetDriver(driver_id_, drive_scl_, drive_sda_); }
 
 }  // namespace efeu::sim

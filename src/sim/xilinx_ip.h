@@ -36,6 +36,11 @@ class XilinxIpEngine : public rtl::RtlComponent {
 
   void Evaluate() override;
   void Commit() override;
+  // Idle on the edges inside a step's hold, between the edge that loads it
+  // and the edge that samples and moves on, and forever once done with both
+  // lines released.
+  uint64_t IdleCycles() const override;
+  void AdvanceIdle(uint64_t edges) override;
 
  private:
   struct Step {
@@ -66,8 +71,10 @@ class XilinxIpEngine : public rtl::RtlComponent {
   std::vector<uint8_t> read_data_;
   int payload_bytes_ = 0;
 
-  bool next_drive_scl_ = true;
-  bool next_drive_sda_ = true;
+  // The bus drive. Evaluate sets it in place and Commit publishes it; only
+  // IdleCycles reads it, between edges.
+  bool drive_scl_ = true;
+  bool drive_sda_ = true;
 };
 
 }  // namespace efeu::sim

@@ -265,6 +265,31 @@ TEST(IdleSkipping, Fig10RowsMatchPerEdgeClock) {
   }
 }
 
+// Three write-then-read-back rounds on a baseline driver.
+template <typename Driver>
+std::string RoundTrips(Driver& driver) {
+  std::string out;
+  for (int round = 0; round < 3; ++round) {
+    const std::vector<uint8_t> payload = {static_cast<uint8_t>(round), 0x22, 0x33};
+    // Each call is its own statement: the transcript must read the clock
+    // and the bytes after the operation that moves them.
+    const bool written = driver.Write(0x40 + 8 * round, payload);
+    out += std::to_string(written) + " now=" + Exact(driver.now_ns()) + "; ";
+    std::vector<uint8_t> data;
+    const bool read = driver.Read(0x40 + 8 * round, 3, &data);
+    out += std::to_string(read) + " " + Bytes(data) + " now=" + Exact(driver.now_ns()) + "; ";
+  }
+  return out;
+}
+
+// A baseline driver's recovery and monitor counters and its fault plan.
+template <typename Driver>
+std::string CountersAndFaults(Driver& driver) {
+  return FormatRecoveryCounters(driver.recovery_counters()) + " " +
+         monitor::FormatTripCounters(driver.MonitorCounters()) + " " +
+         driver.fault_plan().Describe();
+}
+
 // The all-software baseline under a seeded fault plan with recovery and
 // monitors: its GPIO writes, line-fault overlay steps and recovery pulses
 // all land between edges.
@@ -281,21 +306,40 @@ TEST(IdleSkipping, BitBangBaselineMatchesPerEdgeClock) {
                            sim::FaultPlan::Random(seed, 0.02, 4), recovery);
       driver.EnableMonitors();
       std::string& out = results[full_tick];
-      for (int round = 0; round < 3; ++round) {
-        const std::vector<uint8_t> payload = {static_cast<uint8_t>(round), 0x22, 0x33};
-        // Each call is its own statement: the transcript must read the clock
-        // and the bytes after the operation that moves them.
-        const bool written = driver.Write(0x40 + 8 * round, payload);
-        out += std::to_string(written) + " now=" + Exact(driver.now_ns()) + "; ";
-        std::vector<uint8_t> data;
-        const bool read = driver.Read(0x40 + 8 * round, 3, &data);
-        out += std::to_string(read) + " " + Bytes(data) + " now=" + Exact(driver.now_ns()) + "; ";
-      }
-      out += FormatRecoveryCounters(driver.recovery_counters()) + " " +
-             monitor::FormatTripCounters(driver.MonitorCounters()) + " " +
-             driver.fault_plan().Describe();
+      out = RoundTrips(driver);
+      out += CountersAndFaults(driver);
     }
     EXPECT_EQ(results[0], results[1]) << "seed " << seed;
+  }
+}
+
+// The transaction-level IP under a seeded fault plan with monitors: its
+// engine's hold countdowns are skipped, and the edge that finishes a
+// transaction must still end the wait. Seed 3 refuses an address byte, the
+// other seed two data bytes.
+TEST(IdleSkipping, XilinxBaselineMatchesPerEdgeClock) {
+  for (uint64_t seed : {0x3ull, 0xA4F2681C98984686ull}) {
+    std::string results[2];
+    uint64_t ticked[2] = {};
+    for (int full_tick = 0; full_tick < 2; ++full_tick) {
+      TimingModel timing;
+      sim::EepromConfig eeprom;
+      eeprom.write_cycle_ns = 50000;
+      XilinxIpDriver driver(timing, eeprom, /*capture_waveform=*/full_tick == 1,
+                            sim::FaultPlan::Random(seed, 0.02, 4));
+      driver.EnableMonitors();
+      std::string& out = results[full_tick];
+      out = RoundTrips(driver);
+      const DriverMetrics metrics = driver.MeasureReads(3, 14);
+      out += std::to_string(metrics.functional) + " elapsed=" + Exact(metrics.elapsed_ns) +
+             " cpu=" + Exact(metrics.cpu_usage) + " irqs=" + std::to_string(metrics.irq_count) +
+             " now=" + Exact(driver.now_ns()) + " cycles=" + std::to_string(driver.rtl_cycles()) +
+             " ";
+      out += CountersAndFaults(driver);
+      ticked[full_tick] = driver.rtl_cycles_ticked();
+    }
+    EXPECT_EQ(results[0], results[1]) << "seed " << seed;
+    EXPECT_LT(ticked[0], ticked[1]) << "seed " << seed;
   }
 }
 

@@ -429,6 +429,127 @@ TEST(RtlSystem, HookOrHooklessComponentTicksEveryEdge) {
   EXPECT_EQ(busy.cycles_ticked(), 100u);
 }
 
+// Idle until edge 50, whose Evaluate raises a shared level in the middle of
+// the edge, the way the bus adapter's sampling edge steps the line faults.
+class MidEdgeFlipper : public rtl::RtlComponent {
+ public:
+  explicit MidEdgeFlipper(bool* level) : level_(level) {}
+  void Evaluate() override {
+    if (edge_ == 50) {
+      *level_ = true;
+    }
+    ++edge_;
+  }
+  void Commit() override {}
+  uint64_t IdleCycles() const override {
+    return edge_ < 50 ? 50 - edge_ : (edge_ == 50 ? 0 : rtl::kIdleForever);
+  }
+  void AdvanceIdle(uint64_t edges) override { edge_ += edges; }
+
+ private:
+  bool* level_;
+  uint64_t edge_ = 0;
+};
+
+// Idle until it sees the level; records the edge on which it first does.
+class LevelWatcher : public rtl::RtlComponent {
+ public:
+  explicit LevelWatcher(const bool* level) : level_(level) {}
+  void Evaluate() override {
+    if (*level_ && seen_at_ == 0) {
+      seen_at_ = edge_;
+    }
+    ++edge_;
+  }
+  void Commit() override {}
+  uint64_t IdleCycles() const override {
+    return *level_ && seen_at_ == 0 ? 0 : rtl::kIdleForever;
+  }
+  void AdvanceIdle(uint64_t edges) override { edge_ += edges; }
+  uint64_t seen_at() const { return seen_at_; }
+
+ private:
+  const bool* level_;
+  uint64_t edge_ = 0;
+  uint64_t seen_at_ = 0;
+};
+
+// A component after the one that moves an input in the middle of an edge is
+// judged from that input as its own Evaluate would see it: on the same edge.
+TEST(RtlSystem, MidEdgeChangeIsSeenOnTheSameEdge) {
+  for (bool hook : {false, true}) {
+    bool level = false;
+    MidEdgeFlipper flipper(&level);
+    LevelWatcher watcher(&level);
+    rtl::RtlSystem system;
+    system.AddComponent(&flipper);
+    system.AddComponent(&watcher);
+    if (hook) {
+      system.SetPostTickHook([](double) {});
+    }
+    system.Advance(100);
+    EXPECT_EQ(watcher.seen_at(), 50u) << "hook " << hook;
+    EXPECT_EQ(system.cycles(), 100u);
+  }
+}
+
+// Flips a signal on every edge, in its Commit.
+class Toggler : public rtl::RtlComponent {
+ public:
+  explicit Toggler(bool* signal) : signal_(signal) {}
+  void Evaluate() override { next_ = !*signal_; }
+  void Commit() override { *signal_ = next_; }
+
+ private:
+  bool* signal_;
+  bool next_ = false;
+};
+
+// Parked for good; records every hook call and the signal each advance sees.
+class Parked : public rtl::RtlComponent {
+ public:
+  explicit Parked(const bool* signal) : signal_(signal) {}
+  void Evaluate() override { ++evaluates; }
+  void Commit() override { ++commits; }
+  uint64_t IdleCycles() const override { return rtl::kIdleForever; }
+  void AdvanceIdle(uint64_t edges) override {
+    advances.push_back(edges);
+    seen.push_back(*signal_);
+  }
+
+  int evaluates = 0;
+  int commits = 0;
+  std::vector<uint64_t> advances;
+  std::vector<bool> seen;
+
+ private:
+  const bool* signal_;
+};
+
+// On a ticked edge the parked components on either side of the busy one are
+// neither evaluated nor committed: each advances by one edge, before the
+// busy component's Commit moves the signal.
+TEST(RtlSystem, TickEvaluatesOnlyBusyComponents) {
+  bool signal = false;
+  Parked before(&signal);
+  Toggler toggler(&signal);
+  Parked after(&signal);
+  rtl::RtlSystem system;
+  system.AddComponent(&before);
+  system.AddComponent(&toggler);
+  system.AddComponent(&after);
+  system.Advance(10);
+  EXPECT_EQ(system.cycles_ticked(), 10u);
+  const std::vector<bool> before_commit = {false, true, false, true, false,
+                                           true,  false, true, false, true};
+  for (const Parked* parked : {&before, &after}) {
+    EXPECT_EQ(parked->evaluates, 0);
+    EXPECT_EQ(parked->commits, 0);
+    EXPECT_EQ(parked->advances, std::vector<uint64_t>(10, 1));
+    EXPECT_EQ(parked->seen, before_commit);
+  }
+}
+
 // The generated-FSM hook with no busy peer to cover for it: one module of
 // the two-module spec alone in its clock domain, the test playing the other
 // module on the wires between edges. Handshake entry, wait, transfer,
