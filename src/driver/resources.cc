@@ -73,7 +73,7 @@ ResourceEstimate EstimateModule(const ir::Module& module) {
     }
   }
   ir::Segmentation segmentation = ir::SegmentModule(module);
-  int states = segmentation.StateCount(module);
+  int states = segmentation.StateCount();
   int state_bits = 1;
   while ((1 << state_bits) < states) {
     ++state_bits;

@@ -20,6 +20,11 @@ Segmentation SegmentModule(const Module& module) {
       segment.last = i;
       segment.ender = i < static_cast<int>(block.insts.size()) ? i : -1;
       if (segment.ender >= 0) {
+        const Inst& ender = block.insts[i];
+        if (ender.op == Opcode::kSend || ender.op == Opcode::kRecv) {
+          segment.port = ender.port;
+          segment.is_send = ender.op == Opcode::kSend;
+        }
         ++i;
       }
       if (first) {
@@ -32,12 +37,11 @@ Segmentation SegmentModule(const Module& module) {
   return result;
 }
 
-int Segmentation::StateCount(const Module& module) const {
+int Segmentation::StateCount() const {
   int count = 0;
   for (const Segment& segment : segments) {
     ++count;
-    if (segment.ender >= 0 &&
-        module.blocks[segment.block].insts[segment.ender].op == Opcode::kRecv) {
+    if (segment.port >= 0 && !segment.is_send) {
       ++count;
     }
   }

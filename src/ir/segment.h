@@ -17,6 +17,10 @@ struct Segment {
   int first = 0;   // first instruction index
   int last = 0;    // one past the last plain instruction
   int ender = -1;  // index of the blocking/terminator instruction, or -1
+  // The port of an ender that handshakes (a send or a receive), where the
+  // FSM parks until the peer answers; -1 for every other segment.
+  int port = -1;
+  bool is_send = false;  // that handshake's direction
 };
 
 struct Segmentation {
@@ -25,7 +29,7 @@ struct Segmentation {
   std::vector<int> block_entry;
 
   // Total FSM states: one per segment plus one de-assert state per receive.
-  int StateCount(const Module& module) const;
+  int StateCount() const;
 };
 
 Segmentation SegmentModule(const Module& module);

@@ -1,6 +1,7 @@
 #include "src/rtl/regfile.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace efeu::rtl {
 
@@ -22,6 +23,7 @@ void MmioRegfile::SoftReset() {
     down_wire_->valid = false;
     down_wire_->data = down_staged_;
   }
+  down_data_published_ = true;
   if (up_wire_ != nullptr) {
     up_wire_->ready = false;
   }
@@ -68,17 +70,16 @@ uint64_t MmioRegfile::IdleCycles() const {
     if (down_out_valid_ ? down_wire_->ready : sw_down_valid_) {
       return 0;  // consumed this edge, or a fresh doorbell to publish
     }
-    if (down_wire_->valid != down_out_valid_ || down_wire_->data != down_staged_) {
+    if (!down_data_published_) {
       return 0;
     }
+    assert(down_wire_->valid == down_out_valid_ && down_wire_->data == down_staged_);
   }
   if (up_wire_ != nullptr) {
     if (up_out_ready_ ? up_wire_->valid : (sw_up_ready_ && !up_full_)) {
       return 0;  // a packet lands this edge, or a fresh arm to publish
     }
-    if (up_wire_->ready != up_out_ready_) {
-      return 0;
-    }
+    assert(up_wire_->ready == up_out_ready_);
   }
   return kIdleForever;
 }
@@ -90,7 +91,10 @@ void MmioRegfile::Commit() {
       sw_down_valid_ = false;
     }
     down_wire_->valid = down_out_valid_;
-    down_wire_->data = down_staged_;
+    if (!down_data_published_) {
+      down_wire_->data = down_staged_;
+      down_data_published_ = true;
+    }
   }
   if (up_wire_ != nullptr) {
     if (next_latch_up_) {

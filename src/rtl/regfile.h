@@ -32,16 +32,23 @@ class MmioRegfile : public RtlComponent {
 
   // `down` carries messages software -> hardware (this component sends);
   // `up` the reverse (this component receives).
-  void BindDown(HsWire* wire) { down_wire_ = wire; }
+  void BindDown(HsWire* wire) {
+    down_wire_ = wire;
+    RecheckDownData();
+  }
   void BindUp(HsWire* wire) { up_wire_ = wire; }
 
   // -- Software-side register accesses (between ticks) ---------------------
-  void WriteDownWord(int index, int32_t value) { down_staged_[index] = value; }
+  void WriteDownWord(int index, int32_t value) {
+    down_staged_[index] = value;
+    RecheckDownData();
+  }
   // Burst write: stages every data word in one AXI burst. Register contents
   // are identical to word-at-a-time access; only the modeled bus cost (paid
   // by the driver's timing model) differs.
   void WriteDown(std::span<const int32_t> words) {
     std::copy(words.begin(), words.end(), down_staged_.begin());
+    RecheckDownData();
   }
   void SetDownValid() { sw_down_valid_ = true; }
   // True while the published message has not been consumed by hardware.
@@ -69,16 +76,26 @@ class MmioRegfile : public RtlComponent {
   // -- RtlComponent -----------------------------------------------------
   void Evaluate() override;
   void Commit() override;
-  // Idle while neither handshake can move and both wires already show the
-  // registered flags and the staged down words (a lost doorbell leaves
-  // staged words the wire has not seen yet).
+  // Idle while neither handshake can move and the down wire already shows
+  // the staged down words (a lost doorbell leaves staged words the wire has
+  // not seen yet).
   uint64_t IdleCycles() const override;
 
  private:
+  // Software stages down words between edges, so after each staging write
+  // (and on binding) compare them with the wire once, instead of on every
+  // poll. The flags need no such check: only Commit and SoftReset move them,
+  // and both publish them.
+  void RecheckDownData() {
+    down_data_published_ = down_wire_ == nullptr || down_wire_->data == down_staged_;
+  }
+
   HsWire* down_wire_ = nullptr;
   HsWire* up_wire_ = nullptr;
 
   std::vector<int32_t> down_staged_;
+  // The down wire's data equals down_staged_.
+  bool down_data_published_ = true;
   bool sw_down_valid_ = false;
   bool down_out_valid_ = false;
   bool next_down_out_valid_ = false;
@@ -89,7 +106,6 @@ class MmioRegfile : public RtlComponent {
   bool up_out_ready_ = false;
   bool next_up_out_ready_ = false;
   bool next_clear_sw_up_ = false;
-  std::vector<int32_t> next_up_latched_;
   bool next_latch_up_ = false;
   bool up_full_ = false;
   bool irq_ = false;

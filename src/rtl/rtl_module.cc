@@ -21,6 +21,7 @@ void RtlModule::BindPort(int port, HsWire* wire) {
   EFEU_CHECK(port >= 0 && port < static_cast<int>(ports_.size()),
              "BindPort: port id out of range (channel not used by this layer?)");
   ports_[port].wire = wire;
+  published_ = false;
 }
 
 void RtlModule::Reset() {
@@ -28,6 +29,7 @@ void RtlModule::Reset() {
   segment_ = 0;
   in_recv_deassert_ = false;
   halted_ = false;
+  published_ = false;
   busy_cycles_ = 0;
   for (PortState& port : ports_) {
     port.out_valid = false;
@@ -48,8 +50,8 @@ void RtlModule::Evaluate() {
 
   if (in_recv_deassert_) {
     // De-assert-ready state after a receive.
-    const ir::Inst& inst = block.insts[segment.ender];
-    ports_[inst.port].out_ready = false;
+    ports_[segment.port].out_ready = false;
+    published_ = false;
     in_recv_deassert_ = false;
     ++segment_;  // Blocking insts never end a block.
     ++busy_cycles_;
@@ -117,6 +119,7 @@ void RtlModule::Evaluate() {
       if (port.out_valid && port.wire->ready) {
         // Transfer edge: both registered flags were visible this cycle.
         port.out_valid = false;
+        published_ = false;
         ++segment_;
         ++busy_cycles_;
       } else if (!port.out_valid) {
@@ -126,6 +129,7 @@ void RtlModule::Evaluate() {
           port.out_data[w] = frame_[inst.a + w];
         }
         port.out_valid = true;
+        published_ = false;
       }
       break;
     }
@@ -142,6 +146,7 @@ void RtlModule::Evaluate() {
         // Entry cycle: body once, then raise ready and wait.
         run_body();
         port.out_ready = true;
+        published_ = false;
       }
       break;
     }
@@ -166,8 +171,7 @@ void RtlModule::Evaluate() {
   }
 }
 
-uint64_t RtlModule::IdleCycles() const {
-  // Every bound wire must already show what Commit() would publish again.
+bool RtlModule::WiresShowOutputs() const {
   for (size_t p = 0; p < ports_.size(); ++p) {
     const PortState& port = ports_[p];
     if (port.wire == nullptr) {
@@ -175,39 +179,48 @@ uint64_t RtlModule::IdleCycles() const {
     }
     if (module_->ports[p].is_send) {
       if (port.wire->valid != port.out_valid || port.wire->data != port.out_data) {
-        return 0;
+        return false;
       }
     } else if (port.wire->ready != port.out_ready) {
-      return 0;
+      return false;
     }
   }
+  return true;
+}
+
+uint64_t RtlModule::IdleCycles() const {
+  // Every bound wire must already show what Commit() would publish again.
+  if (!published_) {
+    return 0;
+  }
+  assert(WiresShowOutputs());
   if (halted_) {
     return kIdleForever;
   }
   if (in_recv_deassert_) {
     return 0;
   }
-  const ir::Segment& segment = segmentation_.segments[segment_];
-  if (segment.ender < 0) {
-    return 0;
-  }
   // Parked on a handshake: valid (or ready) raised, the peer's flag still
   // low. Every other segment does work on its next edge.
-  const ir::Inst& inst = module_->blocks[segment.block].insts[segment.ender];
-  if (inst.op != ir::Opcode::kSend && inst.op != ir::Opcode::kRecv) {
+  const ir::Segment& segment = segmentation_.segments[segment_];
+  if (segment.port < 0) {
     return 0;
   }
-  const PortState& port = ports_[inst.port];
+  const PortState& port = ports_[segment.port];
   if (port.wire == nullptr) {
     return 0;
   }
-  if (inst.op == ir::Opcode::kSend) {
+  if (segment.is_send) {
     return port.out_valid && !port.wire->ready ? kIdleForever : 0;
   }
   return port.out_ready && !port.wire->valid ? kIdleForever : 0;
 }
 
 void RtlModule::Commit() {
+  if (published_) {
+    assert(WiresShowOutputs());
+    return;
+  }
   for (size_t p = 0; p < ports_.size(); ++p) {
     const PortState& port = ports_[p];
     if (port.wire == nullptr) {
@@ -220,6 +233,7 @@ void RtlModule::Commit() {
       port.wire->ready = port.out_ready;
     }
   }
+  published_ = true;
 }
 
 }  // namespace efeu::rtl

@@ -40,6 +40,8 @@ class RtlModule : public RtlComponent {
   // ir::Module).
   std::span<const int32_t> frame() const { return frame_; }
 
+  // Back to the initial state. The deasserted outputs reach the wires at the
+  // next Commit (or through RtlSystem::ResetWires).
   void Reset();
 
  private:
@@ -52,6 +54,11 @@ class RtlModule : public RtlComponent {
     std::vector<int32_t> out_data;
   };
 
+  // Whether every bound wire shows the registered outputs, compared port by
+  // port: the fact published_ caches. Debug builds assert it wherever the
+  // flag is trusted.
+  bool WiresShowOutputs() const;
+
   const ir::Module* module_;
   std::string name_;
   ir::Segmentation segmentation_;
@@ -61,6 +68,11 @@ class RtlModule : public RtlComponent {
   // True while in the extra de-assert-ready state after a receive.
   bool in_recv_deassert_ = false;
   bool halted_ = false;
+  // True while every bound wire shows the registered outputs: set by Commit,
+  // cleared by Reset, BindPort and each Evaluate that moves an output. Every
+  // such move flips a valid or ready bit, so the flag is clear exactly when
+  // a port-by-port comparison would find a difference.
+  bool published_ = false;
   uint64_t busy_cycles_ = 0;
 };
 

@@ -129,6 +129,10 @@ class RtlSystem {
   // zeroes the payload on every wire. Component Reset() methods only publish
   // their deasserted outputs at the next Commit(), so without this a peer
   // could observe a stale pre-reset handshake on the first post-reset cycle.
+  // Call it only right after resetting every component bound to the wires:
+  // a component trusts that its wires still show what it last published
+  // until its own reset (RtlModule's published flag), and this write would
+  // otherwise break that behind its back.
   void ResetWires() {
     for (HsWire& wire : wires_) {
       wire.valid = false;

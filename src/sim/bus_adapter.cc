@@ -83,8 +83,8 @@ void BusAdapter::Evaluate() {
 uint64_t BusAdapter::IdleCycles() const {
   // The wires must already show what Commit() would publish again.
   if (down_wire_ == nullptr || up_wire_ == nullptr || down_wire_->ready != out_ready_ ||
-      up_wire_->valid != out_valid_ || up_wire_->data.size() != 2 ||
-      up_wire_->data[0] != (sample_scl_ ? 1 : 0) || up_wire_->data[1] != (sample_sda_ ? 1 : 0)) {
+      up_wire_->valid != out_valid_ || up_wire_->data[0] != (sample_scl_ ? 1 : 0) ||
+      up_wire_->data[1] != (sample_sda_ ? 1 : 0)) {
     return 0;
   }
   switch (phase_) {
@@ -121,7 +121,8 @@ void BusAdapter::Commit() {
   }
   if (up_wire_ != nullptr) {
     up_wire_->valid = out_valid_;
-    up_wire_->data = {sample_scl_ ? 1 : 0, sample_sda_ ? 1 : 0};
+    up_wire_->data[0] = sample_scl_ ? 1 : 0;
+    up_wire_->data[1] = sample_sda_ ? 1 : 0;
   }
 }
 

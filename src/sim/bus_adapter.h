@@ -12,6 +12,7 @@
 #include "src/rtl/component.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/i2c_bus.h"
+#include "src/support/check.h"
 
 namespace efeu::sim {
 
@@ -31,8 +32,12 @@ class BusAdapter : public rtl::RtlComponent {
 
   // Levels from the layer above (this component receives).
   void BindDown(rtl::HsWire* wire) { down_wire_ = wire; }
-  // Sampled levels back up (this component sends).
-  void BindUp(rtl::HsWire* wire) { up_wire_ = wire; }
+  // Sampled levels back up (this component sends): a two-word (SCL, SDA)
+  // wire.
+  void BindUp(rtl::HsWire* wire) {
+    EFEU_CHECK(wire->data.size() == 2, "BusAdapter::BindUp: the sample wire needs two words");
+    up_wire_ = wire;
+  }
 
   // Electrical fault injection (stuck lines, ACK-window glitches), consulted
   // at every bus sample. Non-owning; nullptr = ideal bus.

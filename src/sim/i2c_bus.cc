@@ -1,5 +1,7 @@
 #include "src/sim/i2c_bus.h"
 
+#include <cassert>
+
 namespace efeu::sim {
 
 int I2cBus::AddDriver() {
@@ -8,56 +10,22 @@ int I2cBus::AddDriver() {
 }
 
 void I2cBus::SetDriver(int id, bool scl, bool sda) {
-  drivers_[id].scl = scl;
-  drivers_[id].sda = sda;
+  Drive& drive = drivers_[id];
+  scl_low_ += static_cast<int>(drive.scl) - static_cast<int>(scl);
+  sda_low_ += static_cast<int>(drive.sda) - static_cast<int>(sda);
+  drive.scl = scl;
+  drive.sda = sda;
+  assert(CountsMatchDrivers());
 }
 
-bool I2cBus::scl() const {
-  if (scl_forced_low_) {
-    return false;
-  }
+bool I2cBus::CountsMatchDrivers() const {
+  int scl_low = 0;
+  int sda_low = 0;
   for (const Drive& drive : drivers_) {
-    if (!drive.scl) {
-      return false;
-    }
+    scl_low += drive.scl ? 0 : 1;
+    sda_low += drive.sda ? 0 : 1;
   }
-  return true;
-}
-
-bool I2cBus::sda() const {
-  if (sda_forced_low_) {
-    return false;
-  }
-  for (const Drive& drive : drivers_) {
-    if (!drive.sda) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool I2cBus::SclExcept(int id) const {
-  if (scl_forced_low_) {
-    return false;
-  }
-  for (int i = 0; i < static_cast<int>(drivers_.size()); ++i) {
-    if (i != id && !drivers_[i].scl) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool I2cBus::SdaExcept(int id) const {
-  if (sda_forced_low_) {
-    return false;
-  }
-  for (int i = 0; i < static_cast<int>(drivers_.size()); ++i) {
-    if (i != id && !drivers_[i].sda) {
-      return false;
-    }
-  }
-  return true;
+  return scl_low == scl_low_ && sda_low == sda_low_;
 }
 
 void I2cBus::Capture(double t_ns) {

@@ -17,16 +17,21 @@ class I2cBus {
 
   void SetDriver(int id, bool scl, bool sda);
 
-  // Combined (wired-AND) levels.
-  bool scl() const;
-  bool sda() const;
+  // Combined (wired-AND) levels, read from the counts of drivers pulling
+  // each line low.
+  bool scl() const { return !scl_forced_low_ && scl_low_ == 0; }
+  bool sda() const { return !sda_forced_low_ && sda_low_ == 0; }
 
   // Combined levels with one driver's contribution masked out (still honoring
   // a forced-low overlay). A pass-gate repeater (sim::I2cMux) forwards the
   // level of everyone-but-itself to the other bus segment, so its own
   // forwarded drive never feeds back as a latched low.
-  bool SclExcept(int id) const;
-  bool SdaExcept(int id) const;
+  bool SclExcept(int id) const {
+    return !scl_forced_low_ && scl_low_ == (drivers_[id].scl ? 0 : 1);
+  }
+  bool SdaExcept(int id) const {
+    return !sda_forced_low_ && sda_low_ == (drivers_[id].sda ? 0 : 1);
+  }
 
   // Fault-injection overlay: an externally forced-low line reads low for
   // every device, like a short to ground (the stuck-bus faults of
@@ -55,7 +60,13 @@ class I2cBus {
     bool scl = true;
     bool sda = true;
   };
+  // The counts agree with a scan of drivers_ (asserted in Debug builds).
+  bool CountsMatchDrivers() const;
+
   std::vector<Drive> drivers_;
+  // How many drivers pull SCL and SDA low; SetDriver keeps them current.
+  int scl_low_ = 0;
+  int sda_low_ = 0;
   bool scl_forced_low_ = false;
   bool sda_forced_low_ = false;
   bool capture_ = false;

@@ -305,7 +305,20 @@ TEST(IrSegment, BlocksSplitAtBlockingInstructions) {
   ir::Segmentation segmentation = ir::SegmentModule(*module);
   // There must be more segments than blocks (send/recv split blocks).
   EXPECT_GT(segmentation.segments.size(), module->blocks.size());
-  EXPECT_GT(segmentation.StateCount(*module), static_cast<int>(segmentation.segments.size()));
+  EXPECT_GT(segmentation.StateCount(), static_cast<int>(segmentation.segments.size()));
+  // Exactly the send and receive enders park on a handshake, on their own
+  // port and in their own direction.
+  int handshakes = 0;
+  for (const ir::Segment& segment : segmentation.segments) {
+    const ir::Inst* ender =
+        segment.ender < 0 ? nullptr : &module->blocks[segment.block].insts[segment.ender];
+    const bool handshake =
+        ender != nullptr && (ender->op == ir::Opcode::kSend || ender->op == ir::Opcode::kRecv);
+    EXPECT_EQ(segment.port, handshake ? ender->port : -1);
+    EXPECT_EQ(segment.is_send, handshake && ender->op == ir::Opcode::kSend);
+    handshakes += handshake ? 1 : 0;
+  }
+  EXPECT_GT(handshakes, 0);
 }
 
 TEST(IrModule, EndLabelFlagsPropagate) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,69 @@ TEST(I2cBus, WiredAndSemantics) {
   bus.SetDriver(a, true, true);
   EXPECT_FALSE(bus.scl());
   EXPECT_TRUE(bus.sda());
+}
+
+// The counted line levels against a scan of every driver, after each step
+// of seeded random sequences of new drivers, drive changes and forced-low
+// overlays.
+TEST(I2cBus, CountedLevelsMatchDriverScan) {
+  struct Levels {
+    bool scl = true;
+    bool sda = true;
+  };
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    std::mt19937_64 rng(seed);
+    sim::I2cBus bus;
+    std::vector<Levels> drivers;
+    Levels forced_low = {false, false};
+    // The wired AND of every driver but `except`, unless forced low.
+    auto scan = [&](int except, bool Levels::*line) {
+      if (forced_low.*line) {
+        return false;
+      }
+      for (int i = 0; i < static_cast<int>(drivers.size()); ++i) {
+        if (i != except && !(drivers[i].*line)) {
+          return false;
+        }
+      }
+      return true;
+    };
+    for (int step = 0; step < 2000; ++step) {
+      const uint64_t draw = rng();
+      switch (draw % 8) {
+        case 0:
+          if (drivers.size() < 6) {
+            EXPECT_EQ(bus.AddDriver(), static_cast<int>(drivers.size()));
+            drivers.push_back(Levels{});
+          }
+          break;
+        case 1:
+          forced_low.scl = (draw >> 8) % 4 == 0;
+          bus.ForceSclLow(forced_low.scl);
+          break;
+        case 2:
+          forced_low.sda = (draw >> 8) % 4 == 0;
+          bus.ForceSdaLow(forced_low.sda);
+          break;
+        default:
+          if (!drivers.empty()) {
+            const int id = static_cast<int>((draw >> 8) % drivers.size());
+            // Mostly released, so every driver lets go now and then.
+            drivers[id] = Levels{(draw >> 16) % 4 != 0, (draw >> 20) % 4 != 0};
+            bus.SetDriver(id, drivers[id].scl, drivers[id].sda);
+          }
+          break;
+      }
+      ASSERT_EQ(bus.scl(), scan(-1, &Levels::scl)) << "seed " << seed << " step " << step;
+      ASSERT_EQ(bus.sda(), scan(-1, &Levels::sda)) << "seed " << seed << " step " << step;
+      for (int id = 0; id < static_cast<int>(drivers.size()); ++id) {
+        ASSERT_EQ(bus.SclExcept(id), scan(id, &Levels::scl))
+            << "seed " << seed << " step " << step << " driver " << id;
+        ASSERT_EQ(bus.SdaExcept(id), scan(id, &Levels::sda))
+            << "seed " << seed << " step " << step << " driver " << id;
+      }
+    }
+  }
 }
 
 TEST(I2cBus, CaptureRecordsOnlyChanges) {
@@ -143,6 +207,73 @@ TEST(RtlModule, TwoModulesHandshakeOverWires) {
   EXPECT_TRUE(a.halted());
   // The second talk sent 42 down; B is parked waiting for the next request.
   EXPECT_FALSE(b.halted());
+}
+
+// Module B of the two-module spec alone in its clock domain; the test plays
+// A on the two wires between edges.
+struct LoneB {
+  explicit LoneB(const ir::Compilation& comp) : b(comp.FindModule("B"), "B") {
+    const esi::ChannelInfo* to_b = comp.system().FindChannel("A", "B");
+    const esi::ChannelInfo* to_a = comp.system().FindChannel("B", "A");
+    down = system.CreateWire(to_b->flat_size);
+    up = system.CreateWire(to_a->flat_size);
+    b.BindPort(b.module().FindPort(to_b, /*is_send=*/false), down);
+    b.BindPort(b.module().FindPort(to_a, /*is_send=*/true), up);
+    system.AddComponent(&b);
+  }
+
+  rtl::RtlSystem system;
+  rtl::RtlModule b;
+  rtl::HsWire* down = nullptr;
+  rtl::HsWire* up = nullptr;
+};
+
+// The de-assert edge after a receive takes ready off the wire on that edge,
+// although the jump edge after it moves no output.
+TEST(RtlModule, DeassertEdgePublishesReadyLow) {
+  DiagnosticEngine diag;
+  auto comp = CompileTwoModules(diag);
+  ASSERT_NE(comp, nullptr) << diag.RenderAll();
+  LoneB world(*comp);
+  for (int i = 0; i < 5 && !world.down->ready; ++i) {
+    world.system.Tick();
+  }
+  ASSERT_TRUE(world.down->ready);
+  world.down->data[0] = 21;
+  world.down->valid = true;
+  world.system.Tick();  // the transfer edge
+  world.down->valid = false;
+  EXPECT_TRUE(world.down->ready);
+  world.system.Tick();  // the de-assert edge
+  EXPECT_FALSE(world.down->ready);
+}
+
+// A module's Reset() takes back what it published: without
+// RtlSystem::ResetWires, its next Commit drops a parked send's valid and
+// data. B's first edge after the reset is a jump, which moves no output, so
+// only the reset itself can tell Commit that the wires are stale.
+TEST(RtlSystem, ModuleResetPublishesAtNextCommit) {
+  DiagnosticEngine diag;
+  auto comp = CompileTwoModules(diag);
+  ASSERT_NE(comp, nullptr) << diag.RenderAll();
+  LoneB world(*comp);
+  // The test offers 21 and never takes the answer, so B parks on its send
+  // with valid raised.
+  world.down->data[0] = 21;
+  world.down->valid = true;
+  for (int i = 0; i < 20; ++i) {
+    world.system.Tick();
+  }
+  world.down->valid = false;
+  ASSERT_TRUE(world.up->valid);
+  ASSERT_EQ(world.up->data[0], 42);
+  ASSERT_EQ(world.b.IdleCycles(), rtl::kIdleForever);
+
+  world.b.Reset();
+  world.system.Tick();
+  EXPECT_FALSE(world.up->valid);
+  EXPECT_EQ(world.up->data, std::vector<int32_t>(world.up->data.size(), 0));
+  EXPECT_FALSE(world.down->ready);
 }
 
 // ---------------------------------------------------------------------------
