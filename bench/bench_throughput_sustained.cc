@@ -1,16 +1,11 @@
 // Sustained-throughput bench: a long continuous-read workload against the
 // 24AA512 measuring what the paper's figure 10 snapshot cannot — steady-state
-// operation rate, boundary-crossing cost, and the host-side cost of the VM
-// execution tiers, with and without the batched boundary (MMIO bursts +
-// interrupt coalescing).
+// operation rate and boundary-crossing cost, with and without the batched
+// boundary (MMIO bursts + interrupt coalescing).
 //
-// Two sections:
-//   sustained_tiers     exec-tier sweep at a fixed split: modeled metrics
-//                       must be tier-invariant while host instruction
-//                       throughput rises from interp to compiled.
-//   sustained_batching  batching sweep across splits: bursts/coalescing may
-//                       only speed up the modeled timeline, never slow the
-//                       bus, and the counters account for the crossings.
+// One section, sustained_batching: a batching sweep across splits.
+// Bursts/coalescing may only speed up the modeled timeline, never slow the
+// bus, and the counters account for the crossings.
 //
 // Flags: --json <path> writes the machine-readable report; --quick trims the
 // workload for CI smoke runs.
@@ -21,7 +16,6 @@
 
 #include "bench/bench_util.h"
 #include "src/driver/hybrid.h"
-#include "src/vm/exec_mode.h"
 
 namespace efeu {
 namespace {
@@ -35,62 +29,6 @@ driver::DriverMetrics Measure(const driver::HybridConfig& config, int ops, int l
 // CPU at the modeled speed would achieve.
 double OpsPerSecond(const driver::DriverMetrics& metrics, int ops) {
   return metrics.elapsed_ns > 0 ? 1e9 * ops / metrics.elapsed_ns : 0;
-}
-
-bool RunTierSection(bench::JsonReport* json, bool quick) {
-  const int ops = quick ? 4 : 16;
-  const int len = 14;
-  bench::PrintHeader("Sustained throughput: execution tiers (Electrical split, polling)");
-  bench::Table table({10, 12, 10, 12, 14, 10});
-  table.Row({"Tier", "instr", "ops/s", "vm host ms", "Minstr/s", "x interp"});
-  bench::PrintRule();
-
-  bool ok = true;
-  driver::DriverMetrics reference;
-  double interp_throughput = 0;
-  for (vm::ExecMode mode : {vm::ExecMode::kInterp, vm::ExecMode::kCompiled}) {
-    driver::HybridConfig config;
-    config.split = driver::SplitPoint::kElectrical;
-    config.capture_waveform = true;
-    config.exec_mode = mode;
-    driver::DriverMetrics metrics = Measure(config, ops, len);
-    if (!metrics.functional) {
-      std::printf("%s: NOT FUNCTIONAL (%s)\n", vm::ExecModeName(mode), metrics.note.c_str());
-      ok = false;
-      continue;
-    }
-    if (mode == vm::ExecMode::kInterp) {
-      reference = metrics;
-    } else if (metrics.instructions_retired != reference.instructions_retired ||
-               metrics.elapsed_ns != reference.elapsed_ns) {
-      std::printf("%s: modeled metrics diverge from interp!\n", vm::ExecModeName(mode));
-      ok = false;
-    }
-    double throughput =
-        metrics.vm_host_seconds > 0
-            ? static_cast<double>(metrics.instructions_retired) / metrics.vm_host_seconds
-            : 0;
-    if (mode == vm::ExecMode::kInterp) {
-      interp_throughput = throughput;
-    }
-    double speedup = interp_throughput > 0 ? throughput / interp_throughput : 0;
-    table.Row({vm::ExecModeName(mode), std::to_string(metrics.instructions_retired),
-               bench::Fmt(OpsPerSecond(metrics, ops), 1),
-               bench::Fmt(metrics.vm_host_seconds * 1e3, 3),
-               bench::Fmt(throughput / 1e6, 2), bench::Fmt(speedup, 2)});
-    if (json != nullptr) {
-      json->AddRow()
-          .Set("section", "sustained_tiers")
-          .Set("exec_mode", vm::ExecModeName(mode))
-          .Set("ops", ops)
-          .Set("ops_per_second", OpsPerSecond(metrics, ops))
-          .Set("instructions_retired", metrics.instructions_retired)
-          .Set("vm_host_seconds", metrics.vm_host_seconds)
-          .Set("instr_per_second", throughput)
-          .Set("speedup_vs_interp", speedup);
-    }
-  }
-  return ok;
 }
 
 bool RunBatchingSection(bench::JsonReport* json, bool quick) {
@@ -170,8 +108,7 @@ int main(int argc, char** argv) {
   }
   efeu::bench::JsonReport json("throughput_sustained");
   efeu::bench::JsonReport* report = json_path.empty() ? nullptr : &json;
-  bool ok = efeu::RunTierSection(report, quick);
-  ok = efeu::RunBatchingSection(report, quick) && ok;
+  const bool ok = efeu::RunBatchingSection(report, quick);
   if (!json_path.empty() && !json.WriteTo(json_path)) {
     return 1;
   }

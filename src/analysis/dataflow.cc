@@ -103,7 +103,7 @@ Interval TruncateInterval(const Interval& v, const Type& type) {
 Interval EvalUnOpInterval(esm::UnaryOp op, const Interval& a) {
   // Exact operands fold through the shared scalar evaluator
   // (src/ir/opcode_info.h), so singleton results agree bit-for-bit with every
-  // execution tier instead of re-deriving each operator's arithmetic here.
+  // executor instead of re-deriving each operator's arithmetic here.
   if (a.IsExact()) {
     return Interval::Exact(ir::EvalUnOp(op, static_cast<int32_t>(a.lo)));
   }

@@ -7,7 +7,7 @@
 namespace efeu::codegen {
 
 // Delegates to the shared opcode table (src/ir/opcode_info.h) so every
-// printer and execution tier agrees on one spelling per operator.
+// printer and executor agrees on one spelling per operator.
 const char* UnaryOpSpelling(esm::UnaryOp op) { return ir::UnaryOpSpelling(op); }
 
 const char* BinaryOpSpelling(esm::BinaryOp op) { return ir::BinaryOpSpelling(op); }

@@ -51,12 +51,12 @@ struct DriverMetrics {
   // no modeled output depends on it.
   uint64_t rtl_cycles_ticked = 0;
   uint64_t irq_count = 0;
-  // Execution-path counters (DESIGN.md "Execution modes").
+  // Execution-path counters (DESIGN.md "VM: one interpreter").
   uint64_t instructions_retired = 0;  // software-VM IR instructions executed
   uint64_t mmio_bursts = 0;           // word loops replaced by one AXI burst
   uint64_t irqs_coalesced = 0;        // up-messages drained without a new IRQ
-  // Host wall-clock spent inside the software VM (the part the execution
-  // tier accelerates; everything else — RTL sim, bus model — is shared).
+  // Host wall-clock spent inside the software VM; the RTL sim and the bus
+  // model run outside it.
   // Instruction throughput = instructions_retired / vm_host_seconds.
   double vm_host_seconds = 0;
   // Recovery cost of the whole driver lifetime so far.

@@ -250,8 +250,6 @@ HybridDriver::HybridDriver(const HybridConfig& config)
     const int bottom = WireSoftwareStack(first_hw);
     boundary_down_ = sw_.FindPort(bottom, down_channel, /*is_send=*/true);
     boundary_up_ = sw_.FindPort(bottom, up_channel, /*is_send=*/false);
-    sw_.SetExecMode(config_.exec_mode);
-    sw_.Precompile();
     // Let every layer reach its initial blocking point (startup, not timed).
     RunSw();
     last_sw_steps_ = sw_.TotalSteps();

@@ -59,11 +59,6 @@ struct MuxTopologyConfig {
 struct HybridConfig {
   SplitPoint split = SplitPoint::kByte;
   bool interrupt_driven = false;
-  // Execution tier for the software layers above the split (src/vm/
-  // exec_mode.h): interp / compiled. Semantics are identical across tiers;
-  // only the per-instruction dispatch cost on the host — and therefore
-  // bench wall-time, not the modeled timeline — changes.
-  vm::ExecMode exec_mode = vm::ExecMode::kInterp;
   // Batch the hybrid boundary: move adjacent MMIO data words as one AXI
   // burst (first beat at full cost, later beats at mmio_burst_word_ns)
   // instead of one bus transaction per word. The doorbell/ready writes stay
@@ -162,15 +157,8 @@ class HybridDriver : public DriverCore {
   uint64_t irqs_coalesced() const { return irqs_coalesced_; }
   // Cumulative IR instructions executed by the software layers.
   uint64_t instructions_retired() const { return sw_.TotalSteps(); }
-  // Configured execution tier for the software layers (the effective tier
-  // degrades to interp when the compiled tier is unavailable).
-  vm::ExecMode exec_mode() const { return sw_.exec_mode(); }
   // Cumulative host wall-clock spent inside the software VM.
   double vm_host_seconds() const;
-
-  // The software stack's VM, exposed for instrumentation (trace recording,
-  // observers). Mutating its processes mid-operation voids the warranty.
-  vm::System& software_system() { return sw_; }
 
   // The modules placed in hardware for this split (resource estimation).
   std::vector<const ir::Module*> HardwareModules() const;
@@ -181,10 +169,10 @@ class HybridDriver : public DriverCore {
 
  private:
   // Runs the software stack, accumulating host time into vm_host_ticks_
-  // (the tier-sensitive share of driver cost). Timed with the cheapest
-  // monotonic source available (rdtsc on x86): one VM slice per boundary
-  // pump is tens of nanoseconds, so a steady_clock pair would be a
-  // measurable fraction of the quantity under measurement.
+  // (the VM's share of driver cost). Timed with the cheapest monotonic
+  // source available (rdtsc on x86): one VM slice per boundary pump is tens
+  // of nanoseconds, so a steady_clock pair would be a measurable fraction of
+  // the quantity under measurement.
   vm::SystemState RunSw();
   // Modeled cost of an AXI burst of `words` beats whose first beat costs
   // `first_ns` (single-access cost) and later beats pipeline.

@@ -75,19 +75,13 @@ const ir::Module* FindEntryModule(const ir::Compilation& compilation) {
 // ---------------------------------------------------------------------------
 
 TargetTrace RunVmTarget(const ir::Compilation& compilation, const std::string& entry,
-                        const Stimuli& stimuli,
-                        vm::ExecMode mode = vm::ExecMode::kInterp) {
+                        const Stimuli& stimuli) {
   TargetTrace trace;
   vm::System system;
-  system.SetExecMode(mode);
   std::map<std::string, int> pid;
   for (const ir::Module& module : compilation.modules()) {
     pid[module.layer_name] = system.AddProcess(&module, module.layer_name);
   }
-  // One compiler invocation for the whole spec instead of one per module;
-  // results land in the content-addressed artifact cache, so fuzz iterations
-  // that regenerate an identical module reuse the shared object.
-  system.Precompile();
   for (const ir::Module& module : compilation.modules()) {
     for (size_t p = 0; p < module.ports.size(); ++p) {
       const ir::Port& port = module.ports[p];
@@ -904,27 +898,8 @@ DifferentialResult RunDifferential(const std::string& esi_text, const std::strin
 
   result.vm = RunVmTarget(*compilation, entry, stimuli);
   std::string why;
-  if (options.run_vm_tiers) {
-    // The compiled tier implements the interpreter's exact step semantics, so
-    // it is compared on everything even when the run failed: same verdict,
-    // same failing step, byte-identical error text, same internal channel
-    // sequences. (The checker is allowed to word errors differently; the
-    // tiers are not.)
-    result.vm_compiled =
-        RunVmTarget(*compilation, entry, stimuli, vm::ExecMode::kCompiled);
-    if (!CompareTraces("vm-compiled", result.vm, result.vm_compiled,
-                       /*compare_internals=*/true, &why)) {
-      result.agree = false;
-      result.divergence = why;
-    } else if (result.vm_compiled.error != result.vm.error) {
-      result.agree = false;
-      result.divergence = "vm-compiled: error text \"" + result.vm_compiled.error +
-                          "\", vm \"" + result.vm.error + "\"";
-    }
-  }
   result.checker = RunCheckerTarget(*compilation, entry, stimuli, options);
-  if (result.agree &&
-      !CompareTraces("checker", result.vm, result.checker, /*compare_internals=*/true, &why)) {
+  if (!CompareTraces("checker", result.vm, result.checker, /*compare_internals=*/true, &why)) {
     result.agree = false;
     result.divergence = why;
   }
@@ -972,8 +947,8 @@ DifferentialResult RunDifferential(const std::string& esi_text, const std::strin
     bool any_assumed = false;
     result.sym_all_proved = summary.AllProved(&any_assumed) && !any_assumed;
     // With unconstrained externals a full proof is unconditional; any
-    // failing execution of any schedule refutes it. The interpreter is the
-    // reference trace, and the tiers/checker already compared against it.
+    // failing execution of any schedule refutes it. The VM is the reference
+    // trace, and the checker already compared against it.
     if (result.sym_all_proved && (result.vm.verdict == Verdict::kAssertFailed ||
                                   result.vm.verdict == Verdict::kRuntimeError)) {
       result.sym_consistent = false;

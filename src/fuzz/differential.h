@@ -1,9 +1,9 @@
 // Four-way differential harness: runs one accepted fuzz spec through the
-// model checker's transition relation, the VM (both execution tiers:
-// interpreter and runtime-compiled), the cycle-accurate RTL simulator
-// (clocked per edge and again skipping idle edges), and the dlopen'd
-// generated C, feeding every target the same deterministic event schedule (a
-// fixed sequence of Env commands) and asserting agreement step for step.
+// model checker's transition relation, the VM interpreter, the cycle-accurate
+// RTL simulator (clocked per edge and again skipping idle edges), and the
+// dlopen'd generated C, feeding every target the same deterministic event
+// schedule (a fixed sequence of Env commands) and asserting agreement step
+// for step.
 //
 // What makes the comparison well-defined: fuzz systems are closed trees of
 // layers connected by rendezvous channels (a Kahn network), so the sequence
@@ -18,14 +18,12 @@
 //   - the full message sequence on every internal channel (checker, VM, RTL)
 //   - final values of every named ESM variable after the schedule (ok only)
 //
-// Comparison policy: the checker and the VM's compiled tier are compared
-// against the interpreter on everything — the tiers share the
-// interpreter's exact step semantics, so even failing runs must agree on the
-// verdict, the failing step, and the error text. The RTL simulator and the
-// generated C are compared only when the VM verdict is ok — by design the
-// RTL treats asserts as non-synthesizable no-ops and guards division, and
-// the C would SIGFPE on division by zero, so failing runs are meaningful
-// only on the deterministic software targets.
+// Comparison policy: the checker is compared against the VM on everything,
+// so even failing runs must agree on the verdict and the failing step. The
+// RTL simulator and the generated C are compared only when the VM verdict is
+// ok — by design the RTL treats asserts as non-synthesizable no-ops and
+// guards division, and the C would SIGFPE on division by zero, so failing
+// runs are meaningful only on the deterministic software targets.
 
 #ifndef SRC_FUZZ_DIFFERENTIAL_H_
 #define SRC_FUZZ_DIFFERENTIAL_H_
@@ -70,11 +68,6 @@ struct DifferentialOptions {
   // Compile + dlopen the generated C (skipped automatically when the VM
   // verdict is not kOk or no C compiler is available).
   bool run_c = true;
-  // Re-run the VM under the runtime-compiled execution tier and compare it
-  // against the interpreter trace (verdict, failing step, error text,
-  // replies, channel sequences, final variables). The compiled tier degrades
-  // to the interpreter when no host C compiler is available.
-  bool run_vm_tiers = true;
   // Run the symbolic executor (src/analysis/sym) over the spec with
   // unconstrained external words and cross-check its verdict against the
   // execution targets (see DifferentialResult::sym_consistent).
@@ -91,8 +84,7 @@ struct DifferentialResult {
   bool accepted = false;
   std::string reject_reason;
 
-  TargetTrace vm;           // interpreter tier: the reference trace
-  TargetTrace vm_compiled;  // runtime-compiled tier (when run_vm_tiers)
+  TargetTrace vm;  // the reference trace
   TargetTrace checker;
   // The per-edge RTL clock's trace. The RTL leg runs a second time skipping
   // idle edges, and must match this run in every reply, channel message,

@@ -5,9 +5,9 @@
 // This header is the single source of truth consumed by:
 //
 //   - the IR interpreter (src/vm),
-//   - the compiled-tier C++ emitter (src/vm/compiled.cc),
 //   - the cycle-accurate RTL simulator (src/rtl) via the *total* evaluators,
 //   - esmlint's interval dataflow (src/analysis) for singleton folding,
+//   - esmsym's value domain and solver (src/analysis/sym),
 //   - the C/Verilog backends via the operator spellings (src/codegen).
 
 #ifndef SRC_IR_OPCODE_INFO_H_

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "src/ir/opcode_info.h"
-#include "src/vm/compiled.h"
 
 namespace efeu::vm {
 
@@ -126,7 +125,10 @@ bool IrExecutor::Step() {
   return true;
 }
 
-RunState IrExecutor::RunInterp(uint64_t max_steps) {
+RunState IrExecutor::Run(uint64_t max_steps) {
+  if (state_ != RunState::kRunnable) {
+    return state_;
+  }
   uint64_t executed = 0;
   while (Step()) {
     if (max_steps != 0 && ++executed >= max_steps) {
@@ -134,26 +136,6 @@ RunState IrExecutor::RunInterp(uint64_t max_steps) {
     }
   }
   return state_;
-}
-
-RunState IrExecutor::Run(uint64_t max_steps) {
-  if (state_ != RunState::kRunnable) {
-    return state_;
-  }
-  switch (effective_mode()) {
-    case ExecMode::kInterp:
-      return RunInterp(max_steps);
-    case ExecMode::kCompiled:
-      return RunCompiled(max_steps);
-  }
-  return RunInterp(max_steps);
-}
-
-ExecMode IrExecutor::effective_mode() const {
-  if (mode_ == ExecMode::kCompiled && (compiled_unavailable_ || !CompiledTierAvailable())) {
-    return ExecMode::kInterp;
-  }
-  return mode_;
 }
 
 int IrExecutor::blocked_port() const {

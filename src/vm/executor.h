@@ -4,28 +4,18 @@
 // three different hosts: the software VM scheduler (src/vm/system.h), the
 // model checker (src/check), and the hybrid driver runtime (src/driver),
 // which also charges per-instruction CPU costs from the step counters.
-//
-// Run() dispatches over two execution tiers (src/vm/exec_mode.h); the
-// canonical machine state — (frame, block, inst_index, state) — is shared by
-// both, so a process can switch tiers at any blocking point and every
-// host-facing API (blocked_port, pending_message, Complete*, Snapshot) is
-// tier-independent.
 
 #ifndef SRC_VM_EXECUTOR_H_
 #define SRC_VM_EXECUTOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/ir/ir.h"
-#include "src/vm/exec_mode.h"
 
 namespace efeu::vm {
-
-class CompiledModule;  // compiled tier (src/vm/compiled.cc)
 
 enum class RunState {
   kRunnable,      // has instructions to execute
@@ -49,14 +39,6 @@ class IrExecutor {
   // only through CompleteSend/CompleteRecv/CompleteNondet. Returns the new
   // state. `max_steps` guards against runaway loops (0 = unlimited).
   RunState Run(uint64_t max_steps = 0);
-
-  // Selects the execution tier used by subsequent Run() calls. Legal at any
-  // blocking point; the canonical state carries over between tiers.
-  void set_exec_mode(ExecMode mode) { mode_ = mode; }
-  ExecMode exec_mode() const { return mode_; }
-  // The tier that would actually execute: kCompiled degrades to kInterp
-  // when no native compiler is available or AOT compilation failed.
-  ExecMode effective_mode() const;
 
   // Valid while kBlockedSend/kBlockedRecv: the port the process is blocked on.
   int blocked_port() const;
@@ -114,13 +96,9 @@ class IrExecutor {
   // Executes one non-blocking instruction; advances the pc. Returns false if
   // the machine stopped (blocked/halted/error).
   bool Step();
-  RunState RunInterp(uint64_t max_steps);
-  RunState RunCompiled(uint64_t max_steps);  // src/vm/compiled.cc
   void AdvancePastCurrent();
   void Fail(RunState state, std::string message);
-  // Shared failure-message formatters: every tier reports errors through
-  // these so the strings are byte-identical across tiers (the differential
-  // harness compares them).
+  // Failure-message formatters: "<layer>: <what> at <line>:<column>".
   void FailDivZero(const ir::Inst& inst);
   void FailOutOfBounds(const ir::Inst& inst, int32_t index);
   void FailAssert(const ir::Inst& inst);
@@ -133,11 +111,6 @@ class IrExecutor {
   std::string error_;
   uint64_t steps_ = 0;
   bool progress_seen_ = false;
-  ExecMode mode_ = ExecMode::kInterp;
-  // Lazily-built tier artifacts; shared across executors of one module where
-  // the tier's cache allows it.
-  std::shared_ptr<const CompiledModule> compiled_;
-  bool compiled_unavailable_ = false;  // AOT failed for this module; interpret
 };
 
 }  // namespace efeu::vm

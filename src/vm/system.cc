@@ -5,14 +5,12 @@
 #include <vector>
 
 #include "src/support/check.h"
-#include "src/vm/compiled.h"
 
 namespace efeu::vm {
 
 int System::AddProcess(const ir::Module* module, std::string instance_name) {
   ProcessEntry entry;
   entry.executor = std::make_unique<IrExecutor>(module);
-  entry.executor->set_exec_mode(default_mode_);
   entry.name = std::move(instance_name);
   entry.links.resize(module->ports.size());
   processes_.push_back(std::move(entry));
@@ -37,25 +35,6 @@ void System::Reset() {
   for (int p = static_cast<int>(processes_.size()) - 1; p >= 0; --p) {
     Enqueue(p);
   }
-}
-
-void System::SetExecMode(ExecMode mode) {
-  default_mode_ = mode;
-  for (ProcessEntry& entry : processes_) {
-    entry.executor->set_exec_mode(mode);
-  }
-}
-
-void System::Precompile() {
-  if (default_mode_ != ExecMode::kCompiled) {
-    return;
-  }
-  std::vector<const ir::Module*> modules;
-  modules.reserve(processes_.size());
-  for (const ProcessEntry& entry : processes_) {
-    modules.push_back(&entry.executor->module());
-  }
-  CompiledModule::Precompile(modules);
 }
 
 void System::Connect(PortRef sender, PortRef receiver) {

@@ -71,15 +71,6 @@ class System {
   // sweep scheduler apart from which failing process is reported first.
   SystemState Run(uint64_t max_transfers = 0);
 
-  // Selects the execution tier for all current and future processes.
-  void SetExecMode(ExecMode mode);
-  ExecMode exec_mode() const { return default_mode_; }
-  // Batch-compiles every process module for the compiled tier in one
-  // compiler invocation (no-op unless the mode is kCompiled and a host C
-  // compiler is available). Lazy per-module compilation happens anyway on
-  // first Run; this just front-loads the cost.
-  void Precompile();
-
   // -- External ports --------------------------------------------------------
   // True if `ref`'s process is blocked sending on `ref.port`.
   bool WantsToSend(PortRef ref) const;
@@ -105,7 +96,7 @@ class System {
   // (DeliverMessage/TakeMessage) report kExternalPort on the host side, so a
   // recorder sees each process's full consumption order in one stream. Used
   // by the differential fuzz harness to compare per-channel message
-  // sequences across execution targets and by the dispatch-replay bench.
+  // sequences across execution targets.
   using TransferObserver =
       std::function<void(PortRef sender, PortRef receiver, std::span<const int32_t> message)>;
   void SetTransferObserver(TransferObserver observer) { observer_ = std::move(observer); }
@@ -135,7 +126,6 @@ class System {
   std::vector<ProcessEntry> processes_;
   std::string error_;
   TransferObserver observer_;
-  ExecMode default_mode_ = ExecMode::kInterp;
   // Persistent worklist. A process enters when added, connected, reset, or
   // externally completed (DeliverMessage/TakeMessage); Run() drains it and a
   // process parked on an unmatched channel stays off the list until one of

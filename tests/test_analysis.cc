@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -754,28 +755,44 @@ void Up() {
 }
 )esm";
 
+// Each side is timed as the fastest of kRuns identical calls, so one sample
+// preempted on a loaded host cannot decide the comparison. The verdicts are
+// asserted on the first run.
 TEST(AnalyzeBeforeCheck, LintRejectsSeededBugFasterThanChecker) {
   std::string rendered;
   auto comp = CompilePair(std::string(kSeededBugEsm) + kEchoDown, &rendered);
   ASSERT_NE(comp, nullptr) << rendered;
 
   using Clock = std::chrono::steady_clock;
-  Clock::time_point t0 = Clock::now();
-  DiagnosticEngine lint_diag;
-  analysis::AnalysisResult lint = analysis::AnalyzeCompilation(*comp, lint_diag, {});
-  double lint_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  EXPECT_FALSE(lint.ok()) << "lint missed the seeded out-of-bounds access";
-  EXPECT_NE(lint_diag.RenderAll().find("[static-bounds]"), std::string::npos);
+  constexpr int kRuns = 5;
+  double lint_seconds = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    DiagnosticEngine lint_diag;
+    const Clock::time_point t0 = Clock::now();
+    analysis::AnalysisResult lint = analysis::AnalyzeCompilation(*comp, lint_diag, {});
+    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    lint_seconds = run == 0 ? seconds : std::min(lint_seconds, seconds);
+    if (run == 0) {
+      EXPECT_FALSE(lint.ok()) << "lint missed the seeded out-of-bounds access";
+      EXPECT_NE(lint_diag.RenderAll().find("[static-bounds]"), std::string::npos);
+    }
+  }
 
   check::CheckedSystem sys;
   int up = sys.AddModule(comp->FindModule("Up"), "Up");
   int down = sys.AddModule(comp->FindModule("Down"), "Down");
   sys.ConnectByChannel(up, down, comp->system().FindChannel("Up", "Down"));
   sys.ConnectByChannel(down, up, comp->system().FindChannel("Down", "Up"));
-  t0 = Clock::now();
-  check::CheckResult check = sys.Check({});
-  double check_seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-  ASSERT_FALSE(check.ok) << "checker missed the seeded runtime error";
+  double check_seconds = 0;
+  for (int run = 0; run < kRuns; ++run) {
+    const Clock::time_point t0 = Clock::now();
+    check::CheckResult check = sys.Check({});
+    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    check_seconds = run == 0 ? seconds : std::min(check_seconds, seconds);
+    if (run == 0) {
+      ASSERT_FALSE(check.ok) << "checker missed the seeded runtime error";
+    }
+  }
 
   EXPECT_LT(lint_seconds, check_seconds)
       << "lint took " << lint_seconds << "s, checker took " << check_seconds << "s";

@@ -164,7 +164,7 @@ TEST(DriverAblation, NoAutoResetBreaksTheDriver) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Boundary batching, interrupt coalescing, and execution tiers
+// Boundary batching and interrupt coalescing
 // ---------------------------------------------------------------------------
 
 // MMIO bursts change the modeled cost of boundary crossings, never the data:
@@ -240,31 +240,6 @@ TEST(DriverBatching, IrqCoalescingReducesInterrupts) {
   EXPECT_EQ(plain.irqs_coalesced, 0u);
   EXPECT_GT(coalesced.irqs_coalesced, 0u);
   EXPECT_LT(coalesced.irq_count, plain.irq_count);
-}
-
-// The execution tier is invisible to the modeled timeline: metrics from a
-// compiled-tier driver are identical to the interpreter's, and the
-// instructions-retired counter matches exactly.
-TEST(DriverBatching, ExecTiersAgreeOnModeledMetrics) {
-  DriverMetrics reference;
-  for (vm::ExecMode mode : {vm::ExecMode::kInterp, vm::ExecMode::kCompiled}) {
-    HybridConfig config;
-    config.split = SplitPoint::kByte;
-    config.capture_waveform = true;
-    config.exec_mode = mode;
-    DriverMetrics metrics = HybridDriver(config).MeasureReads(2, 14);
-    ASSERT_TRUE(metrics.functional) << vm::ExecModeName(mode);
-    EXPECT_GT(metrics.instructions_retired, 0u);
-    if (mode == vm::ExecMode::kInterp) {
-      reference = metrics;
-    } else {
-      EXPECT_EQ(metrics.instructions_retired, reference.instructions_retired)
-          << vm::ExecModeName(mode);
-      EXPECT_DOUBLE_EQ(metrics.elapsed_ns, reference.elapsed_ns) << vm::ExecModeName(mode);
-      EXPECT_DOUBLE_EQ(metrics.cpu_usage, reference.cpu_usage) << vm::ExecModeName(mode);
-      EXPECT_EQ(metrics.irq_count, reference.irq_count) << vm::ExecModeName(mode);
-    }
-  }
 }
 
 }  // namespace efeu::driver

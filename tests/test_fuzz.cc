@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fuzz/corpus.h"
@@ -53,10 +54,9 @@ TEST(FuzzGenerator, DifferentSeedsDiffer) {
 
 TEST(FuzzGenerator, GeneratedSpecsAreAlwaysAccepted) {
   // Well-typed by construction: the frontend must accept every generated
-  // spec. Runs without the C target or the VM tiers to stay fast.
+  // spec. Runs without the C target to stay fast.
   DifferentialOptions options;
   options.run_c = false;
-  options.run_vm_tiers = false;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     SpecModel model = GenerateSpec(seed);
     DifferentialResult result = RunDifferential(model, options);
@@ -70,38 +70,24 @@ TEST(FuzzGenerator, GeneratedSpecsAreAlwaysAccepted) {
 
 // The RTL leg runs twice, per edge and skipping idle edges, and the two must
 // agree cycle for cycle (a divergence fails `agree`). The skipping run must
-// really skip, or the comparison proves nothing.
+// really skip, or the comparison proves nothing. Seeds 300-329 include runs
+// that fail, where the checker must fail at the VM's step.
 TEST(FuzzDifferential, CheckerVmRtlAgreeOnFixedSeeds) {
   DifferentialOptions options;
   options.run_c = false;
-  options.run_vm_tiers = false;  // Tier coverage: ExecutionTiersAgreeOnFixedSeeds.
   uint64_t rtl_cycles = 0;
   uint64_t rtl_ticked = 0;
-  for (uint64_t seed = 100; seed < 140; ++seed) {
-    DifferentialResult result = RunDifferential(GenerateSpec(seed), options);
-    ASSERT_TRUE(result.accepted) << "seed " << seed << ": " << result.reject_reason;
-    EXPECT_TRUE(result.agree) << "seed " << seed << ": " << result.divergence;
-    rtl_cycles += result.rtl_cycles;
-    rtl_ticked += result.rtl_cycles_ticked;
+  for (const auto& [first, last] : {std::pair<uint64_t, uint64_t>{100, 140}, {300, 330}}) {
+    for (uint64_t seed = first; seed < last; ++seed) {
+      DifferentialResult result = RunDifferential(GenerateSpec(seed), options);
+      ASSERT_TRUE(result.accepted) << "seed " << seed << ": " << result.reject_reason;
+      EXPECT_TRUE(result.agree) << "seed " << seed << ": " << result.divergence;
+      rtl_cycles += result.rtl_cycles;
+      rtl_ticked += result.rtl_cycles_ticked;
+    }
   }
   EXPECT_GT(rtl_cycles, 0u);
   EXPECT_LT(rtl_ticked, rtl_cycles);
-}
-
-// The VM execution tiers ride every differential run (run_vm_tiers defaults
-// on); this pins a dedicated fixed-seed slice where the traces must agree on
-// verdict, error text, replies, channels, and final variables — including
-// seeds whose runs fail, where the tiers must fail identically.
-TEST(FuzzDifferential, ExecutionTiersAgreeOnFixedSeeds) {
-  DifferentialOptions options;
-  options.run_c = false;
-  for (uint64_t seed = 300; seed < 330; ++seed) {
-    DifferentialResult result = RunDifferential(GenerateSpec(seed), options);
-    ASSERT_TRUE(result.accepted) << "seed " << seed << ": " << result.reject_reason;
-    EXPECT_TRUE(result.agree) << "seed " << seed << ": " << result.divergence;
-    EXPECT_EQ(result.vm_compiled.verdict, result.vm.verdict) << "seed " << seed;
-    EXPECT_EQ(result.vm_compiled.error, result.vm.error) << "seed " << seed;
-  }
 }
 
 // The symbolic executor rides every differential run too (run_sym defaults
@@ -113,7 +99,6 @@ TEST(FuzzDifferential, ExecutionTiersAgreeOnFixedSeeds) {
 TEST(FuzzDifferential, SymVerdictsAgreeWithExecutionOnFixedSeeds) {
   DifferentialOptions options;
   options.run_c = false;
-  options.run_vm_tiers = false;
   int total_obligations = 0;
   int fully_proved_specs = 0;
   for (uint64_t seed = 400; seed < 440; ++seed) {
@@ -145,7 +130,6 @@ TEST(FuzzDifferential, GeneratedCAgreesOnFixedSeeds) {
 TEST(FuzzDifferential, VerdictIsDeterministicAcrossRuns) {
   DifferentialOptions options;
   options.run_c = false;
-  options.run_vm_tiers = false;
   for (uint64_t seed : {11u, 23u, 307u, 5001u}) {
     SpecModel model = GenerateSpec(seed);
     DifferentialResult first = RunDifferential(model, options);

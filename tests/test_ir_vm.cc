@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/ir/compile.h"
 #include "src/ir/dump.h"
 #include "src/ir/segment.h"
@@ -138,27 +142,42 @@ TEST(IrVm, IfElseChain) {
 // Failure semantics
 // ---------------------------------------------------------------------------
 
+// The whole message is pinned: System::error() and the fuzz harness's
+// reports show it as is, so the layer name, the operands and the source
+// location are all part of the contract.
+constexpr const char* kDivZeroBody = "void Up() { int n; int x; n = 0; x = 10 / n; }";
+constexpr const char* kOutOfBoundsBody = "void Up() { byte a[3]; int i; i = 5; a[i] = 1; }";
+constexpr const char* kAssertBody = "void Up() { int x; x = 3; assert(x == 4); }";
+
 TEST(IrVm, DivisionByZeroIsRuntimeError) {
-  auto comp = Compile("void Up() { int x; int z; x = 1 / z; }");
+  auto comp = Compile(kDivZeroBody);
   vm::IrExecutor executor(comp->FindModule("Up"));
   executor.Run();
   EXPECT_EQ(executor.state(), vm::RunState::kRuntimeError);
-  EXPECT_NE(executor.error().find("division by zero"), std::string::npos);
+  EXPECT_EQ(executor.error(), "Up: division by zero at 1:41");
 }
 
 TEST(IrVm, OutOfBoundsIndexIsRuntimeError) {
-  auto comp = Compile("void Up() { byte a[3]; int i; i = 5; a[i] = 1; }");
+  auto comp = Compile(kOutOfBoundsBody);
   vm::IrExecutor executor(comp->FindModule("Up"));
   executor.Run();
   EXPECT_EQ(executor.state(), vm::RunState::kRuntimeError);
-  EXPECT_NE(executor.error().find("out of bounds"), std::string::npos);
+  EXPECT_EQ(executor.error(), "Up: array index 5 out of bounds at 1:39");
+
+  // A load one past the last element is out of bounds too.
+  auto load = Compile("void Up() { byte a[3]; int i; int x; i = 3; x = a[i]; }");
+  vm::IrExecutor loader(load->FindModule("Up"));
+  loader.Run();
+  EXPECT_EQ(loader.state(), vm::RunState::kRuntimeError);
+  EXPECT_EQ(loader.error(), "Up: array index 3 out of bounds at 1:50");
 }
 
 TEST(IrVm, FailedAssertReported) {
-  auto comp = Compile("void Up() { assert(1 == 2); }");
+  auto comp = Compile(kAssertBody);
   vm::IrExecutor executor(comp->FindModule("Up"));
   executor.Run();
   EXPECT_EQ(executor.state(), vm::RunState::kAssertFailed);
+  EXPECT_EQ(executor.error(), "Up: assertion failed at 1:27");
 }
 
 TEST(IrVm, StepBudgetStopsRunawayLoop) {
@@ -166,8 +185,108 @@ TEST(IrVm, StepBudgetStopsRunawayLoop) {
   vm::IrExecutor executor(comp->FindModule("Up"));
   executor.Run(1000);
   EXPECT_EQ(executor.state(), vm::RunState::kRunnable);
-  EXPECT_GE(executor.steps(), 1000u);
+  EXPECT_EQ(executor.steps(), 1000u);
 }
+
+// Control entering a progress-labeled block sets the progress bit, whether by
+// a jump or a branch. Lowering reaches every labeled block through a jump, so
+// the branch needs hand-built IR.
+TEST(IrVm, BranchIntoProgressBlockSetsProgressSeen) {
+  for (int32_t taken : {0, 1}) {
+    ir::Inst cond;
+    cond.op = ir::Opcode::kConst;
+    cond.dst = 0;
+    cond.imm = taken;
+    ir::Inst branch;
+    branch.op = ir::Opcode::kBranch;
+    branch.a = 0;
+    branch.target = 1;
+    branch.target2 = 2;
+    ir::Module module;
+    module.layer_name = "Up";
+    module.frame_size = 1;
+    module.blocks.resize(3);
+    module.blocks[0].insts = {cond, branch};
+    module.blocks[1].insts = {ir::Inst{}};  // kHalt
+    module.blocks[1].is_progress_label = true;
+    module.blocks[2].insts = {ir::Inst{}};
+    vm::IrExecutor executor(&module);
+    EXPECT_EQ(executor.Run(), vm::RunState::kHalted);
+    EXPECT_EQ(executor.ProgressSeen(), taken == 1);
+  }
+}
+
+// Exercises every non-blocking opcode class: constants, truncating copies,
+// unary and binary operators, array loads and stores, loops, an assert that
+// holds, and a final halt.
+constexpr const char* kArithBody = R"esm(
+void Up() {
+  int x;
+  int i;
+  byte acc[4];
+  short s;
+  bit flip;
+  x = 1;
+  i = 0;
+  while (i < 17) {
+    x = x * 3 + i;
+    x = x % 9973;
+    s = x;
+    flip = !flip;
+    acc[i % 4] = x >> (i % 8);
+    x = x + acc[(i + 1) % 4] + s + flip;
+    x = x - (x / 7);
+    i = i + 1;
+  }
+  assert(x >= 0 || x < 0);
+}
+)esm";
+
+// A step budget slices a run without changing it. Every slice that leaves
+// the executor runnable retires exactly `budget` instructions, and the last
+// slice ends in the machine state of one unbounded Run(): same frame (temps
+// included), pc, step count, progress bit and error.
+void ExpectSlicesMatchUnboundedRun(const char* body) {
+  auto comp = Compile(body);
+  ASSERT_NE(comp, nullptr);
+  const ir::Module* module = comp->FindModule("Up");
+  vm::IrExecutor reference(module);
+  reference.Run();
+  ASSERT_NE(reference.state(), vm::RunState::kRunnable);
+  for (uint64_t budget : {1u, 2u, 3u, 7u}) {
+    const std::string context = std::string(body) + " budget=" + std::to_string(budget);
+    vm::IrExecutor sliced(module);
+    int slices = 0;
+    while (sliced.state() == vm::RunState::kRunnable) {
+      ASSERT_LT(++slices, 100000) << context;
+      const uint64_t before = sliced.steps();
+      if (sliced.Run(budget) == vm::RunState::kRunnable) {
+        ASSERT_EQ(sliced.steps() - before, budget) << context << " slice " << slices;
+      }
+    }
+    EXPECT_EQ(sliced.state(), reference.state()) << context;
+    EXPECT_EQ(sliced.current_block(), reference.current_block()) << context;
+    EXPECT_EQ(sliced.current_inst_index(), reference.current_inst_index()) << context;
+    EXPECT_EQ(sliced.steps(), reference.steps()) << context;
+    EXPECT_EQ(sliced.ProgressSeen(), reference.ProgressSeen()) << context;
+    EXPECT_EQ(sliced.error(), reference.error()) << context;
+    EXPECT_TRUE(std::ranges::equal(sliced.frame(), reference.frame())) << context;
+  }
+}
+
+TEST(IrVm, BudgetSlicesMatchUnboundedRun) { ExpectSlicesMatchUnboundedRun(kArithBody); }
+
+// A run that fails stops at the same instruction, with the same message,
+// however it is sliced.
+TEST(IrVm, SlicedDivisionByZeroMatchesUnboundedRun) {
+  ExpectSlicesMatchUnboundedRun(kDivZeroBody);
+}
+
+TEST(IrVm, SlicedOutOfBoundsMatchesUnboundedRun) {
+  ExpectSlicesMatchUnboundedRun(kOutOfBoundsBody);
+}
+
+TEST(IrVm, SlicedFailedAssertMatchesUnboundedRun) { ExpectSlicesMatchUnboundedRun(kAssertBody); }
 
 // ---------------------------------------------------------------------------
 // Communication via vm::System
@@ -276,6 +395,57 @@ TEST(IrVm, SnapshotRestoreRoundTrip) {
   std::vector<int32_t> snapshot2(other.SnapshotSize());
   other.Snapshot(snapshot2);
   EXPECT_EQ(snapshot, snapshot2);
+}
+
+// A snapshot taken at a blocking point carries everything the process needs
+// to continue: the restored executor completes the receive and runs to the
+// same pending send as the original, with the same message and step count.
+TEST(IrVm, RestoredExecutorContinuesFromBlockingPoint) {
+  auto comp = Compile(kEchoPair);
+  const ir::Module* module = comp->FindModule("Down");
+  vm::IrExecutor executor(module);
+  ASSERT_EQ(executor.Run(), vm::RunState::kBlockedRecv);
+  std::vector<int32_t> snapshot(executor.SnapshotSize());
+  executor.Snapshot(snapshot);
+  executor.ResetSteps();  // A snapshot holds no step count.
+  vm::IrExecutor other(module);
+  other.Restore(snapshot);
+
+  const std::vector<int32_t> request = {6, 7, 9, 8, 7};
+  for (vm::IrExecutor* ex : {&executor, &other}) {
+    ex->CompleteRecv(request);
+    ASSERT_EQ(ex->Run(), vm::RunState::kBlockedSend);
+  }
+  EXPECT_EQ(other.blocked_port(), executor.blocked_port());
+  EXPECT_EQ(other.current_block(), executor.current_block());
+  EXPECT_EQ(other.current_inst_index(), executor.current_inst_index());
+  EXPECT_TRUE(std::ranges::equal(other.pending_message(), executor.pending_message()));
+  EXPECT_TRUE(std::ranges::equal(other.pending_message(), std::vector<int32_t>{13, 9, 8, 7}));
+  EXPECT_EQ(other.steps(), executor.steps());
+  EXPECT_GT(other.steps(), 0u);
+}
+
+// Completing a blocking instruction counts one step, on top of the one counted
+// when the executor stopped at it. The hybrid driver charges modeled CPU time
+// from these counts.
+TEST(IrVm, CompletionsCountOneStep) {
+  auto comp = Compile(kEchoPair);
+  vm::IrExecutor down(comp->FindModule("Down"));
+  ASSERT_EQ(down.Run(), vm::RunState::kBlockedRecv);
+  uint64_t steps = down.steps();
+  down.CompleteRecv(std::vector<int32_t>{6, 7, 9, 8, 7});
+  EXPECT_EQ(down.steps(), steps + 1);
+  ASSERT_EQ(down.Run(), vm::RunState::kBlockedSend);
+  steps = down.steps();
+  down.CompleteSend();
+  EXPECT_EQ(down.steps(), steps + 1);
+
+  auto nondet = Compile("void Up() { int b; b = nondet(2); }");
+  vm::IrExecutor up(nondet->FindModule("Up"));
+  ASSERT_EQ(up.Run(), vm::RunState::kBlockedNondet);
+  steps = up.steps();
+  up.CompleteNondet(1);
+  EXPECT_EQ(up.steps(), steps + 1);
 }
 
 TEST(IrVm, SnapshotCanonicalizesTemps) {
