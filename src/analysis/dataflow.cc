@@ -42,8 +42,6 @@ int64_t NextPow2(int64_t v) {
 
 }  // namespace
 
-Interval Interval::Exact(int64_t v) { return Interval{v, v}; }
-Interval Interval::Of(int64_t lo, int64_t hi) { return Interval{lo, hi}; }
 Interval Interval::Full() { return Interval{kI32Min, kI32Max}; }
 
 Interval Interval::Storage(const Type& type) {

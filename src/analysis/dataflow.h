@@ -21,8 +21,9 @@ struct Interval {
   int64_t lo = 0;
   int64_t hi = 0;
 
-  static Interval Exact(int64_t v);
-  static Interval Of(int64_t lo, int64_t hi);
+  // Inline: every SymVal construction starts from Exact(0).
+  static Interval Exact(int64_t v) { return Interval{v, v}; }
+  static Interval Of(int64_t lo, int64_t hi) { return Interval{lo, hi}; }
   // The whole int32 range.
   static Interval Full();
   // The values representable by `type`'s storage (after truncation):

@@ -1,24 +1,15 @@
 #include "src/analysis/sym/domain.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <utility>
 
 #include "src/ir/opcode_info.h"
 
 namespace efeu::analysis::sym {
 
 namespace {
-
-int64_t Gcd(int64_t a, int64_t b) {
-  a = a < 0 ? -a : a;
-  b = b < 0 ? -b : b;
-  while (b != 0) {
-    int64_t t = a % b;
-    a = b;
-    b = t;
-  }
-  return a;
-}
 
 // Mathematical (always non-negative) residue.
 int64_t Residue(int64_t v, int64_t m) {
@@ -54,17 +45,26 @@ bool CongruenceAdmits(int64_t m, int64_t r, int64_t v) {
 constexpr int64_t kEnumerationLimit = 64;
 static_assert(kMaxSetSize * kMaxSetSize <= kEnumerationLimit);
 
+// The congruence of the sorted `vals[0, n)`, n >= 1: the gcd of the
+// members' distances to the minimum (0 for one member, exact), with the
+// minimum's residue. Equal to joining the members' exact congruences one by
+// one, without a division per member.
+void SetCongruence(const int32_t* vals, int n, int64_t* mod, int64_t* res) {
+  int64_t m = 0;
+  for (int i = 1; i < n && m != 1; ++i) {
+    m = Gcd(m, int64_t{vals[i]} - vals[0]);
+  }
+  *mod = m;
+  *res = Residue(vals[0], m);
+}
+
 // The canonical value of the sorted, duplicate-free `vals[0, n)`, n >= 1.
 SymVal FromSorted(const int32_t* vals, int n) {
   SymVal out;
   out.interval = Interval::Of(vals[0], vals[n - 1]);
-  // The congruence of a set is cheap (a gcd chain over the gaps) and worth
-  // keeping even when the set itself is too big to track.
-  out.mod = 0;
-  out.res = vals[0];
-  for (int i = 0; i < n; ++i) {
-    JoinCongruence(out.mod, out.res, 0, vals[i], &out.mod, &out.res);
-  }
+  // The congruence of a set is cheap and worth keeping even when the set
+  // itself is too big to track.
+  SetCongruence(vals, n, &out.mod, &out.res);
   if (n <= kMaxSetSize) {
     out.values.Assign(vals, n);
   }
@@ -82,6 +82,24 @@ SymVal SetOf(int32_t* vals, int n) {
 }
 
 }  // namespace
+
+int64_t Gcd(int64_t a, int64_t b) {
+  uint64_t x = a < 0 ? 0 - static_cast<uint64_t>(a) : static_cast<uint64_t>(a);
+  uint64_t y = b < 0 ? 0 - static_cast<uint64_t>(b) : static_cast<uint64_t>(b);
+  if (x == 0 || y == 0) {
+    return static_cast<int64_t>(x | y);
+  }
+  const int shift = std::countr_zero(x | y);
+  x >>= std::countr_zero(x);
+  do {
+    y >>= std::countr_zero(y);
+    if (x > y) {
+      std::swap(x, y);
+    }
+    y -= x;
+  } while (y != 0);
+  return static_cast<int64_t>(x << shift);
+}
 
 SymVal SymVal::Exact(int32_t v) {
   SymVal out;
@@ -184,11 +202,7 @@ bool SymVal::SubsumedBy(const SymVal& other) const {
 void SymVal::Canonicalize() {
   if (HasSet()) {
     interval = Interval::Of(values.front(), values.back());
-    mod = 0;
-    res = values.front();
-    for (int32_t v : values) {
-      JoinCongruence(mod, res, 0, v, &mod, &res);
-    }
+    SetCongruence(values.begin(), values.size(), &mod, &res);
     return;
   }
   if (mod == 0) {
@@ -223,11 +237,6 @@ void SymVal::Canonicalize() {
       assumed = keep_assumed;
     }
   }
-}
-
-bool SymVal::operator==(const SymVal& other) const {
-  return interval == other.interval && mod == other.mod && res == other.res &&
-         values == other.values && assumed == other.assumed;
 }
 
 std::string SymVal::ToString() const {
@@ -270,6 +279,11 @@ SymVal Join(const SymVal& a, const SymVal& b) {
                                     b.values.end(), merged);
       out = FromSorted(merged, static_cast<int>(end - merged));
     }
+  } else if (!a.HasSet() && !b.HasSet() && a.interval == b.interval && a.mod == b.mod &&
+             a.res == b.res) {
+    // The hull of two equal hulls is the hull itself, canonicalized.
+    out = a;
+    out.Canonicalize();
   } else {
     out.interval = Join(a.interval, b.interval);
     JoinCongruence(a.mod, a.res, b.mod, b.res, &out.mod, &out.res);

@@ -110,7 +110,10 @@ struct SymVal {
   // and congruence from the set, drops redundant congruences.
   void Canonicalize();
 
-  bool operator==(const SymVal& other) const;
+  bool operator==(const SymVal& other) const {
+    return interval == other.interval && mod == other.mod && res == other.res &&
+           values == other.values && assumed == other.assumed;
+  }
 
   // Compact rendering for dumps and goldens: "0", "{0,2}", "[0,255]",
   // "[0,254] mod2=0"; assumed values carry a trailing "?".
@@ -119,9 +122,23 @@ struct SymVal {
 
 static_assert(std::is_trivially_copyable_v<SymVal>);
 
+// Greatest common divisor of |a| and |b| (binary, no division); Gcd(x, 0)
+// is |x|. Builds every congruence of the domain.
+int64_t Gcd(int64_t a, int64_t b);
+
 // Lattice join (set union while small, hulls otherwise). Two set-carrying
-// operands with equal sets join to the operand itself, taints OR'ed.
+// operands with equal sets join to the operand itself, taints OR'ed; two
+// equal set-less operands join to the operand canonicalized, which is not
+// always the operand (a widened bool [0,1] joins to {0,1}).
 SymVal Join(const SymVal& a, const SymVal& b);
+
+// True when Join(into, from) and Widen(into, from, storage) both return
+// `into` itself: the two carry the same set (so, being canonical, the same
+// value up to the taint) and `from` adds no taint. Join points skip the full
+// join on it; set-less operands never qualify (see Join).
+inline bool JoinKeeps(const SymVal& into, const SymVal& from) {
+  return into.HasSet() && into.values == from.values && (into.assumed || !from.assumed);
+}
 
 // Abstract transfer of Type::Truncate: exact pointwise on sets, interval via
 // TruncateInterval, congruence via gcd with the storage modulus 2^w (u8 and

@@ -1,6 +1,7 @@
 #include "src/analysis/sym/symexec.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <deque>
 
@@ -84,8 +85,8 @@ class SymExecutor {
       int block = worklist_.front();
       worklist_.pop_front();
       in_worklist_[block] = 0;
-      State state = entry_[block];  // Copy: transfer mutates.
-      TransferBlock(block, std::move(state), /*replay=*/false);
+      work_ = entry_[block];  // Transfer mutates; the assignment reuses work_'s cells.
+      TransferBlock(block, /*replay=*/false);
     }
 
     if (summary_.complete) {
@@ -94,8 +95,8 @@ class SymExecutor {
       replay_ = true;
       for (int block = 0; block < num_blocks; ++block) {
         if (has_state_[block]) {
-          State state = entry_[block];
-          TransferBlock(block, std::move(state), /*replay=*/true);
+          work_ = entry_[block];
+          TransferBlock(block, /*replay=*/true);
         }
       }
     }
@@ -211,7 +212,7 @@ class SymExecutor {
   }
 
   void ApplyRefinements(State& state, const std::vector<LeafRefinement>& refinements) {
-    std::vector<int> refined;
+    refined_.clear();
     for (const LeafRefinement& r : refinements) {
       if (r.record < 0 || r.record >= static_cast<int>(state.cells.size())) {
         continue;
@@ -223,9 +224,9 @@ class SymExecutor {
       // Refinement narrows the value without being a write: the generation
       // is kept so downstream expressions still refresh against this cell.
       cell.val = Refine(cell.val, r.refined);
-      refined.push_back(r.record);
+      refined_.push_back(r.record);
     }
-    if (refined.empty()) {
+    if (refined_.empty()) {
       return;
     }
     // Alias propagation: a cell computed FROM a refined leaf (`d = r.r;
@@ -236,7 +237,7 @@ class SymExecutor {
     // the tighter of the two.
     for (Cell& cell : state.cells) {
       if (cell.expr == nullptr || cell.expr->kind == Expr::Kind::kLeaf ||
-          !MentionsRefinedLeaf(state, cell.expr, refined)) {
+          !MentionsRefinedLeaf(state, cell.expr, refined_)) {
         continue;
       }
       cell.val = Refine(cell.val, solver_.Eval(Refresh(state, cell.expr)));
@@ -259,41 +260,53 @@ class SymExecutor {
     return MentionsRefinedLeaf(state, e->a, records) || MentionsRefinedLeaf(state, e->b, records);
   }
 
+  // Most cells of an arriving frame equal the entry's; SubsumedBy is
+  // reflexive, so those skip the full check.
   bool Subsumed(const State& a, const State& b) {
     for (size_t i = 0; i < a.cells.size(); ++i) {
-      if (!a.cells[i].val.SubsumedBy(b.cells[i].val)) {
+      const SymVal& v = a.cells[i].val;
+      if (v == b.cells[i].val) {
+        assert(v.SubsumedBy(b.cells[i].val));
+        continue;
+      }
+      if (!v.SubsumedBy(b.cells[i].val)) {
         return false;
       }
     }
     return true;
   }
 
+  SymVal JoinValue(const SymVal& into, const SymVal& from, size_t cell, bool widen) const {
+    return widen ? Widen(into, from, Interval::Storage(elem_type_[cell])) : Join(into, from);
+  }
+
   void JoinInto(State& into, const State& from, bool widen) {
     for (size_t i = 0; i < into.cells.size(); ++i) {
       Cell& dst = into.cells[i];
       const Cell& src = from.cells[i];
-      SymVal joined = widen
-                          ? Widen(dst.val, src.val, Interval::Storage(elem_type_[i]))
-                          : Join(dst.val, src.val);
-      if (!(joined == dst.val)) {
-        dst.val = std::move(joined);
+      if (JoinKeeps(dst.val, src.val)) {
+        assert(JoinValue(dst.val, src.val, i, widen) == dst.val);
+      } else {
+        dst.val = JoinValue(dst.val, src.val, i, widen);
       }
-      if (src.gen != dst.gen || src.expr != dst.expr) {
-        // Different defining writes reach this point; the merged cell is a
-        // fresh join value with no single defining expression.
-        if (src.gen != dst.gen) {
-          dst.gen = NextGen();
-        }
-        if (src.expr != dst.expr) {
-          dst.expr = nullptr;
-        }
+      // Different defining writes reach this point, whether or not the value
+      // changed: the merged cell is a fresh join value (a new generation, so
+      // no leaf snapshot of either write refreshes against it) with no
+      // single defining expression.
+      if (src.gen != dst.gen) {
+        dst.gen = NextGen();
+      }
+      if (src.expr != dst.expr) {
+        dst.expr = nullptr;
       }
     }
   }
 
-  void Propagate(int to, State&& state) {
+  // `state` is the executor's work or branch-arm buffer; the first arrival
+  // at a block copies it, later ones merge it in.
+  void Propagate(int to, const State& state) {
     if (!has_state_[to]) {
-      entry_[to] = std::move(state);
+      entry_[to] = state;
       has_state_[to] = 1;
       Enqueue(to);
       return;
@@ -333,8 +346,9 @@ class SymExecutor {
     return it == facts_.end() ? nullptr : &it->second;
   }
 
-  void TransferBlock(int block, State&& state_in, bool replay) {
-    State state = std::move(state_in);
+  // Runs `block` on work_, which holds its entry state.
+  void TransferBlock(int block, bool replay) {
+    State& state = work_;
     const ir::Block& blk = module_.blocks[block];
     for (int i = 0; i < static_cast<int>(blk.insts.size()); ++i) {
       const ir::Inst& inst = blk.insts[i];
@@ -508,7 +522,7 @@ class SymExecutor {
         }
         case ir::Opcode::kJump: {
           if (!replay) {
-            Propagate(inst.target, std::move(state));
+            Propagate(inst.target, state);
           }
           return;
         }
@@ -537,21 +551,22 @@ class SymExecutor {
           // the cell is not always a leaf of its own defining expression, so
           // ApplyRefinements alone would leave it untouched.
           if (true_feasible && false_feasible) {
-            State other = state;
+            State& other = arm_;
+            other = state;  // Before the true arm's refinements narrow `state`.
             ApplyRefinements(state, r.when_true);
             state.cells[inst.a].val = ExcludeValue(state.cells[inst.a].val, 0);
             ApplyRefinements(other, r.when_false);
             other.cells[inst.a].val = Refine(other.cells[inst.a].val, SymVal::Exact(0));
-            Propagate(inst.target, std::move(state));
-            Propagate(inst.target2, std::move(other));
+            Propagate(inst.target, state);
+            Propagate(inst.target2, other);
           } else if (true_feasible) {
             ApplyRefinements(state, r.when_true);
             state.cells[inst.a].val = ExcludeValue(state.cells[inst.a].val, 0);
-            Propagate(inst.target, std::move(state));
+            Propagate(inst.target, state);
           } else if (false_feasible) {
             ApplyRefinements(state, r.when_false);
             state.cells[inst.a].val = Refine(state.cells[inst.a].val, SymVal::Exact(0));
-            Propagate(inst.target2, std::move(state));
+            Propagate(inst.target2, state);
           } else {
             ++summary_.paths;  // Both arms infeasible: nothing survives.
           }
@@ -573,6 +588,11 @@ class SymExecutor {
   Solver solver_;
   std::vector<Type> elem_type_;
   std::vector<State> entry_;
+  // The frame a block transfer runs on, and the false arm of a two-armed
+  // branch; copy-assigned in place, so a visit allocates no frame.
+  State work_;
+  State arm_;
+  std::vector<int> refined_;  // ApplyRefinements' scratch list of records.
   std::vector<char> has_state_;
   std::vector<int> joins_;
   std::vector<char> in_worklist_;

@@ -43,7 +43,9 @@ using analysis::sym::EvalUnOp;
 using analysis::sym::ExcludeValue;
 using analysis::sym::Expr;
 using analysis::sym::ExprPtr;
+using analysis::sym::Gcd;
 using analysis::sym::Join;
+using analysis::sym::JoinKeeps;
 using analysis::sym::ModuleSummary;
 using analysis::sym::Outcome;
 using analysis::sym::Refine;
@@ -244,6 +246,11 @@ TEST(SymDomain, DivisionReportsMayFailOnlyWhenZeroAdmitted) {
   return ::testing::AssertionFailure() << full(a) << " != " << full(b);
 }
 
+// Storage-boundary corners of the int32 values the executor computes.
+constexpr int32_t kCorners[] = {
+    INT32_MIN, -65536, -32768, -129,  -128,  -1,    0,     1,       2,        127,
+    128,       255,    256,    32767, 32768, 65535, 65536, 1 << 30, INT32_MAX};
+
 // Deterministic abstract values of every shape the executor builds: exact
 // values, sets of up to kMaxSetSize members, small and wide intervals, strided
 // intervals, storage hulls and Top, each tainted now and then. Scalars mix a
@@ -253,9 +260,6 @@ class ValueGen {
   explicit ValueGen(uint32_t seed) : rng_(seed) {}
 
   int32_t Scalar() {
-    static constexpr int32_t kCorners[] = {
-        INT32_MIN, -65536, -32768, -129,  -128,  -1,    0,       1,        2,        127,
-        128,       255,    256,    32767, 32768, 65535, 65536,   1 << 30, INT32_MAX};
     if (Pick(3) == 0) {
       return kCorners[Pick(std::size(kCorners))];
     }
@@ -415,6 +419,131 @@ TEST(SymDomainInvariants, ShrunkSetsEqualDirectlyBuiltOnes) {
   shrunk.values.Assign(&two, 1);
   shrunk.Canonicalize();
   EXPECT_TRUE(Same(shrunk, SymVal::Exact(2)));
+}
+
+// ---- domain: the laws the executor's join-point fast paths rely on ----------
+
+// Every value the transfer functions build from `a` and `b`.
+std::vector<SymVal> TransferResults(const SymVal& a, const SymVal& b, int32_t scalar) {
+  const Type types[] = {Type::Bit(), Type::Bool(), Type::U8(), Type::I16(), Type::I32()};
+  const esm::UnaryOp unops[] = {esm::UnaryOp::kPlus, esm::UnaryOp::kNegate, esm::UnaryOp::kBitNot,
+                                esm::UnaryOp::kLogicalNot};
+  std::vector<SymVal> out = {Join(a, b), Refine(a, b), ExcludeValue(a, scalar)};
+  for (const Type& type : types) {
+    out.push_back(Truncate(a, type));
+    out.push_back(Widen(a, b, Interval::Storage(type)));
+  }
+  for (esm::UnaryOp op : unops) {
+    out.push_back(EvalUnOp(op, a));
+  }
+  for (int op = 0; op <= static_cast<int>(esm::BinaryOp::kLogicalOr); ++op) {
+    out.push_back(EvalBinOp(static_cast<esm::BinaryOp>(op), a, b));
+  }
+  return out;
+}
+
+TEST(SymDomainInvariants, SubsumedByIsReflexive) {
+  // The executor's subsumption check skips every cell equal to the entry's.
+  ValueGen gen(/*seed=*/4242);
+  for (int iter = 0; iter < 1500; ++iter) {
+    const SymVal a = gen.Next();
+    const SymVal b = gen.Next();
+    SCOPED_TRACE("a=" + a.ToString() + " b=" + b.ToString());
+    EXPECT_TRUE(a.SubsumedBy(a));
+    for (const SymVal& v : TransferResults(a, b, gen.Scalar())) {
+      EXPECT_TRUE(v.SubsumedBy(v)) << v.ToString();
+    }
+  }
+}
+
+TEST(SymDomainInvariants, JoinKeepsMatchesJoinAndWiden) {
+  // Where JoinKeeps holds, the executor keeps the entry value without
+  // joining: both Join and Widen must return exactly that value.
+  const Interval storages[] = {Interval::Of(0, 1), Interval::Of(0, 255),
+                               Interval::Of(-32768, 32767), Interval::Full()};
+  ValueGen gen(/*seed=*/99);
+  int kept = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    const SymVal a = gen.Next();
+    // The same value rebuilt from its set, with an independent taint, and an
+    // unrelated value.
+    SymVal same = a.HasSet() ? SymVal::FromSet(std::vector<int32_t>(a.values.begin(),
+                                                                    a.values.end()))
+                             : a;
+    same.assumed = gen.Pick(2) == 0;
+    for (const SymVal& b : {same, gen.Next()}) {
+      SCOPED_TRACE("a=" + a.ToString() + " b=" + b.ToString());
+      if (!JoinKeeps(a, b)) {
+        continue;
+      }
+      ++kept;
+      EXPECT_TRUE(Same(Join(a, b), a));
+      for (const Interval& storage : storages) {
+        EXPECT_TRUE(Same(Widen(a, b, storage), a));
+      }
+    }
+  }
+  EXPECT_GT(kept, 300);
+  // A set-less value never qualifies: joined with itself it canonicalizes.
+  const SymVal widened = Widen(SymVal::Exact(0), SymVal::Exact(1), Interval::Of(0, 1));
+  EXPECT_FALSE(JoinKeeps(widened, widened));
+}
+
+TEST(SymDomainInvariants, SetLessSelfJoinIsCanonicalize) {
+  ValueGen gen(/*seed=*/31337);
+  int checked = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    const SymVal a = gen.Next();
+    const SymVal b = gen.Next();
+    // Widening leaves set-less hulls in non-canonical form.
+    for (const SymVal& x : {a, Widen(a, b, Interval::Full()), Widen(b, a, Interval::Of(0, 255))}) {
+      if (x.HasSet()) {
+        continue;
+      }
+      SCOPED_TRACE("x=" + x.ToString());
+      SymVal tainted = x;
+      tainted.assumed = true;
+      SymVal canonical = x;
+      canonical.Canonicalize();
+      EXPECT_TRUE(Same(Join(x, x), canonical));
+      canonical.assumed = true;
+      EXPECT_TRUE(Same(Join(x, tainted), canonical));
+      EXPECT_TRUE(Same(Join(tainted, x), canonical));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 500);
+  // Equal intervals alone do not make equal hulls: the congruences still join.
+  SymVal even = SymVal::FromInterval(Interval::Of(0, 300));
+  even.mod = 2;
+  SymVal odd = even;
+  odd.res = 1;
+  SymVal thirds = even;
+  thirds.mod = 3;
+  for (const SymVal& other : {odd, thirds}) {
+    EXPECT_TRUE(Same(Join(even, other), SymVal::FromInterval(Interval::Of(0, 300))));
+  }
+}
+
+TEST(SymDomainInvariants, GcdMatchesStdGcd) {
+  // The corners, their negations and their distances (a set's congruence is
+  // the gcd of its members' distances to the minimum), zero included.
+  std::vector<int64_t> scalars;
+  for (int32_t a : kCorners) {
+    scalars.push_back(a);
+    scalars.push_back(-static_cast<int64_t>(a));
+    for (int32_t b : kCorners) {
+      scalars.push_back(static_cast<int64_t>(a) - b);
+    }
+  }
+  for (int64_t v = -20; v <= 20; ++v) {
+    scalars.push_back(v);
+  }
+  for (int64_t a : scalars) {
+    for (int64_t b : scalars) {
+      ASSERT_EQ(Gcd(a, b), std::gcd(a, b)) << "a=" << a << " b=" << b;
+    }
+  }
 }
 
 // ---- solver: enumeration, refinement, storage verdicts ---------------------
@@ -712,6 +841,44 @@ void Up() {
     }
   }
   EXPECT_TRUE(saw_index);
+}
+
+TEST(SymExec, JoinOfEqualValuesFromDifferentWritesGetsFreshGeneration) {
+  // The first join leaves x = {0,1} with no expression, so c = x snapshots
+  // x's own cell as its leaf. After the second join x is still {0,1}, but
+  // `x = 1 - x` flipped it on one arm, so c no longer tells x's value.
+  // Refining the merged cell through c's stale leaf would "prove" the
+  // assert; a fresh generation at the join keeps it unproved.
+  SymOutcome out = RunSym(std::string(R"esm(
+void Up() {
+  DownToUp r;
+  int x;
+  int c;
+  int s;
+  s = nondet(2);
+  if (s == 1) {
+    x = 0;
+  } else {
+    x = 1;
+  }
+  c = x;
+  s = nondet(2);
+  if (s == 1) {
+    x = 1 - x;
+  }
+  if (c == 1) {
+    assert(x == 1);
+  }
+  r = UpTalkDown(x);
+}
+)esm") + kEchoDown,
+                          /*allow_nondet=*/true);
+  const ModuleSummary* up = FindModuleSummary(out, "Up");
+  ASSERT_NE(up, nullptr);
+  auto asserts = AssertSites(*up);
+  ASSERT_EQ(asserts.size(), 1u);
+  EXPECT_FALSE(asserts[0]->proved) << asserts[0]->value;
+  EXPECT_FALSE(asserts[0]->always_fails) << asserts[0]->value;
 }
 
 TEST(SymExec, BudgetExhaustionLeavesSitesUnproved) {
