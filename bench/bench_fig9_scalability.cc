@@ -72,37 +72,8 @@ void RunHashCompaction() {
   config.num_eeproms = 2;
   config.max_len = 4;
   config.num_ops = 3;
+  bench::RunHashCompaction(config);
 
-  bench::Table table({12, 12, 12, 13});
-  table.Row({"table", "seconds", "states", "bytes/state"});
-  bench::PrintRule();
-
-  for (bool fingerprint_only : {false, true}) {
-    DiagnosticEngine diag;
-    auto vs = i2c::BuildVerifier(config, diag);
-    if (vs == nullptr) {
-      std::printf("verifier build FAILED\n%s", diag.RenderAll().c_str());
-      return;
-    }
-    check::CheckerOptions options;
-    options.check_deadlock = true;
-    options.fingerprint_only = fingerprint_only;
-    // Unreduced search, like bench_table2's hash-compaction section: the
-    // full rows store the whole snapshot vector, so the payload contrast is
-    // the fingerprint's alone. The fault ablation below owns the
-    // por/collapse story.
-    options.por = false;
-    options.collapse = false;
-    check::CheckResult r = vs->system().Check(options);
-    if (!r.ok) {
-      std::printf("safety pass FAILED (%s table)\n", fingerprint_only ? "fingerprint" : "full");
-      return;
-    }
-    double per_state =
-        r.states_stored > 0 ? static_cast<double>(r.state_bytes) / r.states_stored : 0.0;
-    table.Row({fingerprint_only ? "fingerprint" : "full", bench::Fmt(r.seconds, 3),
-               std::to_string(r.states_stored), bench::Fmt(per_state, 1)});
-  }
   std::printf(
       "\nExpected shape: equal state counts; fingerprint mode stores 8 bytes/state\n"
       "regardless of the snapshot size.\n");
@@ -124,24 +95,18 @@ bool RunFaultAblation(bench::JsonReport* json) {
       "Reduction ablation on EEPROM fault configs (EepDriver verifier,\n"
       "Transaction spec below, fault budget >= 2): {por, collapse} x {on, off}.");
 
-  struct AblationConfig {
+  struct FaultConfig {
     const char* name;
     int num_eeproms;
     int fault_events;
   };
-  AblationConfig configs[] = {
+  const FaultConfig faults[] = {
       {"eep1/txn/faults2", 1, 2},
       {"eep1/txn/faults3", 1, 3},
       {"eep2/txn/faults2", 2, 2},
   };
-
-  bench::Table table({18, 10, 10, 10, 12, 10, 13, 10});
-  table.Row({"config", "por", "collapse", "states", "transitions", "reduced",
-             "bytes/state", "seconds"});
-  bench::PrintRule();
-
-  bool sound = true;
-  for (const AblationConfig& entry : configs) {
+  std::vector<bench::AblationConfig> configs;
+  for (const FaultConfig& entry : faults) {
     i2c::VerifyConfig config;
     config.level = i2c::VerifyLevel::kEepDriver;
     config.abstraction = i2c::VerifyAbstraction::kTransaction;
@@ -149,64 +114,11 @@ bool RunFaultAblation(bench::JsonReport* json) {
     config.max_len = 4;
     config.num_ops = 2;
     config.fault_events = entry.fault_events;
-
-    uint64_t unreduced_states = 0;
-    bool unreduced_ok = false;
-    for (int por = 0; por <= 1; ++por) {
-      for (int collapse = 0; collapse <= 1; ++collapse) {
-        check::CheckerOptions base;
-        base.por = por != 0;
-        base.collapse = collapse != 0;
-        DiagnosticEngine diag;
-        i2c::VerifyRunResult r = i2c::RunVerification(config, diag, base);
-        uint64_t payload = r.safety.state_bytes + r.safety.component_bytes;
-        double per_state = r.safety.states_stored > 0
-                               ? static_cast<double>(payload) / r.safety.states_stored
-                               : 0.0;
-        table.Row({entry.name, por ? "on" : "off", collapse ? "on" : "off",
-                   std::to_string(r.safety.states_stored),
-                   std::to_string(r.safety.transitions),
-                   std::to_string(r.safety.por_reduced_states), bench::Fmt(per_state, 1),
-                   bench::Fmt(r.total_seconds, 3)});
-        if (json != nullptr) {
-          json->AddRow()
-              .Set("section", "fault_ablation")
-              .Set("config", entry.name)
-              .Set("num_eeproms", entry.num_eeproms)
-              .Set("fault_events", entry.fault_events)
-              .Set("por", base.por)
-              .Set("collapse", base.collapse)
-              .Set("ok", r.ok)
-              .Set("states", r.safety.states_stored)
-              .Set("transitions", r.safety.transitions)
-              .Set("por_reduced_states", r.safety.por_reduced_states)
-              .Set("state_bytes", r.safety.state_bytes)
-              .Set("component_bytes", r.safety.component_bytes)
-              .Set("bytes_per_state", per_state)
-              .Set("seconds", r.total_seconds);
-        }
-        if (por == 0 && collapse == 0) {
-          unreduced_states = r.safety.states_stored;
-          unreduced_ok = r.ok;
-        } else {
-          if (r.ok != unreduced_ok) {
-            std::printf("TRIPWIRE: verdict changed under por=%d collapse=%d on %s\n",
-                        por, collapse, entry.name);
-            sound = false;
-          }
-          if (r.safety.states_stored > unreduced_states) {
-            std::printf(
-                "TRIPWIRE: reduced search stored MORE states (%llu > %llu) under "
-                "por=%d collapse=%d on %s\n",
-                static_cast<unsigned long long>(r.safety.states_stored),
-                static_cast<unsigned long long>(unreduced_states), por, collapse,
-                entry.name);
-            sound = false;
-          }
-        }
-      }
-    }
+    configs.push_back({entry.name, config,
+                       {{"num_eeproms", entry.num_eeproms},
+                        {"fault_events", entry.fault_events}}});
   }
+  bool sound = bench::RunReductionAblation(configs, "fault_ablation", json);
 
   std::printf(
       "\nExpected shape: por=on stores roughly half the states of por=off\n"

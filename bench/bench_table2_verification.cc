@@ -118,36 +118,7 @@ void RunHashCompaction() {
   config.level = i2c::VerifyLevel::kByte;
   config.abstraction = i2c::VerifyAbstraction::kNone;
   config.num_ops = 3;
-
-  bench::Table table({12, 12, 12, 13});
-  table.Row({"table", "seconds", "states", "bytes/state"});
-  bench::PrintRule();
-
-  for (bool fingerprint_only : {false, true}) {
-    DiagnosticEngine diag;
-    auto vs = i2c::BuildVerifier(config, diag);
-    if (vs == nullptr) {
-      std::printf("verifier build FAILED\n%s", diag.RenderAll().c_str());
-      return;
-    }
-    check::CheckerOptions options;
-    options.check_deadlock = true;
-    options.fingerprint_only = fingerprint_only;
-    // Unreduced search: the full-vector vs 8-byte-fingerprint payload
-    // contrast (COLLAPSE would shrink the "full" row). The reduction
-    // ablation section below owns the por/collapse story.
-    options.por = false;
-    options.collapse = false;
-    check::CheckResult r = vs->system().Check(options);
-    if (!r.ok) {
-      std::printf("safety pass FAILED (%s table)\n", fingerprint_only ? "fingerprint" : "full");
-      return;
-    }
-    double per_state =
-        r.states_stored > 0 ? static_cast<double>(r.state_bytes) / r.states_stored : 0.0;
-    table.Row({fingerprint_only ? "fingerprint" : "full", bench::Fmt(r.seconds, 3),
-               std::to_string(r.states_stored), bench::Fmt(per_state, 1)});
-  }
+  bench::RunHashCompaction(config);
 
   std::printf(
       "\nExpected shape: equal state counts; fingerprint mode stores a fixed\n"
@@ -214,90 +185,24 @@ bool RunReductionAblation(bench::JsonReport* json, bool quick) {
       "reduced = states popped with only their ample transition explored;\n"
       "bytes/state counts the visited-set payload plus the component pool.");
 
-  struct AblationConfig {
-    const char* name;
-    i2c::VerifyConfig config;
-  };
-  std::vector<AblationConfig> configs;
+  std::vector<bench::AblationConfig> configs;
   {
     i2c::VerifyConfig symbol;
     symbol.level = i2c::VerifyLevel::kSymbol;
     symbol.num_ops = 2;
-    configs.push_back({"symbol/full/ops2", symbol});
+    configs.push_back({"symbol/full/ops2", symbol, {}});
     i2c::VerifyConfig byte2;
     byte2.level = i2c::VerifyLevel::kByte;
     byte2.num_ops = 2;
-    configs.push_back({"byte/full/ops2", byte2});
+    configs.push_back({"byte/full/ops2", byte2, {}});
     if (!quick) {
       i2c::VerifyConfig byte3;
       byte3.level = i2c::VerifyLevel::kByte;
       byte3.num_ops = 3;
-      configs.push_back({"byte/full/ops3", byte3});
+      configs.push_back({"byte/full/ops3", byte3, {}});
     }
   }
-
-  bench::Table table({18, 10, 10, 10, 12, 10, 13, 10});
-  table.Row({"config", "por", "collapse", "states", "transitions", "reduced",
-             "bytes/state", "seconds"});
-  bench::PrintRule();
-
-  bool sound = true;
-  for (const AblationConfig& entry : configs) {
-    uint64_t unreduced_states = 0;
-    bool unreduced_ok = false;
-    for (int por = 0; por <= 1; ++por) {
-      for (int collapse = 0; collapse <= 1; ++collapse) {
-        check::CheckerOptions base;
-        base.por = por != 0;
-        base.collapse = collapse != 0;
-        DiagnosticEngine diag;
-        i2c::VerifyRunResult r = i2c::RunVerification(entry.config, diag, base);
-        uint64_t payload = r.safety.state_bytes + r.safety.component_bytes;
-        double per_state = r.safety.states_stored > 0
-                               ? static_cast<double>(payload) / r.safety.states_stored
-                               : 0.0;
-        table.Row({entry.name, por ? "on" : "off", collapse ? "on" : "off",
-                   std::to_string(r.safety.states_stored),
-                   std::to_string(r.safety.transitions),
-                   std::to_string(r.safety.por_reduced_states), bench::Fmt(per_state, 1),
-                   bench::Fmt(r.total_seconds, 3)});
-        if (json != nullptr) {
-          json->AddRow()
-              .Set("section", "reduction_ablation")
-              .Set("config", entry.name)
-              .Set("por", base.por)
-              .Set("collapse", base.collapse)
-              .Set("ok", r.ok)
-              .Set("states", r.safety.states_stored)
-              .Set("transitions", r.safety.transitions)
-              .Set("por_reduced_states", r.safety.por_reduced_states)
-              .Set("state_bytes", r.safety.state_bytes)
-              .Set("component_bytes", r.safety.component_bytes)
-              .Set("bytes_per_state", per_state)
-              .Set("seconds", r.total_seconds);
-        }
-        if (por == 0 && collapse == 0) {
-          unreduced_states = r.safety.states_stored;
-          unreduced_ok = r.ok;
-        } else {
-          if (r.ok != unreduced_ok) {
-            std::printf("TRIPWIRE: verdict changed under por=%d collapse=%d on %s\n",
-                        por, collapse, entry.name);
-            sound = false;
-          }
-          if (r.safety.states_stored > unreduced_states) {
-            std::printf(
-                "TRIPWIRE: reduced search stored MORE states (%llu > %llu) under "
-                "por=%d collapse=%d on %s\n",
-                static_cast<unsigned long long>(r.safety.states_stored),
-                static_cast<unsigned long long>(unreduced_states), por, collapse,
-                entry.name);
-            sound = false;
-          }
-        }
-      }
-    }
-  }
+  bool sound = bench::RunReductionAblation(configs, "reduction_ablation", json);
 
   std::printf(
       "\nExpected shape: POR removes interleavings on the full-stack verifiers\n"

@@ -9,11 +9,13 @@ wrote via --json, or a previously merged `{"benches": {name: rows}}` file
 (so a perf-smoke job can re-merge a fresh section into the last artifact).
 Inputs are applied left to right.
 
-Rows are deduplicated per bench: an ablation-shaped row (one carrying
-"config", "por" and "collapse") replaces any earlier row with the same
-(section, config, por, collapse) key, so re-running a bench section keeps
-exactly one — the newest — row per configuration instead of appending
-duplicates. Other rows only collapse when byte-identical.
+Rows are deduplicated per bench, so re-running a bench section keeps
+exactly one (the newest) row per configuration instead of appending
+duplicates. An ablation-shaped row (one carrying "config", "por" and
+"collapse") is keyed by (section, config, por, collapse). Any other row is
+keyed by its non-float fields: the benches write every timing as a float
+(JsonRow::Set(double) always prints a decimal point) and every identifying
+field (section, config, threads, counts) as a string, integer or boolean.
 
 The merged file re-checks the reduction soundness tripwire across every
 ablation row: a reduced search (por or collapse on) must never store more
@@ -31,12 +33,13 @@ import tempfile
 
 
 def row_key(row):
-    """Dedup key: configuration identity for ablation rows, content identity
-    otherwise (rows like thread-scaling sweeps differ in fields this script
-    does not know about, so only exact duplicates may collapse)."""
+    """Dedup key: configuration identity for ablation rows, the non-float
+    fields otherwise (a fresh run of the same row differs only in its
+    timings, which are floats)."""
     if "config" in row and "por" in row and "collapse" in row:
         return ("ablation", row.get("section"), row["config"], row["por"], row["collapse"])
-    return ("content", json.dumps(row, sort_keys=True))
+    fixed = {k: v for k, v in row.items() if not isinstance(v, float)}
+    return ("row", json.dumps(fixed, sort_keys=True))
 
 
 def dedupe(rows):
@@ -170,8 +173,8 @@ def self_test():
             remerged = json.load(f)
         assert remerged["benches"]["fig9"] == rows, remerged["benches"]["fig9"]
 
-        # Non-ablation rows with distinct content never collapse (e.g. a
-        # thread-scaling sweep), but byte-identical repeats do.
+        # Non-ablation rows that differ in a non-float field never collapse
+        # (e.g. a thread-scaling sweep), but repeats of one row do.
         sweep = write(
             "sweep.json",
             {
@@ -187,6 +190,27 @@ def self_test():
         with open(out, encoding="utf-8") as f:
             merged = json.load(f)
         assert len(merged["benches"]["scaling"]) == 2, merged["benches"]["scaling"]
+
+        # Re-merging a fresh report whose timings moved into the merged file
+        # replaces each row instead of appending it (bench_symex's rows: one
+        # per config, every timing a float).
+        def symex_row(config, seconds):
+            return {"section": "symex", "config": config, "discharged": True,
+                    "obligations": 22, "solver_ms": seconds * 1000,
+                    "explicit_safety_states": 670, "explicit_seconds": seconds,
+                    "sym_run_seconds": seconds * 2, "verdict_agrees": True}
+
+        configs = [f"eep1-len{n}" for n in range(1, 7)]
+        old_symex = write("symex_old.json", {
+            "bench": "symex", "rows": [symex_row(c, 0.5) for c in configs]})
+        new_symex = write("symex_new.json", {
+            "bench": "symex", "rows": [symex_row(c, 0.75) for c in configs]})
+        assert merge(out, [old_symex]) == 0
+        assert merge(out, [out, new_symex]) == 0
+        with open(out, encoding="utf-8") as f:
+            symex = json.load(f)["benches"]["symex"]
+        assert [r["config"] for r in symex] == configs, symex
+        assert all(r["explicit_seconds"] == 0.75 for r in symex), symex
 
         # Soundness tripwire still fires through the dedupe path: a reduced
         # row storing more states than the unreduced baseline fails the run.

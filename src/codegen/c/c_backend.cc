@@ -10,8 +10,6 @@
 
 namespace efeu::codegen {
 
-namespace {
-
 std::string CTypeName(const Type& type) {
   switch (type.kind) {
     case ScalarKind::kBit:
@@ -29,6 +27,8 @@ std::string CTypeName(const Type& type) {
   }
   return "int";
 }
+
+namespace {
 
 // The call-graph structure computed by the entry-point DFS.
 struct CallGraph {

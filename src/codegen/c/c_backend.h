@@ -24,6 +24,10 @@ struct COutput {
   std::string Combined() const;
 };
 
+// C spelling of one scalar or enum element type, as the generated header's
+// typedefs name it ("bit", "bool_t", "byte", "short", "int", "enum E").
+std::string CTypeName(const Type& type);
+
 // `entry_layer` must be defined in the compilation and adjacent to exactly
 // one undefined layer (its external interface). The generated entry function
 // is `void <entry>_invoke(<In> in, <Out>* out)`.

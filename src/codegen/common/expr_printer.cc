@@ -6,12 +6,6 @@
 
 namespace efeu::codegen {
 
-// Delegates to the shared opcode table (src/ir/opcode_info.h) so every
-// printer and executor agrees on one spelling per operator.
-const char* UnaryOpSpelling(esm::UnaryOp op) { return ir::UnaryOpSpelling(op); }
-
-const char* BinaryOpSpelling(esm::BinaryOp op) { return ir::BinaryOpSpelling(op); }
-
 namespace {
 
 // Parenthesization is conservative: nested binary/unary operands always get
@@ -46,7 +40,8 @@ std::string Print(const esm::Expr& expr, bool parenthesize, const ExprPrintOptio
     }
     case esm::ExprKind::kUnary: {
       const auto& node = static_cast<const esm::UnaryExpr&>(expr);
-      std::string text = std::string(UnaryOpSpelling(node.op)) + Print(*node.operand, true, options);
+      std::string text =
+          std::string(ir::UnaryOpSpelling(node.op)) + Print(*node.operand, true, options);
       return parenthesize ? "(" + text + ")" : text;
     }
     case esm::ExprKind::kBinary: {
@@ -55,10 +50,10 @@ std::string Print(const esm::Expr& expr, bool parenthesize, const ExprPrintOptio
           (node.op == esm::BinaryOp::kShl || node.op == esm::BinaryOp::kShr)) {
         std::string a = Print(*node.lhs, true, options);
         std::string b = Print(*node.rhs, true, options);
-        return "(" + b + " >= 0 && " + b + " < 32 ? " + a + " " + BinaryOpSpelling(node.op) +
+        return "(" + b + " >= 0 && " + b + " < 32 ? " + a + " " + ir::BinaryOpSpelling(node.op) +
                " " + b + " : 0)";
       }
-      std::string text = Print(*node.lhs, true, options) + " " + BinaryOpSpelling(node.op) +
+      std::string text = Print(*node.lhs, true, options) + " " + ir::BinaryOpSpelling(node.op) +
                          " " + Print(*node.rhs, true, options);
       return parenthesize ? "(" + text + ")" : text;
     }

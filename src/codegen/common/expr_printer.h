@@ -39,10 +39,6 @@ std::string PrintExpr(const esm::Expr& expr, const ExprPrintOptions& options);
 // rvalue-context enum cast at the outermost node.
 std::string PrintLvalue(const esm::Expr& expr, const ExprPrintOptions& options);
 
-// Operator spellings, shared with diagnostic/dump code.
-const char* UnaryOpSpelling(esm::UnaryOp op);
-const char* BinaryOpSpelling(esm::BinaryOp op);
-
 }  // namespace efeu::codegen
 
 #endif  // SRC_CODEGEN_COMMON_EXPR_PRINTER_H_

@@ -536,26 +536,6 @@ RtlRun RunRtlTarget(const ir::Compilation& compilation, const std::string& entry
 // Generated-C target
 // ---------------------------------------------------------------------------
 
-// C spelling of one message field element, matching the generated header's
-// typedefs (CTypeName in the C backend).
-std::string HarnessCType(const Type& type) {
-  switch (type.kind) {
-    case ScalarKind::kBit:
-      return "bit";
-    case ScalarKind::kBool:
-      return "bool_t";
-    case ScalarKind::kU8:
-      return "byte";
-    case ScalarKind::kI16:
-      return "short";
-    case ScalarKind::kI32:
-      return "int";
-    case ScalarKind::kEnum:
-      return "enum " + type.enum_name;
-  }
-  return "int";
-}
-
 // The dlopen'd entry shim: unflattens one command into the entry struct,
 // invokes the generated driver, flattens the reply. EFEU_ASSERT is predefined
 // (via -include) to longjmp here so generated assertion failures surface as a
@@ -574,7 +554,8 @@ std::string BuildHarnessC(const esi::ChannelInfo& down, const esi::ChannelInfo& 
   out << "  memset(&m, 0, sizeof m);\n";
   out << "  memset(&r, 0, sizeof r);\n";
   for (const esi::FieldInfo& field : down.fields) {
-    std::string cast = "(" + HarnessCType(field.type.IsArray() ? field.type.Element() : field.type) + ")";
+    std::string cast =
+        "(" + codegen::CTypeName(field.type.IsArray() ? field.type.Element() : field.type) + ")";
     if (field.type.IsArray()) {
       for (int i = 0; i < field.type.array_size; ++i) {
         out << "  m." << field.name << "[" << i << "] = " << cast << "(in["

@@ -6,14 +6,6 @@
 
 namespace efeu::ir {
 
-namespace {
-
-const char* UnOpName(esm::UnaryOp op) { return UnaryOpSpelling(op); }
-
-const char* BinOpName(esm::BinaryOp op) { return BinaryOpSpelling(op); }
-
-}  // namespace
-
 std::string DumpModule(const Module& module) {
   std::ostringstream out;
   out << "module " << module.layer_name << " frame=" << module.frame_size << "\n";
@@ -51,10 +43,10 @@ std::string DumpModule(const Module& module) {
           out << "s" << inst.dst << " = s" << inst.a << " :" << inst.type.ToString();
           break;
         case Opcode::kUnOp:
-          out << "s" << inst.dst << " = " << UnOpName(inst.unop) << "s" << inst.a;
+          out << "s" << inst.dst << " = " << UnaryOpSpelling(inst.unop) << "s" << inst.a;
           break;
         case Opcode::kBinOp:
-          out << "s" << inst.dst << " = s" << inst.a << " " << BinOpName(inst.binop) << " s"
+          out << "s" << inst.dst << " = s" << inst.a << " " << BinaryOpSpelling(inst.binop) << " s"
               << inst.b;
           break;
         case Opcode::kLoadIdx:

@@ -31,8 +31,8 @@ struct OpcodeInfo {
 
 const OpcodeInfo& GetOpcodeInfo(Opcode op);
 
-// Operator spellings shared by the C, shadow-checker, and Verilog printers
-// (all three languages spell these operators identically).
+// Operator spellings shared by the IR dump and the C, shadow-checker,
+// Promela and Verilog printers (Verilog overrides only the right shift).
 const char* UnaryOpSpelling(esm::UnaryOp op);
 const char* BinaryOpSpelling(esm::BinaryOp op);
 

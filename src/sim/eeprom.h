@@ -14,6 +14,7 @@
 #include "src/rtl/component.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/i2c_bus.h"
+#include "src/sim/i2c_target.h"
 
 namespace efeu::sim {
 
@@ -25,7 +26,7 @@ struct EepromConfig {
   double clock_ns = 10;         // simulation tick length
 };
 
-class Eeprom24aa512 : public rtl::RtlComponent {
+class Eeprom24aa512 : public rtl::RtlComponent, private I2cTarget::Hooks {
  public:
   Eeprom24aa512(I2cBus* bus, const EepromConfig& config);
 
@@ -51,41 +52,18 @@ class Eeprom24aa512 : public rtl::RtlComponent {
   uint64_t transactions_seen() const { return starts_seen_; }
 
  private:
-  enum class Mode {
-    kIdle,          // waiting for a START
-    kReceiveByte,   // shifting in address or data bits
-    kAckDrive,      // driving the acknowledgment bit low
-    kSendBits,      // transmitting data bits (read transfer)
-    kAckSample,     // sampling the controller's acknowledgment
-    kIgnore,        // not addressed; wait for START/STOP
-  };
-
-  void OnStart();
-  void OnStop();
-  void OnRisingEdge(bool sda);
-  void OnFallingEdge();
-  void HandleReceivedByte();
-  void LoadSendByte();
+  void OnStart() override;
+  void OnStop() override;
+  bool OnAddress(bool read) override;
+  bool OnWriteByte(uint8_t byte) override;
+  uint8_t NextReadByte() override;
   void AdvancePointerAfterWrite();
 
   I2cBus* bus_;
   int driver_id_;
   EepromConfig config_;
   std::vector<uint8_t> memory_;
-
-  // Bus-follower state.
-  bool prev_scl_ = true;
-  bool prev_sda_ = true;
-  bool drive_sda_ = true;  // current (committed) drive
-  bool next_drive_sda_ = true;
-
-  Mode mode_ = Mode::kIdle;
-  bool addressed_phase_ = false;  // the byte being received is the address
-  bool writing_ = false;          // current transfer is a write
-  int shift_ = 0;
-  int bit_count_ = 0;
-  int send_byte_ = 0;
-  int send_bit_index_ = 0;
+  I2cTarget target_;
 
   // Offset pointer handling (two offset bytes, then data).
   int offset_bytes_seen_ = 2;

@@ -8,7 +8,8 @@ I2cMux::I2cMux(I2cBus* upstream, std::vector<I2cBus*> downstream, const MuxConfi
     : upstream_(upstream),
       downstream_(std::move(downstream)),
       config_(config),
-      upstream_id_(upstream->AddDriver()) {
+      upstream_id_(upstream->AddDriver()),
+      target_(this, config.address) {
   EFEU_CHECK(downstream_.size() <= 32, "I2cMux: at most 32 downstream channels");
   downstream_ids_.reserve(downstream_.size());
   for (I2cBus* bus : downstream_) {
@@ -50,122 +51,26 @@ void I2cMux::ApplySelect(int mask) {
   routed_mask_ = mask;
 }
 
-void I2cMux::OnStart() {
-  have_pending_ = false;
-  mode_ = Mode::kReceiveByte;
-  addressed_phase_ = true;
-  bit_count_ = 0;
-  shift_ = 0;
-  next_fsm_sda_ = true;
-}
+void I2cMux::OnStart() { have_pending_ = false; }
 
 void I2cMux::OnStop() {
-  if (writing_ && have_pending_) {
+  if (target_.writing() && have_pending_) {
     ApplySelect(pending_mask_);
   }
   have_pending_ = false;
-  writing_ = false;
-  mode_ = Mode::kIdle;
-  next_fsm_sda_ = true;
 }
 
-void I2cMux::HandleReceivedByte() {
-  if (addressed_phase_) {
-    int addr7 = (shift_ >> 1) & 0x7F;
-    bool read = (shift_ & 1) != 0;
-    addressed_phase_ = false;
-    if (addr7 != config_.address) {
-      mode_ = Mode::kIgnore;
-      next_fsm_sda_ = true;
-      return;
-    }
-    writing_ = !read;
-    next_fsm_sda_ = false;  // ACK
-    mode_ = Mode::kAckDrive;
-    return;
-  }
-  // Every received byte is acknowledged; only the last one before the STOP
-  // becomes the select mask (the stack's two offset bytes pass through).
-  pending_mask_ = shift_ & 0xFF;
+bool I2cMux::OnWriteByte(uint8_t byte) {
+  // Every byte is acknowledged; only the last one before the STOP becomes
+  // the select mask (the stack's two offset bytes pass through).
+  pending_mask_ = byte;
   have_pending_ = true;
-  next_fsm_sda_ = false;  // ACK
-  mode_ = Mode::kAckDrive;
-}
-
-void I2cMux::OnRisingEdge(bool sda) {
-  switch (mode_) {
-    case Mode::kReceiveByte:
-      shift_ = ((shift_ << 1) | (sda ? 1 : 0)) & 0x1FF;
-      ++bit_count_;
-      break;
-    case Mode::kAckSample:
-      if (!sda) {
-        send_byte_ = control_mask_;
-        send_bit_index_ = 0;
-        mode_ = Mode::kSendBits;
-      } else {
-        mode_ = Mode::kIgnore;
-        next_fsm_sda_ = true;
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-void I2cMux::OnFallingEdge() {
-  switch (mode_) {
-    case Mode::kReceiveByte:
-      if (bit_count_ == 8) {
-        HandleReceivedByte();
-      }
-      break;
-    case Mode::kAckDrive:
-      next_fsm_sda_ = true;
-      if (writing_) {
-        mode_ = Mode::kReceiveByte;
-        bit_count_ = 0;
-        shift_ = 0;
-      } else {
-        send_byte_ = control_mask_;
-        mode_ = Mode::kSendBits;
-        next_fsm_sda_ = ((send_byte_ >> 7) & 1) != 0;
-        send_bit_index_ = 1;
-      }
-      break;
-    case Mode::kSendBits:
-      if (send_bit_index_ < 8) {
-        next_fsm_sda_ = ((send_byte_ >> (7 - send_bit_index_)) & 1) != 0;
-        ++send_bit_index_;
-      } else {
-        next_fsm_sda_ = true;
-        mode_ = Mode::kAckSample;
-      }
-      break;
-    default:
-      break;
-  }
+  return true;
 }
 
 void I2cMux::Evaluate() {
-  // Control FSM, following the combined upstream levels like any slave.
-  next_fsm_sda_ = fsm_sda_;
-  bool scl = upstream_->scl();
-  bool sda = upstream_->sda();
-  if (scl && prev_scl_) {
-    if (prev_sda_ && !sda) {
-      OnStart();
-    } else if (!prev_sda_ && sda) {
-      OnStop();
-    }
-  } else if (!prev_scl_ && scl) {
-    OnRisingEdge(sda);
-  } else if (prev_scl_ && !scl) {
-    OnFallingEdge();
-  }
-  prev_scl_ = scl;
-  prev_sda_ = sda;
-
+  target_.Clock(upstream_->scl(), upstream_->sda());
+  // After the clock: a STOP may have just moved the routed mask.
   gates_ = ComputePassGates();
 }
 
@@ -206,15 +111,15 @@ I2cMux::PassGates I2cMux::ComputePassGates() const {
 }
 
 uint64_t I2cMux::IdleCycles() const {
-  if (upstream_->scl() != prev_scl_ || upstream_->sda() != prev_sda_) {
+  if (!target_.Settled(upstream_->scl(), upstream_->sda())) {
     return 0;
   }
   return ComputePassGates() == gates_ ? rtl::kIdleForever : 0;
 }
 
 void I2cMux::Commit() {
-  fsm_sda_ = next_fsm_sda_;
-  upstream_->SetDriver(upstream_id_, gates_.up_scl, gates_.up_sda && fsm_sda_);
+  const bool fsm_sda = target_.Commit();
+  upstream_->SetDriver(upstream_id_, gates_.up_scl, gates_.up_sda && fsm_sda);
   for (size_t c = 0; c < downstream_.size(); ++c) {
     downstream_[c]->SetDriver(downstream_ids_[c], (gates_.down_scl >> c) & 1,
                               (gates_.down_sda >> c) & 1);

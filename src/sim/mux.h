@@ -27,6 +27,7 @@
 #include "src/rtl/component.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/i2c_bus.h"
+#include "src/sim/i2c_target.h"
 
 namespace efeu::sim {
 
@@ -35,7 +36,7 @@ struct MuxConfig {
   int channels = 4;
 };
 
-class I2cMux : public rtl::RtlComponent {
+class I2cMux : public rtl::RtlComponent, private I2cTarget::Hooks {
  public:
   // `upstream` carries the controller; `downstream[c]` is channel c's
   // segment. All buses are non-owning.
@@ -59,15 +60,6 @@ class I2cMux : public rtl::RtlComponent {
   uint64_t selects_misrouted() const { return selects_misrouted_; }
 
  private:
-  enum class Mode {
-    kIdle,
-    kReceiveByte,
-    kAckDrive,
-    kSendBits,
-    kAckSample,
-    kIgnore,
-  };
-
   // Pass-gate drives: the level forwarded onto the upstream segment, and
   // one bit per downstream channel (bit c = the level forwarded onto c).
   struct PassGates {
@@ -79,11 +71,12 @@ class I2cMux : public rtl::RtlComponent {
     bool operator==(const PassGates&) const = default;
   };
 
-  void OnStart();
-  void OnStop();
-  void OnRisingEdge(bool sda);
-  void OnFallingEdge();
-  void HandleReceivedByte();
+  // The control register's target hooks (select protocol above).
+  void OnStart() override;
+  void OnStop() override;
+  bool OnAddress(bool read) override { return true; }
+  bool OnWriteByte(uint8_t byte) override;
+  uint8_t NextReadByte() override { return static_cast<uint8_t>(control_mask_); }
   void ApplySelect(int mask);
   int RotateMask(int mask) const;
   // The drives the gates forward given the current bus levels; allocation-
@@ -96,18 +89,8 @@ class I2cMux : public rtl::RtlComponent {
   int upstream_id_;
   std::vector<int> downstream_ids_;
 
-  // Control-FSM state (bus follower on the upstream segment).
-  bool prev_scl_ = true;
-  bool prev_sda_ = true;
-  bool fsm_sda_ = true;
-  bool next_fsm_sda_ = true;
-  Mode mode_ = Mode::kIdle;
-  bool addressed_phase_ = false;
-  bool writing_ = false;
-  int shift_ = 0;
-  int bit_count_ = 0;
-  int send_byte_ = 0;
-  int send_bit_index_ = 0;
+  // Control target, following the upstream segment like any device.
+  I2cTarget target_;
   int pending_mask_ = 0;
   bool have_pending_ = false;
 

@@ -5,7 +5,7 @@
 namespace efeu::sim {
 
 MfdRegFileDevice::MfdRegFileDevice(I2cBus* bus, const MfdConfig& config)
-    : bus_(bus), config_(config), driver_id_(bus->AddDriver()) {
+    : bus_(bus), config_(config), driver_id_(bus->AddDriver()), target_(this, config.address) {
   // One bank per cell plus the chip-level bank, rounded up to a power of two
   // so the pointer wraps with a mask like the EEPROM's address counter.
   size_t banks = config_.cells.size() + 1;
@@ -116,163 +116,68 @@ void MfdRegFileDevice::TickCells() {
 }
 
 void MfdRegFileDevice::OnStart() {
-  mode_ = Mode::kReceiveByte;
-  addressed_phase_ = true;
-  bit_count_ = 0;
-  shift_ = 0;
   have_hi_ = false;
   send_hi_next_ = true;
-  next_drive_sda_ = true;
 }
 
-void MfdRegFileDevice::OnStop() {
-  mode_ = Mode::kIdle;
-  writing_ = false;
-  have_hi_ = false;
-  next_drive_sda_ = true;
-}
+void MfdRegFileDevice::OnStop() { have_hi_ = false; }
 
-void MfdRegFileDevice::LoadSendByte() {
+uint8_t MfdRegFileDevice::NextReadByte() {
   if (send_hi_next_) {
     ++register_reads_;
-    send_byte_ = (regs_[Wrap(pointer_)] >> 8) & 0xFF;
     send_hi_next_ = false;
-  } else {
-    send_byte_ = regs_[Wrap(pointer_)] & 0xFF;
-    send_hi_next_ = true;
-    pointer_ = Wrap(pointer_ + 1);
+    return static_cast<uint8_t>(regs_[Wrap(pointer_)] >> 8);
   }
-  send_bit_index_ = 0;
+  const uint8_t lo = static_cast<uint8_t>(regs_[Wrap(pointer_)]);
+  send_hi_next_ = true;
+  pointer_ = Wrap(pointer_ + 1);
+  return lo;
 }
 
-void MfdRegFileDevice::HandleReceivedByte() {
-  if (addressed_phase_) {
-    int addr7 = (shift_ >> 1) & 0x7F;
-    bool read = (shift_ & 1) != 0;
-    addressed_phase_ = false;
-    if (addr7 != config_.address) {
-      mode_ = Mode::kIgnore;
-      next_drive_sda_ = true;
-      return;
-    }
-    if (fault_plan_ != nullptr &&
-        fault_plan_->Consult(FaultKind::kNackOnAddress) > 0) {
-      mode_ = Mode::kIgnore;
-      next_drive_sda_ = true;
-      return;
-    }
-    writing_ = !read;
-    if (writing_) {
-      offset_bytes_seen_ = 0;
-    }
-    next_drive_sda_ = false;  // ACK
-    mode_ = Mode::kAckDrive;
-    return;
+bool MfdRegFileDevice::OnAddress(bool read) {
+  if (fault_plan_ != nullptr && fault_plan_->Consult(FaultKind::kNackOnAddress) > 0) {
+    return false;
   }
+  if (!read) {
+    offset_bytes_seen_ = 0;
+  }
+  return true;
+}
+
+bool MfdRegFileDevice::OnWriteByte(uint8_t byte) {
   if (fault_plan_ != nullptr && fault_plan_->Consult(FaultKind::kNackOnData) > 0) {
-    mode_ = Mode::kIgnore;
-    next_drive_sda_ = true;
-    return;
+    return false;
   }
   if (offset_bytes_seen_ == 0) {
-    pointer_ = (shift_ & 0xFF) << 8;
+    pointer_ = byte << 8;
     offset_bytes_seen_ = 1;
   } else if (offset_bytes_seen_ == 1) {
-    pointer_ = Wrap(pointer_ | (shift_ & 0xFF));
+    pointer_ = Wrap(pointer_ | byte);
     offset_bytes_seen_ = 2;
     have_hi_ = false;
   } else if (!have_hi_) {
-    hi_byte_ = static_cast<uint8_t>(shift_);
+    hi_byte_ = byte;
     have_hi_ = true;
   } else {
     // Completed 16-bit pair: registers commit immediately (SMBus-word
     // style), unlike the EEPROM's page buffer -- W1C acks and cell pokes
     // must not wait for the STOP.
-    WriteRegister(Wrap(pointer_),
-                  static_cast<uint16_t>((hi_byte_ << 8) | (shift_ & 0xFF)));
+    WriteRegister(Wrap(pointer_), static_cast<uint16_t>((hi_byte_ << 8) | byte));
     pointer_ = Wrap(pointer_ + 1);
     have_hi_ = false;
   }
-  next_drive_sda_ = false;  // ACK
-  mode_ = Mode::kAckDrive;
-}
-
-void MfdRegFileDevice::OnRisingEdge(bool sda) {
-  switch (mode_) {
-    case Mode::kReceiveByte:
-      shift_ = ((shift_ << 1) | (sda ? 1 : 0)) & 0x1FF;
-      ++bit_count_;
-      break;
-    case Mode::kAckSample:
-      if (!sda) {
-        LoadSendByte();
-        mode_ = Mode::kSendBits;
-      } else {
-        mode_ = Mode::kIgnore;
-        next_drive_sda_ = true;
-      }
-      break;
-    default:
-      break;
-  }
-}
-
-void MfdRegFileDevice::OnFallingEdge() {
-  switch (mode_) {
-    case Mode::kReceiveByte:
-      if (bit_count_ == 8) {
-        HandleReceivedByte();
-      }
-      break;
-    case Mode::kAckDrive:
-      next_drive_sda_ = true;
-      if (writing_) {
-        mode_ = Mode::kReceiveByte;
-        bit_count_ = 0;
-        shift_ = 0;
-      } else {
-        LoadSendByte();
-        mode_ = Mode::kSendBits;
-        next_drive_sda_ = ((send_byte_ >> 7) & 1) != 0;
-        send_bit_index_ = 1;
-      }
-      break;
-    case Mode::kSendBits:
-      if (send_bit_index_ < 8) {
-        next_drive_sda_ = ((send_byte_ >> (7 - send_bit_index_)) & 1) != 0;
-        ++send_bit_index_;
-      } else {
-        next_drive_sda_ = true;
-        mode_ = Mode::kAckSample;
-      }
-      break;
-    default:
-      break;
-  }
+  return true;
 }
 
 void MfdRegFileDevice::Evaluate() {
-  next_drive_sda_ = drive_sda_;
+  // Cells first: a register a cell changes on this edge is what a byte
+  // loaded on it reads.
   TickCells();
-  bool scl = bus_->scl();
-  bool sda = bus_->sda();
-  if (scl && prev_scl_) {
-    if (prev_sda_ && !sda) {
-      OnStart();
-    } else if (!prev_sda_ && sda) {
-      OnStop();
-    }
-  } else if (!prev_scl_ && scl) {
-    OnRisingEdge(sda);
-  } else if (prev_scl_ && !scl) {
-    OnFallingEdge();
-  }
-  prev_scl_ = scl;
-  prev_sda_ = sda;
+  target_.Clock(bus_->scl(), bus_->sda());
 }
 
 uint64_t MfdRegFileDevice::IdleCycles() const {
-  if (bus_->scl() != prev_scl_ || bus_->sda() != prev_sda_) {
+  if (!target_.Settled(bus_->scl(), bus_->sda())) {
     return 0;
   }
   // Edges until TickCells() next touches a register: each running
@@ -324,8 +229,7 @@ void MfdRegFileDevice::AdvanceIdle(uint64_t edges) {
 }
 
 void MfdRegFileDevice::Commit() {
-  drive_sda_ = next_drive_sda_;
-  bus_->SetDriver(driver_id_, /*scl=*/true, drive_sda_);
+  bus_->SetDriver(driver_id_, /*scl=*/true, target_.Commit());
 }
 
 }  // namespace efeu::sim

@@ -26,6 +26,7 @@
 #include "src/rtl/component.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/i2c_bus.h"
+#include "src/sim/i2c_target.h"
 
 namespace efeu::sim {
 
@@ -49,7 +50,7 @@ struct MfdConfig {
   uint64_t stat_seed = 0x5eed;      // xorshift stream behind VALUE
 };
 
-class MfdRegFileDevice : public rtl::RtlComponent {
+class MfdRegFileDevice : public rtl::RtlComponent, private I2cTarget::Hooks {
  public:
   MfdRegFileDevice(I2cBus* bus, const MfdConfig& config);
 
@@ -77,22 +78,12 @@ class MfdRegFileDevice : public rtl::RtlComponent {
   uint64_t irqs_raised() const { return irqs_raised_; }
 
  private:
-  enum class Mode {
-    kIdle,
-    kReceiveByte,
-    kAckDrive,
-    kSendBits,
-    kAckSample,
-    kIgnore,
-  };
-
   int Wrap(int index) const { return index & (static_cast<int>(regs_.size()) - 1); }
-  void OnStart();
-  void OnStop();
-  void OnRisingEdge(bool sda);
-  void OnFallingEdge();
-  void HandleReceivedByte();
-  void LoadSendByte();
+  void OnStart() override;
+  void OnStop() override;
+  bool OnAddress(bool read) override;
+  bool OnWriteByte(uint8_t byte) override;
+  uint8_t NextReadByte() override;
   void WriteRegister(int index, uint16_t value);
   void RaiseIrq(int cell);
   uint16_t NextStatValue();
@@ -102,19 +93,7 @@ class MfdRegFileDevice : public rtl::RtlComponent {
   MfdConfig config_;
   int driver_id_;
   std::vector<uint16_t> regs_;
-
-  // Bus-follower state (same shape as the EEPROM model).
-  bool prev_scl_ = true;
-  bool prev_sda_ = true;
-  bool drive_sda_ = true;
-  bool next_drive_sda_ = true;
-  Mode mode_ = Mode::kIdle;
-  bool addressed_phase_ = false;
-  bool writing_ = false;
-  int shift_ = 0;
-  int bit_count_ = 0;
-  int send_byte_ = 0;
-  int send_bit_index_ = 0;
+  I2cTarget target_;
 
   // Transfer pointer: two offset bytes select the register index, then data
   // bytes pair up (hi first). A START/STOP discards a dangling hi byte.
