@@ -1,6 +1,7 @@
 #include "src/check/state_codec.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "src/support/hash.h"
 
@@ -16,7 +17,7 @@ int32_t CollapseTable::Intern(int process, std::span<const int32_t> snapshot) {
   PerProcess& pp = per_process_[static_cast<size_t>(process)];
   const int32_t id = pp.count;
   auto [stored_id, inserted] = pp.index.FindOrInsert(
-      HashWords(snapshot), static_cast<uint32_t>(id), [&](uint32_t candidate) {
+      HashWordsWide(snapshot), static_cast<uint32_t>(id), [&](uint32_t candidate) {
         return std::equal(snapshot.begin(), snapshot.end(),
                           Slot(pp, static_cast<int32_t>(candidate)));
       });
@@ -62,6 +63,12 @@ StateCodec::StateCodec(CheckedSystem& system, CollapseTable* table)
     key_size_ = process_count;
     current_.assign(static_cast<size_t>(process_count), kDirty);
     full_.resize(static_cast<size_t>(total));
+    for (int offset : offsets_) {
+      lane_begin_.push_back(static_cast<size_t>(offset) & ~size_t{1});
+    }
+    lane_begin_.push_back(full_.size() & ~size_t{1});
+    chain_.assign(lane_begin_.size(), 0);
+    chain_[0] = HashWordsStart(full_.size());
   } else {
     key_size_ = total;
   }
@@ -70,6 +77,7 @@ StateCodec::StateCodec(CheckedSystem& system, CollapseTable* table)
 void StateCodec::EncodeProcess(int process) {
   std::span<int32_t> slice = Slice(static_cast<size_t>(process));
   system_.process(process).Snapshot(slice);
+  SliceChanged(static_cast<size_t>(process));
   current_[static_cast<size_t>(process)] = table_->Intern(process, slice);
 }
 
@@ -123,9 +131,28 @@ void StateCodec::Restore(const std::vector<int32_t>& key) {
     }
     std::span<int32_t> slice = Slice(p);
     table_->Expand(static_cast<int>(p), key[p], slice);
+    SliceChanged(p);
     system_.process(static_cast<int>(p)).Restore(slice);
     current_[p] = key[p];
   }
+}
+
+uint64_t StateCodec::FullStateHash(uint64_t key_hash) {
+  if (table_ == nullptr) {
+    return key_hash;
+  }
+  const std::span<const int32_t> full(full_);
+  const size_t count = sizes_.size();
+  uint64_t hash = chain_[changed_from_];
+  for (size_t p = changed_from_; p < count; ++p) {
+    const size_t begin = lane_begin_[p];
+    hash = HashWordsLanes(hash, full.subspan(begin, lane_begin_[p + 1] - begin));
+    chain_[p + 1] = hash;
+  }
+  changed_from_ = count;
+  hash = HashWordsFinish(hash, full.subspan(lane_begin_[count]));
+  assert(hash == HashWords(full_));
+  return hash;
 }
 
 }  // namespace efeu::check

@@ -29,6 +29,7 @@
 #ifndef SRC_CHECK_STATE_CODEC_H_
 #define SRC_CHECK_STATE_CODEC_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -111,17 +112,17 @@ class StateCodec {
   // HashWords of the live full state vector (every process's snapshot in
   // process-id order) as of the last encode, given `key_hash` = HashWords of
   // the key that encode wrote. In full mode the key is that vector, so this
-  // is `key_hash`; under COLLAPSE it hashes the codec's buffer. The
+  // is `key_hash`; under COLLAPSE it hashes the codec's buffer, resuming the
+  // chain at the first process whose slice changed since the last call. The
   // forced-run sampling rule (kPorChainSampleMask) decides on this value, so
   // collapse on and off store the same run states.
-  uint64_t FullStateHash(uint64_t key_hash) const {
-    return table_ == nullptr ? key_hash : HashWords(full_);
-  }
+  uint64_t FullStateHash(uint64_t key_hash);
 
  private:
   static constexpr int32_t kDirty = -1;
 
   void EncodeProcess(int process);
+  void SliceChanged(size_t process) { changed_from_ = std::min(changed_from_, process); }
   std::span<int32_t> Slice(size_t process) {
     return std::span<int32_t>(full_).subspan(static_cast<size_t>(offsets_[process]),
                                              static_cast<size_t>(sizes_[process]));
@@ -138,6 +139,15 @@ class StateCodec {
   // Collapse mode: the live full state vector. Process p's slice holds the
   // payload of component current_[p] whenever that is not kDirty.
   std::vector<int32_t> full_;
+  // Collapse mode: FullStateHash's resumable chain. A two-word lane straddles
+  // two slices where an offset is odd, so process p's chain boundary is its
+  // offset rounded down to even, lane_begin_[p]; lane_begin_[process count]
+  // is the end of the last whole lane. chain_[p] is HashWords's running state
+  // after the lanes before lane_begin_[p], valid for p <= changed_from_, the
+  // first process whose slice changed since the last FullStateHash.
+  std::vector<size_t> lane_begin_;
+  std::vector<uint64_t> chain_;
+  size_t changed_from_ = 0;
 };
 
 }  // namespace efeu::check

@@ -18,22 +18,6 @@ int Type::BitWidth() const {
   return 32;
 }
 
-int32_t Type::Truncate(int64_t value) const {
-  switch (kind) {
-    case ScalarKind::kBit:
-    case ScalarKind::kBool:
-      return value != 0 ? 1 : 0;
-    case ScalarKind::kU8:
-    case ScalarKind::kEnum:
-      return static_cast<int32_t>(static_cast<uint8_t>(value));
-    case ScalarKind::kI16:
-      return static_cast<int32_t>(static_cast<int16_t>(value));
-    case ScalarKind::kI32:
-      return static_cast<int32_t>(value);
-  }
-  return static_cast<int32_t>(value);
-}
-
 std::string Type::ToString() const {
   std::string base;
   switch (kind) {

@@ -41,7 +41,22 @@ struct Type {
 
   // Truncates `value` to this type's storage, mirroring C assignment to the
   // corresponding narrow type (u8 wraps, i16 sign-extends, bit/bool -> 0/1).
-  int32_t Truncate(int64_t value) const;
+  // Inline: the interpreter calls it on most instructions.
+  int32_t Truncate(int64_t value) const {
+    switch (kind) {
+      case ScalarKind::kBit:
+      case ScalarKind::kBool:
+        return value != 0 ? 1 : 0;
+      case ScalarKind::kU8:
+      case ScalarKind::kEnum:
+        return static_cast<int32_t>(static_cast<uint8_t>(value));
+      case ScalarKind::kI16:
+        return static_cast<int32_t>(static_cast<int16_t>(value));
+      case ScalarKind::kI32:
+        return static_cast<int32_t>(value);
+    }
+    return static_cast<int32_t>(value);
+  }
 
   std::string ToString() const;
 

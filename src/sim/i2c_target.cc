@@ -22,6 +22,9 @@ void I2cTarget::Clock(bool scl, bool sda) {
 
 void I2cTarget::Start() {
   hooks_->OnStart();
+  // The direction is the next acknowledged address's: a repeated START
+  // whose address is refused must not leave the old transfer's for OnStop.
+  writing_ = false;
   mode_ = Mode::kReceiveByte;
   address_byte_ = true;
   shift_ = 0;

@@ -50,8 +50,8 @@ class I2cTarget {
   // Whether a Clock at these levels would change nothing: they equal the
   // levels the last Clock saw.
   bool Settled(bool scl, bool sda) const { return scl == prev_scl_ && sda == prev_sda_; }
-  // Whether the last acknowledged address byte asked for a write; a STOP
-  // clears it.
+  // Whether the current transfer's acknowledged address byte asked for a
+  // write; a START or STOP clears it.
   bool writing() const { return writing_; }
 
  private:

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <random>
+
 #include "src/check/checker.h"
 #include "src/check/native_process.h"
 #include "src/check/state_codec.h"
@@ -642,6 +646,135 @@ TEST(CollapseTable, DenseIdsAcrossChunksInTwoOrders) {
     EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 3}), 1);
     EXPECT_EQ(table.Intern(1, std::vector<int32_t>{1, 2}), 0);
   }
+}
+
+// Component ids are dense and in first-intern order whatever hash places them:
+// a fixed sequence of snapshots, some equal, some differing only in one word
+// (in a four-lane round, the remainder lanes or the odd tail of a 157-word
+// snapshot), gets exactly these ids.
+TEST(CollapseTable, FirstInternIdsArePinned) {
+  constexpr int kWide = 157;
+  auto wide = [](int pattern) {
+    std::vector<int32_t> words(kWide);
+    for (int i = 0; i < kWide; ++i) {
+      words[static_cast<size_t>(i)] = i * 7 - 300;
+    }
+    if (pattern > 0) {
+      // Patterns 1-3 change word 3, 153 or 156; 4 and 5 change word 3 twice.
+      const int where[] = {3, 153, 156, 3, 3};
+      words[static_cast<size_t>(where[pattern - 1])] += pattern;
+    }
+    return words;
+  };
+  check::CollapseTable table({kWide, 3});
+  const int patterns[] = {2, 0, 2, 5, 1, 0, 4, 3, 5, 1, 3, 4};
+  const int32_t wide_ids[] = {0, 1, 0, 2, 3, 1, 4, 5, 2, 3, 5, 4};
+  const std::vector<int32_t> narrow[] = {{9, 9, 9}, {0, 0, 0}, {9, 9, 9}, {0, 0, 1}, {0, 0, 0}};
+  const int32_t narrow_ids[] = {0, 1, 0, 2, 1};
+  std::vector<int32_t> got_wide;
+  for (int pattern : patterns) {
+    got_wide.push_back(table.Intern(0, wide(pattern)));
+  }
+  std::vector<int32_t> got_narrow;
+  for (const std::vector<int32_t>& snapshot : narrow) {
+    got_narrow.push_back(table.Intern(1, snapshot));
+  }
+  EXPECT_EQ(got_wide, std::vector<int32_t>(std::begin(wide_ids), std::end(wide_ids)));
+  EXPECT_EQ(got_narrow, std::vector<int32_t>(std::begin(narrow_ids), std::end(narrow_ids)));
+  EXPECT_EQ(table.components(), 9u);
+  std::vector<int32_t> expanded(kWide);
+  table.Expand(0, 4, expanded);
+  EXPECT_EQ(expanded, wide(4));
+}
+
+// A native process with `size` state words and nothing to do: the test moves
+// it by restoring words into it, as a transition would.
+class InertProcess : public check::NativeProcess {
+ public:
+  explicit InertProcess(int size) : NativeProcess("Inert") {
+    ResizeState(static_cast<size_t>(size));
+    Reset();
+  }
+  bool AtValidEndState() const override { return true; }
+
+ protected:
+  void InitState(std::vector<int32_t>& state) override { std::fill(state.begin(), state.end(), 0); }
+  PendingOp ComputePending(const std::vector<int32_t>& state) const override { return {}; }
+  void OnRecv(int port, std::span<const int32_t> message,
+              std::vector<int32_t>& state) override {}
+  void OnSendComplete(int port, std::vector<int32_t>& state) override {}
+};
+
+// FullStateHash resumes its chain at the first process whose slice changed,
+// with lane boundaries rounded down to even offsets. Odd snapshot sizes put
+// lanes across process boundaries (offsets 0, 3, 8, 9, 13, 15). Random
+// DFS-like step sequences restore old keys, move one or two processes, bail
+// between NoteStep and EncodeStep, and hash after one step or several; each
+// hash must equal HashWords of the processes' concatenated snapshots.
+TEST(StateCodec, FullStateHashMatchesARescanUnderRandomSteps) {
+  const int sizes[] = {3, 5, 1, 4, 2, 1};
+  constexpr int kProcesses = 6;
+  check::CheckedSystem system;
+  for (int size : sizes) {
+    system.AddProcess(std::make_unique<InertProcess>(size));
+  }
+  check::CollapseTable table(system.SnapshotSizes());
+  check::StateCodec codec(system, &table);
+  auto rescan = [&] {
+    std::vector<int32_t> full;
+    for (int p = 0; p < kProcesses; ++p) {
+      std::vector<int32_t> slice(static_cast<size_t>(sizes[p]));
+      system.process(p).Snapshot(slice);
+      full.insert(full.end(), slice.begin(), slice.end());
+    }
+    return HashWords(full);
+  };
+
+  std::mt19937 rng(12345);
+  auto below = [&](int n) { return static_cast<int>(rng() % static_cast<uint32_t>(n)); };
+  auto move = [&](int p) {
+    // Few distinct values, so components repeat and restores hit old ids.
+    std::vector<int32_t> words(static_cast<size_t>(sizes[p]));
+    for (int32_t& word : words) {
+      word = below(3) - 1;
+    }
+    system.process(p).Restore(words);
+  };
+
+  std::vector<std::vector<int32_t>> keys(1);
+  codec.EncodeFull(&keys[0]);
+  ASSERT_EQ(codec.FullStateHash(HashWords(keys[0])), rescan());
+  std::vector<int32_t> key;
+  int hashed = 0;
+  for (int step = 0; step < 4000; ++step) {
+    if (below(3) == 0) {
+      codec.Restore(keys[static_cast<size_t>(below(static_cast<int>(keys.size())))]);
+    }
+    check::CheckedSystem::Transition t;
+    t.process = below(kProcesses);
+    if (below(2) == 0) {
+      t.kind = check::CheckedSystem::Transition::Kind::kChoice;
+    } else {
+      t.peer = below(kProcesses);
+    }
+    codec.NoteStep(t);
+    move(t.process);
+    if (t.peer >= 0) {
+      move(t.peer);
+    }
+    if (below(8) == 0) {
+      continue;  // A bail: the participants stay dirty until a Restore.
+    }
+    codec.EncodeStep(&key);
+    if (keys.size() < 64) {
+      keys.push_back(key);
+    }
+    if (below(3) != 0) {
+      ASSERT_EQ(codec.FullStateHash(HashWords(key)), rescan()) << "step " << step;
+      ++hashed;
+    }
+  }
+  EXPECT_GT(hashed, 1000);
 }
 
 // -- Counterexample trace pins -------------------------------------------------

@@ -183,10 +183,11 @@ TEST(I2cTarget, RefusedBytesNackAndSilenceTheTargetUntilTheNextStart) {
   bus.Start();
   EXPECT_FALSE(bus.SendByte((0x50 << 1) | 1));
   bus.Stop();
-  // The direction stays the write's: a refused address does not set it.
+  // The repeated START ends the write, and a refused address sets no
+  // direction, so the STOP reports no write.
   const std::vector<std::string> expected = {
       "start", "address write", "write 01", "write 02",
-      "start", "address read",  "stop writing=1",
+      "start", "address read",  "stop writing=0",
   };
   EXPECT_EQ(device.calls, expected);
   EXPECT_TRUE(bus.drive());

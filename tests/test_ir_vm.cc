@@ -460,6 +460,49 @@ TEST(IrVm, SnapshotCanonicalizesTemps) {
   EXPECT_TRUE(has_temp);
 }
 
+// Snapshot zeroes exactly the temp words, which are dead at every blocking
+// point, and keeps every var and stage word. The slots interleave the
+// classes and are listed out of offset order: a one-word var between two
+// temps, touching temps, multi-word temps, a stage and a var at the ends.
+TEST(IrVm, SnapshotZeroesExactlyTheTempSlots) {
+  auto slot = [](ir::SlotClass slot_class, int offset, int size) {
+    ir::SlotInfo info;
+    info.slot_class = slot_class;
+    info.offset = offset;
+    info.size = size;
+    return info;
+  };
+  ir::Module module;
+  module.layer_name = "Up";
+  module.frame_size = 14;
+  module.slots = {
+      slot(ir::SlotClass::kStage, 0, 2), slot(ir::SlotClass::kTemp, 4, 1),
+      slot(ir::SlotClass::kTemp, 2, 2),  slot(ir::SlotClass::kVar, 5, 1),
+      slot(ir::SlotClass::kTemp, 6, 1),  slot(ir::SlotClass::kTemp, 7, 3),
+      slot(ir::SlotClass::kVar, 10, 2),  slot(ir::SlotClass::kTemp, 12, 1),
+      slot(ir::SlotClass::kVar, 13, 1),
+  };
+  module.blocks.resize(1);
+  module.blocks[0].insts = {ir::Inst{}};  // kHalt
+  vm::IrExecutor executor(&module);
+  std::span<int32_t> frame = executor.mutable_frame();
+  for (size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<int32_t>(i) + 100;
+  }
+  std::vector<int32_t> expected = {0, 0, static_cast<int32_t>(vm::RunState::kRunnable)};
+  expected.insert(expected.end(), frame.begin(), frame.end());
+  for (const ir::SlotInfo& info : module.slots) {
+    if (info.slot_class == ir::SlotClass::kTemp) {
+      std::fill_n(expected.begin() + 3 + info.offset, info.size, 0);
+    }
+  }
+  std::vector<int32_t> snapshot(executor.SnapshotSize());
+  executor.Snapshot(snapshot);
+  EXPECT_EQ(snapshot, expected);
+  // Every word is either zeroed or kept.
+  EXPECT_EQ(std::count(snapshot.begin() + 3, snapshot.end(), 0), 8);
+}
+
 TEST(IrDump, MentionsBlocksAndPorts) {
   auto comp = Compile(kEchoPair);
   std::string dump = ir::DumpModule(*comp->FindModule("Down"));

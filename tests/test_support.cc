@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <span>
+#include <utility>
 
 #include "src/support/diagnostics.h"
 #include "src/support/hash.h"
@@ -156,6 +158,61 @@ TEST(Hash, LengthIsSignificant) {
   std::vector<int32_t> a = {0, 0};
   std::vector<int32_t> b = {0, 0, 0};
   EXPECT_NE(HashWords(a), HashWords(b));
+}
+
+// Word i is the (i+1)-th multiple of the golden ratio: high bits set, so
+// about half the words are negative.
+std::vector<int32_t> GoldenWords(size_t size) {
+  std::vector<int32_t> words(size);
+  for (size_t i = 0; i < size; ++i) {
+    words[i] = static_cast<int32_t>(0x9E3779B9u * static_cast<uint32_t>(i + 1));
+  }
+  return words;
+}
+
+// HashWords decides which forced-run states the checker stores
+// (kPorChainSampleMask) and feeds the fingerprint tables, so its values are
+// part of every pinned state count: they must not move.
+TEST(Hash, HashWordsValuesArePinned) {
+  const std::pair<size_t, uint64_t> pins[] = {
+      {0, 0xefd01f60ba992926ull}, {1, 0xa1b8ce9356485d49ull},  {2, 0x1139f1446f2089eeull},
+      {7, 0x045db416968ecd8cull}, {160, 0x952d71f9a03feeb2ull},
+  };
+  for (const auto& [size, hash] : pins) {
+    EXPECT_EQ(HashWords(GoldenWords(size)), hash) << size << " words";
+  }
+}
+
+// Start, lanes from any even split on, and finish compose to HashWords: what
+// StateCodec::FullStateHash relies on when it resumes a cached chain.
+TEST(Hash, PartsComposeToHashWordsAtEveryEvenSplit) {
+  for (size_t size : {0, 1, 2, 3, 6, 7, 8, 9, 160, 161}) {
+    const std::vector<int32_t> words = GoldenWords(size);
+    const std::span<const int32_t> all(words);
+    const size_t even = size & ~size_t{1};
+    for (size_t split = 0; split <= even; split += 2) {
+      uint64_t hash = HashWordsLanes(HashWordsStart(size), all.first(split));
+      hash = HashWordsLanes(hash, all.subspan(split, even - split));
+      EXPECT_EQ(HashWordsFinish(hash, all.subspan(even)), HashWords(words))
+          << size << " words split at " << split;
+    }
+  }
+}
+
+// The interning hash only places components, but it must still see every
+// word: one changed word anywhere, in any lane or the odd tail, moves it.
+TEST(Hash, WideHashSeesEveryWord) {
+  for (size_t size : {1, 2, 3, 7, 8, 9, 15, 16, 17, 157}) {
+    const std::vector<int32_t> words = GoldenWords(size);
+    const uint64_t base = HashWordsWide(words);
+    for (size_t i = 0; i < size; ++i) {
+      std::vector<int32_t> changed = words;
+      changed[i] ^= 1;
+      EXPECT_NE(HashWordsWide(changed), base) << size << " words, word " << i;
+    }
+  }
+  EXPECT_NE(HashWordsWide(std::vector<int32_t>{0, 0}),
+            HashWordsWide(std::vector<int32_t>{0, 0, 0}));
 }
 
 TEST(StateTable, ClaimOnceThenDuplicate) {
