@@ -192,8 +192,8 @@ def self_test():
         assert len(merged["benches"]["scaling"]) == 2, merged["benches"]["scaling"]
 
         # Re-merging a fresh report whose timings moved into the merged file
-        # replaces each row instead of appending it (bench_symex's rows: one
-        # per config, every timing a float).
+        # replaces each row instead of appending it (rows keyed by config,
+        # every timing a float).
         def symex_row(config, seconds):
             return {"section": "symex", "config": config, "discharged": True,
                     "obligations": 22, "solver_ms": seconds * 1000,

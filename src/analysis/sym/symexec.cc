@@ -15,6 +15,12 @@ namespace {
 // a leaf over the computed abstract value.
 constexpr int kMaxExprSize = 48;
 
+// Joins at one block before the interval part widens to the storage hull.
+constexpr int kWidenAfter = 12;
+
+// Assume-guarantee rounds over a compilation's modules.
+constexpr int kMaxRounds = 3;
+
 struct Cell {
   SymVal val;
   uint64_t gen = 0;
@@ -316,7 +322,7 @@ class SymExecutor {
       return;
     }
     ++summary_.merges;
-    bool widen = ++joins_[to] > options_.widen_after && loop_head_[to] != 0;
+    bool widen = ++joins_[to] > kWidenAfter && loop_head_[to] != 0;
     if (widen) {
       ++summary_.widenings;
     }
@@ -621,6 +627,9 @@ bool ModuleSummary::AllProved(bool* any_assumed) const {
   return all;
 }
 
+namespace {
+
+// Contract-derived per-word facts for one channel (see ExternalFacts).
 std::vector<SymVal> ContractWordFacts(const esi::SystemInfo& info, const esi::ChannelInfo& channel,
                                       ExternalFacts mode) {
   std::vector<SymVal> words(channel.flat_size, SymVal::Top());
@@ -652,6 +661,8 @@ std::vector<SymVal> ContractWordFacts(const esi::SystemInfo& info, const esi::Ch
   }
   return words;
 }
+
+}  // namespace
 
 ModuleSummary AnalyzeModuleSym(const ir::Module& module, const ChannelFacts& facts,
                                const SymOptions& options) {
@@ -691,8 +702,7 @@ uint64_t CompilationSummary::TotalSolverQueries() const {
   return n;
 }
 
-CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp, const SymOptions& options,
-                                         const ChannelFacts& native_facts) {
+CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp, const SymOptions& options) {
   auto start = std::chrono::steady_clock::now();
   CompilationSummary out;
   const std::vector<ir::Module>& modules = comp.modules();
@@ -707,11 +717,10 @@ CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp, const SymO
     }
   }
 
-  // Seed: declared native facts are trusted; internal channels start from
-  // the per-field storage envelope (sound: every staged word is truncated to
-  // its field type before the send); external channels get contract or top
-  // facts per the options.
-  ChannelFacts facts = native_facts;
+  // Seed: internal channels start from the per-field storage envelope
+  // (sound: every staged word is truncated to its field type before the
+  // send); external channels get contract or top facts per the options.
+  ChannelFacts facts;
   for (const ir::Module& m : modules) {
     for (const ir::Port& p : m.ports) {
       if (facts.count(p.channel) != 0) {
@@ -746,7 +755,7 @@ CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp, const SymO
   };
   std::vector<LastRun> last(modules.size());
 
-  for (int round = 0; round < std::max(1, options.max_rounds); ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     out.rounds = round + 1;
     ChannelFacts next = facts;
     for (size_t i = 0; i < modules.size(); ++i) {

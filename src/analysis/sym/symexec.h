@@ -14,21 +14,21 @@
 //
 // Channel I/O is a symbolic rendezvous: kRecv draws per-word facts for the
 // port's channel (computed sender summaries for in-compilation senders,
-// declared facts for native checker processes, assumed ESI contract ranges
-// for external senders — the same ranges monitor::MonitorSpec::FromSystem
-// derives), and kSend folds the staged words into the module's send summary.
-// AnalyzeCompilationSym runs every module in rounds against the previous
-// round's facts until the facts stop changing or SymOptions::max_rounds is
-// reached (assume-guarantee: the seed over-approximates every real message,
-// and the transfer is monotone, so each round's summaries stay sound and the
-// cap costs only precision). A module whose receive facts did not change
-// since its last run reuses that run's summary.
+// assumed ESI contract ranges for external senders — the same ranges
+// monitor::MonitorSpec::FromSystem derives), and kSend folds the staged words
+// into the module's send summary. AnalyzeCompilationSym runs every module in
+// rounds against the previous round's facts until the facts stop changing or
+// a fixed round cap (3) is reached (assume-guarantee: the seed
+// over-approximates every real message, and the transfer is monotone, so
+// each round's summaries stay sound and the cap costs only precision). A
+// module whose receive facts did not change since its last run reuses that
+// run's summary.
 //
 // The proof obligations tracked per module are exactly the executor's
 // failure points: kAssert conditions, division/modulo divisors, and
 // kLoadIdx/kStoreIdx index bounds. A module whose every obligation is proved
 // without assumed facts cannot fail a safety check on any schedule — the
-// basis for the checker fast path and the monitor-bound discharge.
+// basis for the monitor-bound discharge.
 
 #ifndef SRC_ANALYSIS_SYM_SYMEXEC_H_
 #define SRC_ANALYSIS_SYM_SYMEXEC_H_
@@ -46,8 +46,7 @@
 
 namespace efeu::analysis::sym {
 
-// How to seed facts for channels whose sender is outside the compilation
-// (and not covered by declared native facts).
+// How to seed facts for channels whose sender is outside the compilation.
 enum class ExternalFacts {
   // The ESI contract ranges (enum ordinals, storage ranges). These are an
   // *assumption* about the external world — nothing compiled here enforces
@@ -61,13 +60,9 @@ enum class ExternalFacts {
 
 struct SymOptions {
   ExternalFacts external_facts = ExternalFacts::kContract;
-  // Joins at one block before the interval part widens to the storage hull.
-  int widen_after = 12;
   // Global block-visit budget; exceeding it marks the summary incomplete
   // (every obligation then stays unproved).
   uint64_t max_block_visits = 20000;
-  // Assume-guarantee rounds over the compilation's modules.
-  int max_rounds = 3;
 };
 
 // One proof obligation site (a point where the executor can fail).
@@ -107,8 +102,7 @@ struct BranchInfo {
   // dead against ANY contract-honoring peer, not just the peers this
   // compilation happens to pair the module with. Only these are lint
   // findings; peer-derived dead arms are configuration facts (visible in
-  // --dump-sym and exploited by the checker fast path) rather than spec
-  // defects.
+  // --dump-sym) rather than spec defects.
   bool from_types = false;
 };
 
@@ -145,10 +139,6 @@ struct ModuleSummary {
 // Facts per channel: one SymVal per flat message word.
 using ChannelFacts = std::map<const esi::ChannelInfo*, std::vector<SymVal>>;
 
-// Contract-derived per-word facts for one channel (see ExternalFacts).
-std::vector<SymVal> ContractWordFacts(const esi::SystemInfo& info, const esi::ChannelInfo& channel,
-                                      ExternalFacts mode);
-
 // Symbolically executes one module under the given per-channel recv facts.
 ModuleSummary AnalyzeModuleSym(const ir::Module& module, const ChannelFacts& facts,
                                const SymOptions& options = {});
@@ -170,12 +160,8 @@ struct CompilationSummary {
 };
 
 // Runs the assume-guarantee iteration over every module of a compilation.
-// `native_facts` declares what non-compiled (native checker) processes may
-// send, per channel; those facts are trusted (taint-free) — the explicit
-// checker trusts the same native code.
 CompilationSummary AnalyzeCompilationSym(const ir::Compilation& comp,
-                                         const SymOptions& options = {},
-                                         const ChannelFacts& native_facts = {});
+                                         const SymOptions& options = {});
 
 // Deterministic human-readable rendering (goldens, esmc --dump-sym).
 std::string RenderSymSummary(const ir::Compilation& comp, const CompilationSummary& summary);

@@ -444,13 +444,6 @@ CheckResult CheckedSystem::Check(const CheckerOptions& options) {
     if (options.max_transitions != 0 && result.transitions >= options.max_transitions) {
       return true;
     }
-    if (options.time_budget_seconds > 0) {
-      double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-      if (elapsed > options.time_budget_seconds) {
-        return true;
-      }
-    }
     return false;
   };
 

@@ -45,8 +45,6 @@ struct CheckerOptions {
   // 0 = unlimited.
   uint64_t max_states = 0;
   int max_depth = 1 << 20;
-  // Wall-clock budget in seconds; 0 = unlimited.
-  double time_budget_seconds = 0;
   // Ablation: skip the visited-state set (pure tree search). Bound the run
   // with max_transitions when using this.
   bool disable_state_dedup = false;
@@ -94,7 +92,7 @@ struct CheckResult {
   uint64_t transitions = 0;
   int max_depth_reached = 0;
   double seconds = 0;
-  // True when the search was incomplete: a state/transition/time budget
+  // True when the search was incomplete: a state/transition budget
   // stopped it mid-exploration, or depth pruning actually skipped an
   // unvisited successor (pruned frames whose successors were all visited do
   // NOT set this). ok is then only "no violation found within budget".

@@ -38,37 +38,6 @@ struct NextStepSummary {
   uint64_t port_mask = ~uint64_t{0};
 };
 
-// One per-word guarantee a native process declares about the messages it
-// sends on a channel: the word always lies in [min, max], and when `values`
-// is non-empty, always in that (sorted) set. The symbolic checker fast path
-// seeds its channel facts from these — a native process the explicit checker
-// trusts to execute is equally trusted to declare what it can send.
-struct DeclaredFact {
-  const esi::ChannelInfo* channel = nullptr;
-  int word = 0;
-  int32_t min = 0;
-  int32_t max = 0;
-  std::vector<int32_t> values;
-  // Optional relational form: the word's range is not a constant but tracks
-  // other channel words (e.g. a reply length that echoes back the request
-  // length, or an event payload latched from one of the request's data
-  // words). The guarantee declared is
-  //
-  //   sent word  ∈  hull([min, max] ∪ ranges of the bounding words)
-  //
-  // for every message pair, unconditionally: the word is either one of the
-  // process's own constants (covered by [min, max]) or a value it previously
-  // received on one of the bounding words. The fast path resolves the
-  // bounding words' ranges from the current assume-guarantee round and joins
-  // them with [min, max]; `values` is ignored. The bounding words are the
-  // `bound_by_word_count` consecutive words starting at `bound_by_word`; a
-  // fact stays unresolved (and the channel keeps its assumed envelope) until
-  // every word in the range has an unconditional hull.
-  const esi::ChannelInfo* bound_by_channel = nullptr;
-  int bound_by_word = 0;
-  int bound_by_word_count = 1;
-};
-
 class Process {
  public:
   virtual ~Process() = default;
@@ -96,11 +65,6 @@ class Process {
   // NextStepSummary). The default is fully conservative, which simply makes
   // the process ineligible for some partial-order reductions.
   virtual NextStepSummary PeekNextStep() const { return {}; }
-
-  // Guarantees about words this process can send, for the symbolic discharge
-  // fast path. The default (none) leaves those channels at their assumed
-  // contract facts, which merely blocks discharge — never soundness.
-  virtual std::vector<DeclaredFact> DeclaredSendFacts() const { return {}; }
 
   virtual void CompleteSend() = 0;
   virtual void CompleteRecv(std::span<const int32_t> message) = 0;

@@ -97,8 +97,6 @@ class StateCodec {
   // `table` == nullptr selects full (uncompressed) mode.
   StateCodec(CheckedSystem& system, CollapseTable* table);
 
-  int key_size() const { return key_size_; }
-
   // Re-encodes every process of the live system into *key.
   void EncodeFull(std::vector<int32_t>* key);
   // Marks the processes `t` is about to move as dirty.

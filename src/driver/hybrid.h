@@ -152,7 +152,6 @@ class HybridDriver : public DriverCore {
   sim::I2cMux* mux() { return mux_.get(); }
   sim::SecondMaster* second_master() { return second_master_.get(); }
   sim::MfdRegFileDevice& mfd(int index) { return *mfds_[index]; }
-  sim::I2cBus& downstream_bus(int channel) { return *downstream_buses_[channel]; }
   uint64_t mmio_bursts() const { return mmio_bursts_; }
   uint64_t irqs_coalesced() const { return irqs_coalesced_; }
   // Cumulative IR instructions executed by the software layers.

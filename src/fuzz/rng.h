@@ -33,10 +33,6 @@ class Rng {
   // True with probability num/den.
   bool Chance(int num, int den) { return Below(den) < num; }
 
-  // Forks an independent stream (e.g. schedule vs. structure), so adding a
-  // draw to one part of the generator does not perturb the other.
-  Rng Fork() { return Rng(Next() ^ 0xA5A5A5A55A5A5A5AULL); }
-
  private:
   uint64_t state_;
 };

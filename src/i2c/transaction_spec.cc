@@ -277,55 +277,4 @@ bool TransactionSpecProcess::AtValidEndState() const {
   return current_state()[kPhase] == kPhaseRecvCmd;
 }
 
-std::vector<check::DeclaredFact> TransactionSpecProcess::DeclaredSendFacts() const {
-  std::vector<check::DeclaredFact> facts;
-  // Reply word 0 (res): assigned only kCtResOk, kCtResNack, and — solely in
-  // the reset arm, which the choice arity excludes without budget —
-  // kCtResFail. The other reply words derive from received messages, so no
-  // self-contained claim exists for them.
-  check::DeclaredFact res;
-  res.channel = reply_channel_;
-  res.word = 0;
-  res.values = max_resets_ > 0
-                   ? std::vector<int32_t>{kCtResOk, kCtResFail, kCtResNack}
-                   : std::vector<int32_t>{kCtResOk, kCtResNack};
-  res.min = res.values.front();
-  res.max = res.values.back();
-  facts.push_back(std::move(res));
-  // Reply word 1 (rlen): either 0, the latched command length, or the count
-  // of payload bytes that completed before a fault — which never exceeds that
-  // length. So rlen is 0 or tracks command word 2: declared relationally.
-  check::DeclaredFact rlen;
-  rlen.channel = reply_channel_;
-  rlen.word = 1;
-  rlen.min = 0;
-  rlen.max = 0;
-  rlen.bound_by_channel = cmd_channel_;
-  rlen.bound_by_word = 2;
-  facts.push_back(std::move(rlen));
-  for (const TransactionSpecDevice& device : devices_) {
-    // Event word 0 (ev): always one of the five RE_EV_* ordinals.
-    check::DeclaredFact ev;
-    ev.channel = device.to_eep;
-    ev.word = 0;
-    ev.values = {kReEvAddrWrite, kReEvAddrRead, kReEvData, kReEvReadReq, kReEvStop};
-    ev.min = ev.values.front();
-    ev.max = ev.values.back();
-    facts.push_back(std::move(ev));
-    // Event word 1 (wdata): the literal 0 for address/read/stop events, or —
-    // for DATA events — one of the payload words latched verbatim from
-    // command words 3..18. Declared relationally over that whole range.
-    check::DeclaredFact wdata;
-    wdata.channel = device.to_eep;
-    wdata.word = 1;
-    wdata.min = 0;
-    wdata.max = 0;
-    wdata.bound_by_channel = cmd_channel_;
-    wdata.bound_by_word = 3;
-    wdata.bound_by_word_count = 16;
-    facts.push_back(std::move(wdata));
-  }
-  return facts;
-}
-
 }  // namespace efeu::i2c

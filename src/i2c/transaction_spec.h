@@ -50,15 +50,6 @@ class TransactionSpecProcess : public check::NativeProcess {
 
   bool AtValidEndState() const override;
 
-  // Self-contained guarantees (independent of anything received): the reply
-  // result word only ever takes the three CT_RES_* constants, and CT_RES_FAIL
-  // only when a reset budget exists; event messages lead with an RE_EV_*
-  // ordinal. Two relational guarantees ride along: the reply length never
-  // exceeds the command length (bounded by command word 2), and an event's
-  // payload word is 0 or latched verbatim from the command's data words
-  // (bounded by command words 3..18). Seeds the symbolic checker fast path.
-  std::vector<check::DeclaredFact> DeclaredSendFacts() const override;
-
  protected:
   void InitState(std::vector<int32_t>& state) override;
   PendingOp ComputePending(const std::vector<int32_t>& state) const override;

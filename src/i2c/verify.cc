@@ -400,144 +400,6 @@ std::unique_ptr<VerifierSystem> BuildEepVerifier(const VerifyConfig& config,
   return vs;
 }
 
-// Does any module of `comp` have a port on `channel`? Declared native facts
-// are per-channel; a multi-compilation system must seed each compilation
-// only with the channels its own modules actually touch.
-bool CompilationTouches(const ir::Compilation& comp, const esi::ChannelInfo* channel) {
-  for (const ir::Module& module : comp.modules()) {
-    for (const ir::Port& port : module.ports) {
-      if (port.channel == channel) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-// Attempts to discharge the safety properties symbolically (see
-// VerifyConfig::sym_discharge): seeds every channel driven by a native
-// process from its DeclaredSendFacts, runs the symbolic executor over every
-// compilation, and iterates until the sent-word hulls that relational
-// declared facts resolve against are stable — so the final analysis is
-// justified by its own round's sends. Fills `stats`; stats.discharged is
-// true only when every obligation of every module is proved taint-free.
-void TrySymDischarge(VerifierSystem& vs, VerifySymStats& stats) {
-  namespace sym = analysis::sym;
-  stats.attempted = true;
-
-  // What the native processes guarantee, per channel and word. Several
-  // processes may declare the same (channel, word) — e.g. one
-  // TransactionSpec entry per EEPROM device — identically, so overwriting
-  // is idempotent.
-  std::map<const esi::ChannelInfo*, std::map<int, check::DeclaredFact>> declared;
-  for (int i = 0; i < vs.system().process_count(); ++i) {
-    for (const check::DeclaredFact& fact : vs.system().process(i).DeclaredSendFacts()) {
-      if (fact.channel != nullptr) {
-        declared[fact.channel][fact.word] = fact;
-      }
-    }
-  }
-
-  // Range hull of everything compiled code sends, per (channel, word), from
-  // the previous round's summaries. Tainted hulls are excluded: a relational
-  // fact resolved against an assumed bound would launder the taint into a
-  // "sound" proof.
-  std::map<std::pair<const esi::ChannelInfo*, int>, analysis::Interval> hulls;
-  std::vector<sym::CompilationSummary> summaries;
-  bool stable = false;
-  while (!stable && stats.rounds < 4) {
-    ++stats.rounds;
-    summaries.clear();
-    for (const auto& comp : vs.compilations()) {
-      sym::ChannelFacts native;
-      for (const auto& [channel, facts] : declared) {
-        if (!CompilationTouches(*comp, channel)) {
-          continue;
-        }
-        std::vector<sym::SymVal> words =
-            sym::ContractWordFacts(comp->system(), *channel, sym::ExternalFacts::kContract);
-        for (const auto& [word, fact] : facts) {
-          if (word < 0 || word >= static_cast<int>(words.size())) {
-            continue;
-          }
-          if (fact.bound_by_channel != nullptr) {
-            // The declared range is [min, max] joined with the hull of the
-            // bounding words; every bounding word must have an untainted hull
-            // this round, else the fact stays unresolved and the channel
-            // keeps its assumed envelope.
-            analysis::Interval range = analysis::Interval::Of(fact.min, fact.max);
-            bool resolved = true;
-            for (int b = 0; b < fact.bound_by_word_count; ++b) {
-              auto it = hulls.find({fact.bound_by_channel, fact.bound_by_word + b});
-              if (it == hulls.end()) {
-                resolved = false;
-                break;
-              }
-              range = analysis::Interval::Of(std::min(range.lo, it->second.lo),
-                                             std::max(range.hi, it->second.hi));
-            }
-            if (!resolved) {
-              continue;
-            }
-            words[word] = sym::SymVal::FromInterval(range);
-          } else if (!fact.values.empty()) {
-            words[word] = sym::SymVal::FromSet(fact.values);
-          } else {
-            words[word] = sym::SymVal::FromInterval(analysis::Interval{fact.min, fact.max});
-          }
-        }
-        native[channel] = std::move(words);
-      }
-      summaries.push_back(sym::AnalyzeCompilationSym(*comp, {}, native));
-    }
-    auto previous = std::move(hulls);
-    hulls.clear();
-    for (size_t c = 0; c < summaries.size(); ++c) {
-      const ir::Compilation& comp = *vs.compilations()[c];
-      for (const sym::ModuleSummary& module : summaries[c].modules) {
-        const ir::Module* m = comp.FindModule(module.layer);
-        if (m == nullptr) {
-          continue;
-        }
-        for (const sym::PortFacts& pf : module.send_facts) {
-          const esi::ChannelInfo* channel = m->ports[pf.port].channel;
-          for (size_t w = 0; w < pf.words.size(); ++w) {
-            const sym::SymVal& v = pf.words[w];
-            if (v.assumed) {
-              continue;
-            }
-            auto [it, inserted] = hulls.try_emplace({channel, static_cast<int>(w)}, v.interval);
-            if (!inserted) {
-              it->second = analysis::Interval::Of(std::min(it->second.lo, v.interval.lo),
-                                                  std::max(it->second.hi, v.interval.hi));
-            }
-          }
-        }
-      }
-    }
-    stable = hulls == previous;
-  }
-
-  bool discharged = stable && !summaries.empty();
-  for (const sym::CompilationSummary& summary : summaries) {
-    bool any_assumed = false;
-    discharged = summary.AllProved(&any_assumed) && !any_assumed && discharged;
-    for (const sym::ModuleSummary& module : summary.modules) {
-      stats.obligations += static_cast<int>(module.sites.size());
-      for (const sym::SiteVerdict& site : module.sites) {
-        if (site.proved && !site.assumed) {
-          ++stats.proved;
-        }
-      }
-    }
-    stats.paths += summary.TotalPaths();
-    stats.solver_queries += summary.TotalSolverQueries();
-    stats.module_runs += summary.module_runs;
-    stats.seconds += summary.seconds;
-  }
-  stats.discharged = discharged;
-}
-
 }  // namespace
 
 std::unique_ptr<VerifierSystem> BuildVerifier(const VerifyConfig& config,
@@ -584,25 +446,6 @@ VerifyRunResult RunVerification(const VerifyConfig& config, DiagnosticEngine& di
   if (vs == nullptr) {
     return result;
   }
-  if (config.sym_discharge) {
-    TrySymDischarge(*vs, result.sym);
-  }
-  if (result.sym.discharged) {
-    // Every assertion and runtime-safety obligation is proved for every
-    // fault/reset schedule at once, so the explicit safety pass is skipped;
-    // the invalid-end-state check rides along with the non-progress-cycle
-    // pass, leaving one explicit exploration instead of two. (Assertions
-    // still trap during that exploration — a belt-and-braces check of the
-    // symbolic proof, not part of the claim.)
-    check::CheckerOptions both = base_options;
-    both.check_deadlock = true;
-    both.check_livelock = true;
-    result.liveness = vs->system().Check(both);
-    result.safety.ok = true;
-    result.total_seconds = result.sym.seconds + result.liveness.seconds;
-    result.ok = result.liveness.ok;
-    return result;
-  }
   check::CheckerOptions safety = base_options;
   safety.check_deadlock = true;
   safety.check_livelock = false;
@@ -613,7 +456,7 @@ VerifyRunResult RunVerification(const VerifyConfig& config, DiagnosticEngine& di
   liveness.check_livelock = true;
   result.liveness = vs->system().Check(liveness);
 
-  result.total_seconds = result.sym.seconds + result.safety.seconds + result.liveness.seconds;
+  result.total_seconds = result.safety.seconds + result.liveness.seconds;
   result.ok = result.safety.ok && result.liveness.ok;
   return result;
 }

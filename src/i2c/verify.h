@@ -75,18 +75,6 @@ struct VerifyConfig {
   // never mutates the compiled modules, so enabling it cannot perturb the
   // checker's state counts.
   bool analyze_before_check = false;
-  // Upgrade of analyze_before_check: additionally run the symbolic executor
-  // (src/analysis/sym) over every compilation, seeding channels driven by
-  // native processes from their DeclaredSendFacts. When every assertion and
-  // runtime-safety obligation of every compiled module is proved without
-  // resting on assumed contract facts, the explicit safety pass is skipped —
-  // its properties are already discharged for all fault/reset schedules at
-  // once — and the invalid-end-state check rides along with the liveness
-  // pass, so the run performs one explicit exploration instead of two.
-  // Configurations the executor cannot fully discharge (e.g. any config
-  // whose oracle tracks data correspondence or counts failures across
-  // operations) run both passes unchanged, byte-for-byte the same states.
-  bool sym_discharge = false;
 };
 
 // Owns everything a verification run needs: compilations (whose channel and
@@ -108,41 +96,19 @@ class VerifierSystem {
 std::unique_ptr<VerifierSystem> BuildVerifier(const VerifyConfig& config,
                                               DiagnosticEngine& diag);
 
+struct VerifyRunResult {
+  check::CheckResult safety;
+  check::CheckResult liveness;
+  double total_seconds = 0;
+  bool ok = false;
+};
+
 // Runs the verification the way the paper runs SPIN (section 4.3): one pass
 // checking assertions + invalid end states, one pass checking non-progress
 // cycles, with the runtimes summed. Both passes derive their options from
 // `base_options`, so callers can set budgets, hash compaction, or toggle
 // the state-space reductions (por/collapse, on by default; see DESIGN.md
 // "State-space reduction").
-// Outcome of the symbolic-discharge attempt a sym_discharge run performs
-// before touching the explicit checker.
-struct VerifySymStats {
-  // True when the discharge was attempted (config.sym_discharge set and the
-  // verifier built).
-  bool attempted = false;
-  // True when every obligation of every compiled module was proved without
-  // assumed contract facts: the explicit safety pass was skipped.
-  bool discharged = false;
-  int obligations = 0;
-  int proved = 0;
-  uint64_t paths = 0;
-  uint64_t solver_queries = 0;
-  // Assume-guarantee rounds over the native-fact resolution (outer) loop.
-  int rounds = 0;
-  // Symbolic executor runs behind the final round's summaries (see
-  // sym::CompilationSummary::module_runs).
-  int module_runs = 0;
-  double seconds = 0;
-};
-
-struct VerifyRunResult {
-  check::CheckResult safety;
-  check::CheckResult liveness;
-  VerifySymStats sym;
-  double total_seconds = 0;
-  bool ok = false;
-};
-
 VerifyRunResult RunVerification(const VerifyConfig& config, DiagnosticEngine& diag,
                                 const check::CheckerOptions& base_options = {});
 

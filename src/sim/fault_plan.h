@@ -85,7 +85,6 @@ class FaultPlan {
   // fault stream is unchanged by the driver couplings' extra consult sites.
   // Scripted plans fire whatever they script regardless of this flag.
   void set_boundary_faults(bool enabled) { boundary_random_ = enabled; }
-  bool boundary_faults() const { return boundary_random_; }
 
   // Consulted by a device at one opportunity for `kind`; returns the fault
   // duration (0 = behave normally) and advances the per-kind counter.

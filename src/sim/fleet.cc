@@ -52,7 +52,8 @@ driver::HybridConfig Fleet::BuildStackHybridConfig(
   hybrid.recovery.enabled = true;
   hybrid.recovery.wait_timeout_ns = 2e6;
   hybrid.recovery.op_deadline_ns = 1e7;
-  hybrid.enable_monitors = config.enable_monitors;
+  // Fleet soaks run monitored.
+  hybrid.enable_monitors = true;
   hybrid.shared_compilation = std::move(compilation);
 
   // Random wire+boundary plan at the soak defaults. The topology classes
@@ -454,9 +455,7 @@ Fleet::Fleet(FleetOptions options) : options_(options) {}
 Fleet::~Fleet() = default;
 
 int Fleet::AddStack(const StackConfig& config) {
-  StackConfig stored = config;
-  stored.enable_monitors = stored.enable_monitors && options_.enable_monitors;
-  configs_.push_back(stored);
+  configs_.push_back(config);
   return static_cast<int>(configs_.size()) - 1;
 }
 

@@ -54,7 +54,6 @@ struct StackConfig {
   // Random-plan parameters (the seed-matrix soak defaults).
   double fault_rate = 0.01;
   int64_t max_faults = 4;
-  bool enable_monitors = true;
 };
 
 // The standard soak mix: round-robin over the four stack classes with
@@ -95,8 +94,6 @@ struct FleetOptions {
   // stacks one at a time; aggregates merge in stack-id order, so the report
   // is identical for any thread count.
   int num_threads = 1;
-  // Carried into every stack's HybridConfig (fleet soaks run monitored).
-  bool enable_monitors = true;
 };
 
 // Aggregate outcome of a fleet run. Everything except the host-side timing

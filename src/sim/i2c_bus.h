@@ -38,8 +38,6 @@ class I2cBus {
   // sim::FaultPlan). Normal drivers are unaffected otherwise.
   void ForceSclLow(bool forced) { scl_forced_low_ = forced; }
   void ForceSdaLow(bool forced) { sda_forced_low_ = forced; }
-  bool scl_forced_low() const { return scl_forced_low_; }
-  bool sda_forced_low() const { return sda_forced_low_; }
 
   // -- Waveform capture ------------------------------------------------------
   struct Sample {

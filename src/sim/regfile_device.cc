@@ -36,7 +36,6 @@ void MfdRegFileDevice::RaiseIrq(int cell) {
 }
 
 void MfdRegFileDevice::WriteRegister(int index, uint16_t value) {
-  ++register_writes_;
   if (index == kMfdRegIrqStatus) {
     // Write-1-to-clear, the leicaefi IRQ-chip ack convention.
     regs_[kMfdRegIrqStatus] &= static_cast<uint16_t>(~value);
@@ -124,7 +123,6 @@ void MfdRegFileDevice::OnStop() { have_hi_ = false; }
 
 uint8_t MfdRegFileDevice::NextReadByte() {
   if (send_hi_next_) {
-    ++register_reads_;
     send_hi_next_ = false;
     return static_cast<uint8_t>(regs_[Wrap(pointer_)] >> 8);
   }

@@ -73,8 +73,6 @@ class MfdRegFileDevice : public rtl::RtlComponent, private I2cTarget::Hooks {
   void PokeRegister(int index, uint16_t value) { regs_[Wrap(index)] = value; }
   int num_cells() const { return static_cast<int>(config_.cells.size()); }
 
-  uint64_t register_writes() const { return register_writes_; }
-  uint64_t register_reads() const { return register_reads_; }
   uint64_t irqs_raised() const { return irqs_raised_; }
 
  private:
@@ -109,8 +107,6 @@ class MfdRegFileDevice : public rtl::RtlComponent, private I2cTarget::Hooks {
   uint64_t stat_rng_;
 
   FaultPlan* fault_plan_ = nullptr;
-  uint64_t register_writes_ = 0;
-  uint64_t register_reads_ = 0;
   uint64_t irqs_raised_ = 0;
 };
 

@@ -4,28 +4,14 @@
 
 namespace efeu::sim {
 
-namespace {
-
-std::vector<double> Edges(const std::vector<I2cBus::Sample>& samples, bool rising) {
+std::vector<double> SclRisingEdges(const std::vector<I2cBus::Sample>& samples) {
   std::vector<double> edges;
   for (size_t i = 1; i < samples.size(); ++i) {
-    bool was = samples[i - 1].scl;
-    bool now = samples[i].scl;
-    if (rising ? (!was && now) : (was && !now)) {
+    if (!samples[i - 1].scl && samples[i].scl) {
       edges.push_back(samples[i].t_ns);
     }
   }
   return edges;
-}
-
-}  // namespace
-
-std::vector<double> SclRisingEdges(const std::vector<I2cBus::Sample>& samples) {
-  return Edges(samples, /*rising=*/true);
-}
-
-std::vector<double> SclFallingEdges(const std::vector<I2cBus::Sample>& samples) {
-  return Edges(samples, /*rising=*/false);
 }
 
 FrequencyStats AnalyzeSclFrequency(const std::vector<I2cBus::Sample>& samples) {

@@ -1,5 +1,5 @@
 // Oscilloscope-style waveform analysis (paper section 5.2): find SCL
-// rising/falling edges, compute the instantaneous bus frequency between
+// rising edges, compute the instantaneous bus frequency between
 // consecutive rising edges, and aggregate mean/standard deviation per
 // operation — the same methodology the paper applies to captured traces.
 
@@ -15,7 +15,6 @@ namespace efeu::sim {
 
 // Timestamps (ns) of SCL rising edges in the capture.
 std::vector<double> SclRisingEdges(const std::vector<I2cBus::Sample>& samples);
-std::vector<double> SclFallingEdges(const std::vector<I2cBus::Sample>& samples);
 
 struct FrequencyStats {
   double mean_khz = 0;

@@ -51,7 +51,6 @@ class XilinxIpEngine : public rtl::RtlComponent {
     int extra_hold = 0;       // additional ticks (FIFO-service stall)
   };
 
-  void PushBit(bool scl_pair_value);
   void PushWriteByte(uint8_t value, int gap_ticks);
   void PushReadByte(bool last, int gap_ticks);
   void PushStart(bool repeated);

@@ -108,11 +108,6 @@ inline uint64_t HashWordsWide(std::span<const int32_t> words) {
   return Mix64(HashRound(HashRound(HashRound(h0, h1), h2), h3));
 }
 
-inline uint64_t CombineHash(uint64_t a, uint64_t b) {
-  // Boost-style combiner; good enough for visited-set bucketing.
-  return a ^ (b + 0x9e3779b97f4a7c15ull + (a << 6) + (a >> 2));
-}
-
 }  // namespace efeu
 
 #endif  // SRC_SUPPORT_HASH_H_

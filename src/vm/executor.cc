@@ -193,8 +193,6 @@ bool IrExecutor::AtValidEndState() const {
   return false;
 }
 
-bool IrExecutor::AtProgressLabel() const { return module_->blocks[block_].is_progress_label; }
-
 void IrExecutor::Snapshot(std::span<int32_t> out) const {
   assert(static_cast<int>(out.size()) == SnapshotSize());
   out[0] = block_;

@@ -58,8 +58,6 @@ class IrExecutor {
   // state: halted, or blocked at a recv in a block carrying an end label.
   // (Blocked sends and non-end recvs are invalid end states, like Promela.)
   bool AtValidEndState() const;
-  // True if the current block carries a progress label (livelock detection).
-  bool AtProgressLabel() const;
 
   // Error message for kAssertFailed/kRuntimeError.
   const std::string& error() const { return error_; }

@@ -4,10 +4,8 @@
 // refinement, storage verdicts), the symbolic executor over small lowered
 // specs (rendezvous facts, short-circuit conditions, nondet, loop widening),
 // the two sym-backed lint rules with triggering and silent cases, golden
-// summary rendering, every shipped specification proving clean under Werror
-// with its summary pinned and its unchanged module-rounds reused, and the
-// checker fast path (symbolic discharge) with exact state parity when not
-// discharged.
+// summary rendering, and every shipped specification proving clean under
+// Werror with its summary pinned and its unchanged module-rounds reused.
 
 #include <gtest/gtest.h>
 
@@ -1254,73 +1252,6 @@ TEST(ShippedSpecsSym, UnchangedReceiveFactsReuseModuleSummaries) {
   }
   EXPECT_EQ(module_rounds, 276);
   EXPECT_EQ(runs, 213);
-}
-
-// ---- checker fast path: symbolic discharge ---------------------------------
-
-i2c::VerifyConfig FaultConfig(int fault_events, int reset_events, int max_len) {
-  i2c::VerifyConfig config;
-  config.level = i2c::VerifyLevel::kEepDriver;
-  config.abstraction = i2c::VerifyAbstraction::kTransaction;
-  config.num_eeproms = 1;
-  config.num_ops = 2;
-  config.max_len = max_len;
-  config.fault_events = fault_events;
-  config.reset_events = reset_events;
-  return config;
-}
-
-TEST(SymDischarge, FaultConfigFullyDischargesSafetyPass) {
-  // The degraded fault oracle is provable from the declared transaction
-  // facts alone, so the explicit safety pass is skipped entirely: its
-  // properties hold for ALL fault schedules at once.
-  i2c::VerifyConfig config = FaultConfig(/*fault_events=*/2, /*reset_events=*/0, /*max_len=*/2);
-  config.sym_discharge = true;
-  DiagnosticEngine diag;
-  i2c::VerifyRunResult result = i2c::RunVerification(config, diag);
-  EXPECT_TRUE(result.ok) << diag.RenderAll();
-  EXPECT_TRUE(result.sym.attempted);
-  EXPECT_TRUE(result.sym.discharged);
-  EXPECT_EQ(result.sym.proved, result.sym.obligations);
-  EXPECT_GT(result.sym.obligations, 0);
-  EXPECT_EQ(result.safety.states_stored, 0u);
-  EXPECT_GT(result.liveness.states_stored, 0u);
-}
-
-TEST(SymDischarge, ResetConfigDoesNotDischargeAndKeepsStateParity) {
-  // The reset-convergence oracle counts failures across operations — beyond
-  // the per-message facts the executor tracks — so the fast path must fall
-  // back to the explicit passes, byte-for-byte the same exploration.
-  i2c::VerifyConfig config = FaultConfig(/*fault_events=*/1, /*reset_events=*/1, /*max_len=*/2);
-  DiagnosticEngine diag_off;
-  i2c::VerifyRunResult off = i2c::RunVerification(config, diag_off);
-  config.sym_discharge = true;
-  DiagnosticEngine diag_on;
-  i2c::VerifyRunResult on = i2c::RunVerification(config, diag_on);
-  EXPECT_TRUE(on.sym.attempted);
-  EXPECT_FALSE(on.sym.discharged);
-  EXPECT_LT(on.sym.proved, on.sym.obligations);
-  EXPECT_EQ(on.ok, off.ok);
-  EXPECT_EQ(on.safety.ok, off.safety.ok);
-  EXPECT_EQ(on.safety.states_stored, off.safety.states_stored);
-  EXPECT_EQ(on.liveness.states_stored, off.liveness.states_stored);
-}
-
-TEST(SymDischarge, FaultFreeDataOracleDoesNotDischarge) {
-  // Without faults the CWorld oracle checks full data correspondence
-  // (read-back equals the model array) — relational state the symbolic
-  // summary cannot express — so the config must not discharge.
-  i2c::VerifyConfig config = FaultConfig(/*fault_events=*/0, /*reset_events=*/0, /*max_len=*/2);
-  DiagnosticEngine diag_off;
-  i2c::VerifyRunResult off = i2c::RunVerification(config, diag_off);
-  config.sym_discharge = true;
-  DiagnosticEngine diag_on;
-  i2c::VerifyRunResult on = i2c::RunVerification(config, diag_on);
-  EXPECT_TRUE(on.sym.attempted);
-  EXPECT_FALSE(on.sym.discharged);
-  EXPECT_EQ(on.ok, off.ok);
-  EXPECT_EQ(on.safety.states_stored, off.safety.states_stored);
-  EXPECT_EQ(on.liveness.states_stored, off.liveness.states_stored);
 }
 
 }  // namespace
